@@ -41,7 +41,6 @@ class BacktestConfig:
     charge_initial_allocation: bool = False
     diag_method: str = "mean"
     ddof: int = 1
-    threads: Optional[int] = None
 
     def __post_init__(self):
         if self.window < 2:
@@ -209,7 +208,6 @@ def run_backtest(panel: ReturnPanel, config: BacktestConfig) -> BacktestResult:
                 ddof=config.ddof,
                 diag_method=config.diag_method,
                 init_params=warm,
-                threads=config.threads,
             )
             warm = sigma_local.pair_params
             diag_entry["local_pd_repaired"] = sigma_local.pd_repaired

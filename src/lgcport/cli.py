@@ -4,19 +4,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
-from .errors import LgcportError
+from .errors import ConfigError, LgcportError
 from .panel import load_panel, write_panel
 from .report import ALL_STRATEGY_LABELS, RunConfig, describe_text, execute_run
 from .synth import SYNTH_MODELS, synth_panel
 
-THREADS_ENV_VAR = "LGCPORT_THREADS"
-
-
-def _csv_list(text, cast):
-    return [cast(part) for part in text.split(",") if part.strip()]
+def _csv_list(text, cast, option):
+    try:
+        return [cast(part) for part in text.split(",") if part.strip()]
+    except ValueError as err:
+        raise ConfigError("%s: %s" % (option, err)) from err
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,24 +67,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _threads_from_env():
-    raw = os.environ.get(THREADS_ENV_VAR, "").strip()
-    if not raw:
-        return None
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return None
-
-
 def _cmd_run(args) -> int:
     config = RunConfig(
         input_path=args.input,
         output_dir=args.out,
         mode=args.mode,
-        windows=_csv_list(args.windows, int),
-        strategies=_csv_list(args.strategies, str),
-        tcosts_bp=_csv_list(args.tcost, float),
+        windows=_csv_list(args.windows, int, "--windows"),
+        strategies=_csv_list(args.strategies, str, "--strategies"),
+        tcosts_bp=_csv_list(args.tcost, float, "--tcost"),
         grid_method=args.grid,
         grid_lookback=args.grid_lookback,
         grid_quantile=args.grid_quantile,
@@ -93,7 +82,6 @@ def _cmd_run(args) -> int:
         charge_initial_allocation=args.charge_initial,
         gamma=args.gamma,
         var_alpha=args.var_alpha,
-        threads=_threads_from_env(),
     )
     manifest = execute_run(config)
     print(

@@ -5,18 +5,18 @@ A five-parameter Gaussian family is fitted at a grid point r by maximizing
     L(theta) = n^-1 sum_i K_b(R_i - r) log psi(R_i; theta) - int K_b(v - r) psi(v; theta) dv
 
 where K_b is a product Gaussian kernel and psi the bivariate normal density.
-The integral term has a closed form (Gaussian convolution), so both the
-objective and its gradient are exact.
+The integral term has a closed form (Gaussian convolution), so the objective,
+its gradient and its Hessian are exact. fit_local_batch maximizes it for many
+pairs at once by damped Newton; estimate_local_params is its one-pair case.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import (
     DegenerateSampleError,
@@ -237,19 +237,27 @@ def local_score(sample, r, b, theta: LocalParams) -> np.ndarray:
     return data - _penalty_gradient(r, b, theta)
 
 
-def plugin_bandwidth(sample, scale: float = 1.1) -> Tuple[float, float]:
-    """Plug-in bandwidth: `scale` times the marginal sample sd (n-1 denominator)."""
-    s = _as_sample(sample)
+def plugin_bandwidth(sample, scale: float = 1.1) -> Tuple[float, ...]:
+    """Plug-in bandwidth: `scale` times each column's sample sd (n-1 denominator).
+
+    `sample` is (n, 2) for one pair, giving (b1, b2), or (n, k) for k assets
+    at once, giving one bandwidth per asset.
+    """
+    s = np.asarray(sample, dtype=float)
+    if s.ndim != 2 or s.shape[1] < 1:
+        raise ValueError("sample must have shape (n, k), got %r" % (s.shape,))
     if s.shape[0] < 2:
         raise ValueError("bandwidth needs at least 2 observations")
+    if not np.all(np.isfinite(s)):
+        raise ValueError("sample contains non-finite values")
     if scale <= 0.0:
         raise ValueError("scale must be positive, got %g" % scale)
     sd = s.std(axis=0, ddof=1)
-    if sd[0] <= 0.0 or sd[1] <= 0.0:
+    if np.any(sd <= 0.0):
         raise DegenerateSampleError(
             "sample standard deviation is zero in a coordinate, sd=%r" % (sd,)
         )
-    return float(scale * sd[0]), float(scale * sd[1])
+    return tuple(float(scale * v) for v in sd)
 
 
 def global_gaussian_mle(sample) -> LocalParams:
@@ -269,34 +277,307 @@ def global_gaussian_mle(sample) -> LocalParams:
     return LocalParams(float(mu[0]), float(mu[1]), math.sqrt(v1), math.sqrt(v2), rho)
 
 
-def _to_eta(theta: LocalParams) -> np.ndarray:
-    return np.array(
-        [
-            theta.mu1,
-            theta.mu2,
-            math.log(theta.sigma1),
-            math.log(theta.sigma2),
-            math.atanh(theta.rho),
-        ]
+# Newton solver settings: Armijo sufficient-decrease constant, step halvings
+# before a line search gives up, and the relative floor on the magnitudes of
+# Hessian eigenvalues in the modified Newton step.
+_ARMIJO_C = 1e-4
+_MAX_BACKTRACKS = 40
+_EIGEN_FLOOR = 1e-8
+
+# Upper clip of |eta| per coordinate of (mu1, mu2, log s1, log s2, atanh rho).
+_ETA_CLIP = np.array([np.inf, np.inf, _LOG_SIGMA_CLIP, _LOG_SIGMA_CLIP, _ATANH_CLIP])
+
+
+def _to_eta(theta: np.ndarray) -> np.ndarray:
+    """(P, 5) parameters (mu1, mu2, s1, s2, rho) to clipped search coordinates."""
+    eta = np.array(theta, dtype=float)
+    eta[:, 2:4] = np.log(eta[:, 2:4])
+    eta[:, 4] = np.arctanh(eta[:, 4])
+    return np.clip(eta, -_ETA_CLIP, _ETA_CLIP)
+
+
+def _from_eta(eta: np.ndarray) -> np.ndarray:
+    """(P, 5) search coordinates, clipped, back to (mu1, mu2, s1, s2, rho)."""
+    eta = np.clip(eta, -_ETA_CLIP, _ETA_CLIP)
+    theta = eta.copy()
+    theta[:, 2:4] = np.exp(eta[:, 2:4])
+    theta[:, 4] = np.tanh(eta[:, 4])
+    return theta
+
+
+class _LocalMoments(NamedTuple):
+    """Per-pair constants of the objective, each with a leading (P,) axis.
+
+    The data term of the local likelihood depends on the sample only through
+    the kernel-weighted mean and covariance, so those are computed once per
+    fit and every objective evaluation costs O(1) per pair instead of O(n).
+    """
+
+    center: np.ndarray  # (P, 2) kernel-weighted mean
+    root: np.ndarray  # (P, 2, 2) square root of the kernel-weighted covariance
+    r: np.ndarray  # (P, 2) grid point
+    kernel_cov: np.ndarray  # (P, 2, 2) diag(b1^2, b2^2)
+    wbar: np.ndarray  # (P,) mean kernel weight
+
+    def take(self, idx) -> "_LocalMoments":
+        return _LocalMoments(*(a[idx] for a in self))
+
+
+def _local_moments(xs, ys, w, r, b) -> _LocalMoments:
+    total = w.sum(axis=1)
+    p = w / total[:, None]
+    s = np.stack([xs, ys], axis=2)
+    center = np.einsum("pi,pic->pc", p, s)
+    dev = s - center[:, None, :]
+    lam, vec = np.linalg.eigh(np.einsum("pi,pic,pid->pcd", p, dev, dev))
+    root = vec * np.sqrt(np.clip(lam, 0.0, None))[:, None, :]
+    kernel_cov = b[:, :, None] ** 2 * np.eye(2)
+    return _LocalMoments(center, root, r, kernel_cov, total / w.shape[1])
+
+
+def _sigma_derivatives(eta: np.ndarray):
+    """Sigma(eta) with its first and second derivatives over eta.
+
+    Shapes (P, 2, 2), (P, 5, 2, 2) and (P, 5, 5, 2, 2). With v11 = exp(2 l1),
+    v22 = exp(2 l2) and v12 = tanh(a) exp(l1 + l2), only the coordinates
+    l1, l2, a (indices 2, 3, 4) move Sigma.
+    """
+    n = len(eta)
+    s1 = np.exp(eta[:, 2])
+    s2 = np.exp(eta[:, 3])
+    rho = np.tanh(eta[:, 4])
+    v11, v22, v12 = s1 * s1, s2 * s2, rho * s1 * s2
+    dv12_da = s1 * s2 / np.cosh(eta[:, 4]) ** 2
+
+    sigma = np.empty((n, 2, 2))
+    sigma[:, 0, 0], sigma[:, 1, 1] = v11, v22
+    sigma[:, 0, 1] = sigma[:, 1, 0] = v12
+
+    d1 = np.zeros((n, 5, 2, 2))
+    d1[:, 2, 0, 0] = 2.0 * v11
+    d1[:, 3, 1, 1] = 2.0 * v22
+    off = d1[:, :, 0, 1]
+    off[:, 2] = off[:, 3] = v12
+    off[:, 4] = dv12_da
+    d1[:, :, 1, 0] = off
+
+    d2 = np.zeros((n, 5, 5, 2, 2))
+    d2[:, 2, 2, 0, 0] = 4.0 * v11
+    d2[:, 3, 3, 1, 1] = 4.0 * v22
+    off = d2[:, :, :, 0, 1]
+    off[:, 2:4, 2:4] = v12[:, None, None]
+    off[:, 2:4, 4] = off[:, 4, 2:4] = dv12_da[:, None]
+    off[:, 4, 4] = -2.0 * rho * dv12_da
+    d2[:, :, :, 1, 0] = off
+    return sigma, d1, d2
+
+
+def _mean_shift(m: int) -> np.ndarray:
+    """d D / d eta for a (2, m) deviation matrix whose first column is c - mu."""
+    out = np.zeros((5, 2, m))
+    out[0, 0, 0] = out[1, 1, 0] = -1.0
+    return out
+
+
+_DATA_SHIFT = _mean_shift(3)
+_PENALTY_SHIFT = _mean_shift(1)
+
+
+def _gaussian_form(v, dv, d2v, dev, shift, hessian: bool):
+    """T = 0.5 log det V + 0.5 tr(D' V^-1 D), and for `hessian` its eta derivatives.
+
+    V is (P, 2, 2) with derivatives dv, d2v; D is (P, 2, m) and affine in eta
+    with constant derivative `shift` (5, 2, m). With E = V^-1 D and
+    G_k = D_k - V_k E:
+        dT/dk    = 0.5 tr(V^-1 V_k) + tr(D_k' E) - 0.5 tr(E' V_k E)
+        d2T/dkdl = 0.5 tr(V^-1 V_kl) - 0.5 tr(V^-1 V_k V^-1 V_l)
+                   + tr(G_k' V^-1 G_l) - 0.5 tr(E' V_kl E)
+    """
+    det = v[:, 0, 0] * v[:, 1, 1] - v[:, 0, 1] * v[:, 1, 0]
+    inv = np.empty_like(v)
+    inv[:, 0, 0], inv[:, 1, 1] = v[:, 1, 1], v[:, 0, 0]
+    inv[:, 0, 1], inv[:, 1, 0] = -v[:, 0, 1], -v[:, 1, 0]
+    inv /= det[:, None, None]
+    e = inv @ dev
+    value = 0.5 * np.log(det) + 0.5 * np.einsum("pim,pim->p", dev, e)
+    if not hessian:
+        return value
+    inv_dv = inv[:, None] @ dv
+    dv_e = dv @ e[:, None]
+    grad = (
+        0.5 * np.einsum("pkii->pk", inv_dv)
+        + np.einsum("kim,pim->pk", shift, e)
+        - 0.5 * np.einsum("pim,pkim->pk", e, dv_e)
     )
-
-
-def _from_eta(eta: np.ndarray) -> LocalParams:
-    ls1 = min(max(eta[2], -_LOG_SIGMA_CLIP), _LOG_SIGMA_CLIP)
-    ls2 = min(max(eta[3], -_LOG_SIGMA_CLIP), _LOG_SIGMA_CLIP)
-    a = min(max(eta[4], -_ATANH_CLIP), _ATANH_CLIP)
-    return LocalParams(
-        float(eta[0]), float(eta[1]), math.exp(ls1), math.exp(ls2), math.tanh(a)
+    g = shift - dv_e
+    hess = (
+        0.5 * np.einsum("pij,pklji->pkl", inv, d2v)
+        - 0.5 * np.einsum("pkij,plji->pkl", inv_dv, inv_dv)
+        + np.einsum("pkim,pij,pljm->pkl", g, inv, g)
+        - 0.5 * np.einsum("pim,pklij,pjm->pkl", e, d2v, e)
     )
+    return value, grad, hess
 
 
-def _chain_factors(eta: np.ndarray, theta: LocalParams) -> np.ndarray:
-    """d theta / d eta on the diagonal; zero where a clip is active."""
-    f = np.ones(5)
-    f[2] = theta.sigma1 if abs(eta[2]) < _LOG_SIGMA_CLIP else 0.0
-    f[3] = theta.sigma2 if abs(eta[3]) < _LOG_SIGMA_CLIP else 0.0
-    f[4] = 1.0 - theta.rho * theta.rho if abs(eta[4]) < _ATANH_CLIP else 0.0
-    return f
+def _objective(mom: _LocalMoments, eta: np.ndarray, hessian: bool = False):
+    """F(eta) = -local_loglik / wbar per pair, and for `hessian` its derivatives.
+
+    F = log(2 pi) + T(Sigma, [c - mu, root]) + exp(-log(2 pi) - T(Sigma + B, [r - mu])) / wbar
+    where T is _gaussian_form: the first part is the weighted Gaussian
+    log-likelihood at the local moments, the second the closed-form penalty.
+    """
+    sigma, d1, d2 = _sigma_derivatives(eta)
+    mu = eta[:, :2]
+    data_dev = np.concatenate([(mom.center - mu)[:, :, None], mom.root], axis=2)
+    pen_dev = (mom.r - mu)[:, :, None]
+    data = _gaussian_form(sigma, d1, d2, data_dev, _DATA_SHIFT, hessian)
+    pen = _gaussian_form(sigma + mom.kernel_cov, d1, d2, pen_dev, _PENALTY_SHIFT, hessian)
+    if not hessian:
+        return _LOG_2PI + data + np.exp(-_LOG_2PI - pen) / mom.wbar
+    penalty = np.exp(-_LOG_2PI - pen[0]) / mom.wbar
+    value = _LOG_2PI + data[0] + penalty
+    grad = data[1] - penalty[:, None] * pen[1]
+    outer = pen[1][:, :, None] * pen[1][:, None, :]
+    hess = data[2] + penalty[:, None, None] * (outer - pen[2])
+    return value, grad, hess
+
+
+def _freeze_clipped(eta, grad, hess):
+    """Zero the gradient and decouple the Hessian in coordinates at their clip."""
+    at_clip = np.abs(eta) >= _ETA_CLIP
+    if not at_clip.any():
+        return grad, hess
+    free = ~at_clip
+    grad = np.where(free, grad, 0.0)
+    hess = np.where(free[:, :, None] & free[:, None, :], hess, 0.0)
+    hess = hess + np.eye(5) * at_clip[:, None, :]
+    return grad, hess
+
+
+def _newton_direction(grad, hess):
+    """Modified Newton step -H'^-1 g, with each eigenvalue l of H replaced by
+    max(|l|, _EIGEN_FLOOR * max|l|), so the step descends where H is indefinite."""
+    lam, vec = np.linalg.eigh(hess)
+    mag = np.abs(lam)
+    mag = np.maximum(mag, _EIGEN_FLOOR * mag.max(axis=1, keepdims=True))
+    coef = np.einsum("pji,pj->pi", vec, grad) / mag
+    return -np.einsum("pij,pj->pi", vec, coef)
+
+
+def _line_search(mom: _LocalMoments, eta, value, grad, step):
+    """Backtracking (Armijo) search along `step` from clipped trial points.
+
+    Returns the new points and a mask of the pairs whose search succeeded; a
+    non-finite trial objective counts as a rejected step.
+    """
+    slope = np.einsum("pi,pi->p", grad, step)
+    t = np.ones(len(eta))
+    new = eta.copy()
+    accepted = np.zeros(len(eta), dtype=bool)
+    todo = np.arange(len(eta))
+    for _ in range(_MAX_BACKTRACKS):
+        trial = np.clip(eta[todo] + t[todo, None] * step[todo], -_ETA_CLIP, _ETA_CLIP)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            f = _objective(mom.take(todo), trial)
+        ok = np.isfinite(f) & (f <= value[todo] + _ARMIJO_C * t[todo] * slope[todo])
+        new[todo[ok]] = trial[ok]
+        accepted[todo[ok]] = True
+        todo = todo[~ok]
+        if not todo.size:
+            break
+        t[todo] *= 0.5
+    return new, accepted
+
+
+@dataclass
+class BatchFit:
+    """Per-pair results of fit_local_batch, each with a leading (P,) axis."""
+
+    params: np.ndarray  # (P, 5) mu1, mu2, sigma1, sigma2, rho
+    converged: np.ndarray
+    iterations: np.ndarray
+    gradient_norm: np.ndarray
+    effective_weight: np.ndarray
+    local_mass: np.ndarray
+
+    def diagnostics(self, i: int) -> FitDiagnostics:
+        return FitDiagnostics(
+            converged=bool(self.converged[i]),
+            iterations=int(self.iterations[i]),
+            gradient_norm=float(self.gradient_norm[i]),
+            effective_weight=float(self.effective_weight[i]),
+        )
+
+
+def fit_local_batch(
+    xs: np.ndarray,
+    ys: np.ndarray,
+    r: np.ndarray,
+    b: np.ndarray,
+    theta0: np.ndarray,
+    *,
+    weight_floor: float = WEIGHT_FLOOR,
+    gradient_tol: float = GRADIENT_TOL,
+    max_iterations: int = MAX_ITERATIONS,
+) -> BatchFit:
+    """Maximize the local log-likelihood of P pairs at once by damped Newton.
+
+    `xs`, `ys` are (P, n) samples, `r` and `b` (P, 2) grid points and
+    bandwidths, `theta0` (P, 5) starting parameters. Inputs must already be
+    validated: finite samples, positive bandwidths, valid starts.
+
+    Pairs whose scale-free local mass is below `weight_floor` are not fitted
+    (iterations 0, gradient norm inf). The others run a modified Newton
+    iteration with an analytic Hessian and an Armijo line search in
+    (mu1, mu2, log sigma1, log sigma2, atanh rho), and leave the active set
+    once the max-norm of the wbar-normalized gradient is at most
+    `gradient_tol`. A pair whose gradient is not finite, whose line search
+    fails, or that reaches `max_iterations` stops unconverged.
+    """
+    n = xs.shape[1]
+    norm = 2.0 * np.pi * b[:, 0] * b[:, 1]
+    z1 = (xs - r[:, :1]) / b[:, :1]
+    z2 = (ys - r[:, 1:]) / b[:, 1:]
+    w = np.exp(-0.5 * (z1 * z1 + z2 * z2)) / norm[:, None]
+    effective_weight = w.sum(axis=1)
+    # Scale-invariant local mass: kernel values with the normalizing
+    # constant removed, so the floor does not depend on b or data units.
+    mass = effective_weight * norm / n
+    fit = BatchFit(
+        params=np.array(theta0, dtype=float),
+        converged=np.zeros(len(xs), dtype=bool),
+        iterations=np.zeros(len(xs), dtype=int),
+        gradient_norm=np.full(len(xs), np.inf),
+        effective_weight=effective_weight,
+        local_mass=mass,
+    )
+    fitted = np.flatnonzero(mass >= weight_floor)
+    if not fitted.size:
+        return fit
+    mom = _local_moments(xs[fitted], ys[fitted], w[fitted], r[fitted], b[fitted])
+    eta = _to_eta(fit.params[fitted])
+
+    live = np.arange(len(fitted))
+    for it in range(max_iterations + 1):
+        value, grad, hess = _objective(mom.take(live), eta[live], hessian=True)
+        grad, hess = _freeze_clipped(eta[live], grad, hess)
+        gnorm = np.abs(grad).max(axis=1)
+        fit.gradient_norm[fitted[live]] = gnorm
+        done = gnorm <= gradient_tol
+        fit.converged[fitted[live[done]]] = True
+        go = ~done & np.isfinite(gnorm)
+        if it == max_iterations or not go.any():
+            break
+        live = live[go]
+        step = _newton_direction(grad[go], hess[go])
+        new, moved = _line_search(mom.take(live), eta[live], value[go], grad[go], step)
+        eta[live] = new
+        live = live[moved]
+        fit.iterations[fitted[live]] += 1
+        if not live.size:
+            break
+    fit.params[fitted] = _from_eta(eta)
+    return fit
 
 
 def estimate_local_params(
@@ -334,58 +615,42 @@ def estimate_local_params(
 
     Notes
     -----
-    The search runs unconstrained in (mu1, mu2, log sigma1, log sigma2,
-    atanh rho) with the analytic gradient. The objective is normalized by
-    the mean kernel weight so the 1e-6 gradient tolerance means the same
-    thing at every grid point and bandwidth.
+    This is the single-pair case of fit_local_batch: a damped Newton
+    iteration in (mu1, mu2, log sigma1, log sigma2, atanh rho) with an
+    analytic Hessian, eigenvalue-modified where it is not positive definite,
+    and an Armijo line search. The objective is normalized by the mean kernel
+    weight so the 1e-6 gradient tolerance means the same thing at every grid
+    point and bandwidth. `iterations` counts Newton steps.
     """
     s = _as_sample(sample)
-    n = s.shape[0]
-    if n < 2:
+    if s.shape[0] < 2:
         raise ValueError("estimation needs at least 2 observations")
     b1, b2 = _check_bandwidth(b)
     r1, r2 = _check_point(r)
+    theta0 = init if init is not None else global_gaussian_mle(s)
 
-    w = gaussian_kernel_weight(s, (r1, r2), (b1, b2))
-    effective_weight = float(w.sum())
-    # Scale-invariant local mass: kernel values with the normalizing
-    # constant removed, so the floor does not depend on b or data units.
-    mass = effective_weight * (2.0 * math.pi * b1 * b2) / n
-    if mass < weight_floor:
+    fit = fit_local_batch(
+        s[None, :, 0],
+        s[None, :, 1],
+        np.array([[r1, r2]]),
+        np.array([[b1, b2]]),
+        theta0.as_array()[None],
+        weight_floor=weight_floor,
+        gradient_tol=gradient_tol,
+        max_iterations=max_iterations,
+    )
+    if fit.local_mass[0] < weight_floor:
         raise InsufficientLocalDataError(
             "no effective observations near grid point (%g, %g): local mass %.3e"
-            % (r1, r2, mass),
-            effective_weight=effective_weight,
+            % (r1, r2, fit.local_mass[0]),
+            effective_weight=float(fit.effective_weight[0]),
         )
-
-    theta0 = init if init is not None else global_gaussian_mle(s)
-    wbar = effective_weight / n
-
-    def negloglik(eta):
-        theta = _from_eta(eta)
-        val = local_loglik(s, (r1, r2), (b1, b2), theta)
-        grad = local_score(s, (r1, r2), (b1, b2), theta) * _chain_factors(eta, theta)
-        return -val / wbar, -grad / wbar
-
-    res = minimize(
-        negloglik,
-        _to_eta(theta0),
-        jac=True,
-        method="BFGS",
-        options={"gtol": gradient_tol, "maxiter": max_iterations},
-    )
-    gnorm = float(np.max(np.abs(res.jac)))
-    theta = _from_eta(res.x)
-    diag = FitDiagnostics(
-        converged=gnorm <= gradient_tol,
-        iterations=int(res.nit),
-        gradient_norm=gnorm,
-        effective_weight=effective_weight,
-    )
+    theta = LocalParams.from_array(fit.params[0])
+    diag = fit.diagnostics(0)
     if not diag.converged:
         raise NonConvergenceError(
             "local fit at (%g, %g) stopped after %d iterations with gradient %.3e"
-            % (r1, r2, diag.iterations, gnorm),
+            % (r1, r2, diag.iterations, diag.gradient_norm),
             params=theta,
             diagnostics=diag,
         )

@@ -3,24 +3,19 @@
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .errors import (
-    DegenerateSampleError,
-    InsufficientDataError,
-    InsufficientLocalDataError,
-    NonConvergenceError,
-    NonSymmetricError,
-)
-from .lgc import (
+from .errors import DegenerateSampleError, InsufficientDataError, NonSymmetricError
+# estimate_local_params is unused here but stays importable from this module:
+# external code (e.g. the span tracer in perfbench/) looks it up here.
+from .lgc import (  # noqa: F401
     FitDiagnostics,
     LocalParams,
     estimate_local_params,
+    fit_local_batch,
     global_gaussian_mle,
     plugin_bandwidth,
 )
@@ -28,8 +23,6 @@ from .panel import ReturnPanel
 
 # Relative eigenvalue floor below which a matrix counts as not positive definite.
 PD_TOL = 1e-10
-
-THREADS_ENV_VAR = "LGCPORT_THREADS"
 
 
 @dataclass
@@ -143,27 +136,6 @@ def global_covariance(panel) -> LocalCovMatrix:
     )
 
 
-def _fit_pair(x, grid_i, grid_j, scale, init):
-    """Local fit of one asset pair, falling back to the global Gaussian MLE."""
-    b = plugin_bandwidth(x, scale)
-    try:
-        theta, diag = estimate_local_params(x, (grid_i, grid_j), b, init)
-    except InsufficientLocalDataError as err:
-        theta = global_gaussian_mle(x)
-        diag = FitDiagnostics(
-            converged=False,
-            iterations=0,
-            gradient_norm=math.inf,
-            effective_weight=err.effective_weight or 0.0,
-            fallback=True,
-        )
-    except NonConvergenceError as err:
-        theta = global_gaussian_mle(x)
-        diag = err.diagnostics
-        diag.fallback = True
-    return theta, diag
-
-
 def pairwise_local_covariance(
     panel,
     grid,
@@ -172,7 +144,6 @@ def pairwise_local_covariance(
     ddof: int = 1,
     diag_method: str = "mean",
     init_params: Optional[Dict[Tuple[int, int], LocalParams]] = None,
-    threads: Optional[int] = None,
 ) -> LocalCovMatrix:
     """Assemble an N x N covariance from bivariate local fits at a grid point.
 
@@ -181,14 +152,14 @@ def pairwise_local_covariance(
     pair's fit, and the diagonal for asset i aggregates its sigma estimates
     across the N-1 pairs containing i. The result is scaled by n/(n - ddof)
     so the wide-bandwidth limit matches the n-1 sample covariance, then
-    repaired to positive definiteness.
+    repaired to positive definiteness. All pairs are fitted together by one
+    fit_local_batch call.
 
     Pairs that fail to fit (no local mass, or no convergence) fall back to
     the pair's global Gaussian MLE and are flagged in pair_diagnostics.
 
     `init_params` maps pair indices to warm starts, e.g. the previous
-    month's `pair_params`. `threads` > 1 fits pairs concurrently; assembly
-    order is fixed, so results do not depend on scheduling.
+    month's `pair_params`; other pairs start from their global Gaussian MLE.
     """
     x = _as_matrix(panel)
     n, n_assets = x.shape
@@ -202,27 +173,33 @@ def pairwise_local_covariance(
     if n_assets == 1:
         return global_covariance(x)
 
-    if threads is None:
-        threads = int(os.environ.get(THREADS_ENV_VAR, "1") or "1")
-    pairs = [(i, j) for i in range(n_assets) for j in range(i + 1, n_assets)]
+    bandwidth = np.array(plugin_bandwidth(x, bandwidth_scale))
+    first, second = np.triu_indices(n_assets, 1)
+    pairs = list(zip(first.tolist(), second.tolist()))
     inits = init_params or {}
-
-    def task(pair):
-        i, j = pair
-        return _fit_pair(x[:, [i, j]], g[i], g[j], bandwidth_scale, inits.get(pair))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            fits = list(pool.map(task, pairs))
-    else:
-        fits = [task(p) for p in pairs]
+    start = [
+        inits[p] if p in inits else global_gaussian_mle(x[:, list(p)]) for p in pairs
+    ]
+    fit = fit_local_batch(
+        x[:, first].T,
+        x[:, second].T,
+        np.column_stack([g[first], g[second]]),
+        np.column_stack([bandwidth[first], bandwidth[second]]),
+        np.array([theta.as_array() for theta in start]),
+    )
 
     rho = np.eye(n_assets)
     cov = np.zeros((n_assets, n_assets))
     sigma_lists = [[] for _ in range(n_assets)]
     diagnostics: Dict[Tuple[int, int], FitDiagnostics] = {}
     params: Dict[Tuple[int, int], LocalParams] = {}
-    for (i, j), (theta, diag) in zip(pairs, fits):
+    for k, (i, j) in enumerate(pairs):
+        diag = fit.diagnostics(k)
+        if diag.converged:
+            theta = LocalParams.from_array(fit.params[k])
+        else:
+            theta = global_gaussian_mle(x[:, [i, j]])
+            diag.fallback = True
         cov[i, j] = cov[j, i] = theta.rho * theta.sigma1 * theta.sigma2
         rho[i, j] = rho[j, i] = theta.rho
         sigma_lists[i].append(theta.sigma1)

@@ -12,7 +12,7 @@ import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from . import __version__
 from .backtest import (
@@ -267,7 +267,6 @@ class RunConfig:
     var_alpha: float = 0.95
     asset_table_quantile: float = 0.05
     diag_method: str = "mean"
-    threads: Optional[int] = None
 
     def __post_init__(self):
         if self.mode not in ("returns", "prices"):
@@ -301,6 +300,7 @@ def execute_run(config: RunConfig) -> dict:
 
     files: List[str] = []
     window_meta: Dict[str, dict] = {}
+    assets = asset_table(panel, config.asset_table_quantile, config.bandwidth_scale)
     for m in config.windows:
         bt = BacktestConfig(
             window=m,
@@ -312,14 +312,12 @@ def execute_run(config: RunConfig) -> dict:
             bandwidth_scale=config.bandwidth_scale,
             charge_initial_allocation=config.charge_initial_allocation,
             diag_method=config.diag_method,
-            threads=config.threads,
         )
         result = run_window(panel, bt)
 
         tag = "w%d" % m
         out = config.output_dir
-        header, rows = asset_table(panel, config.asset_table_quantile, config.bandwidth_scale)
-        _write_file(out, "table_assets_%s.csv" % tag, header, rows, files)
+        _write_file(out, "table_assets_%s.csv" % tag, *assets, files)
         header, rows = strategy_stats_table(result)
         _write_file(out, "table_strategy_stats_%s.csv" % tag, header, rows, files)
         header, rows = rebalancing_table(result, config.tcosts_bp)

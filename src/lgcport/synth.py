@@ -27,6 +27,8 @@ _CALM_BLOCKS = {
     ("STK", "GLD"): 0.0,
     ("BND", "GLD"): 0.1,
     ("CMD", "GLD"): 0.35,
+    ("CMD", "CMD"): 0.5,
+    ("GLD", "GLD"): 0.7,
 }
 _BEAR_BLOCKS = {
     ("STK", "STK"): 0.9,
@@ -37,6 +39,8 @@ _BEAR_BLOCKS = {
     ("STK", "GLD"): -0.2,
     ("BND", "GLD"): 0.15,
     ("CMD", "GLD"): 0.45,
+    ("CMD", "CMD"): 0.75,
+    ("GLD", "GLD"): 0.8,
 }
 
 

@@ -120,6 +120,27 @@ class TestRunCommand:
             else:
                 assert a == b, name
 
+    def test_asset_table_built_once_per_run(self, panel_file, tmp_path, monkeypatch):
+        import lgcport.report
+
+        calls = []
+        original = lgcport.report.asset_table
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(lgcport.report, "asset_table", counted)
+        out = tmp_path / "o"
+        code = run_cli(
+            "run", "--input", str(panel_file), "--out", str(out),
+            "--windows", "20,24", "--strategies", "EW,MIN-L",
+        )
+        assert code == 0
+        assert len(calls) == 1
+        a = (out / "table_assets_w20.csv").read_bytes()
+        assert a == (out / "table_assets_w24.csv").read_bytes()
+
     def test_manifest_hash_matches_input(self, panel_file, tmp_path):
         import hashlib
 
@@ -192,6 +213,18 @@ class TestErrorHandling:
         assert code == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
+
+    @pytest.mark.parametrize("option", ["--windows", "--tcost"])
+    def test_non_numeric_list_reports_json(self, panel_file, tmp_path, capsys, option):
+        code = run_cli(
+            "run", "--input", str(panel_file), "--out", str(tmp_path / "o"), option, "24,abc"
+        )
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ConfigError"
+        assert option in err["message"] and "abc" in err["message"]
 
 
 class TestConsoleEntry:

@@ -24,8 +24,9 @@ from lgcport.lgc import (
     penalty_integral,
     plugin_bandwidth,
 )
+from lgcport.lgc import _local_moments, _objective
 
-from conftest import gauss_pair
+from conftest import gauss_pair, eta_score
 
 
 def quad_penalty(r, b, theta):
@@ -207,6 +208,48 @@ class TestLocalScore:
         assert np.max(np.abs(local_score(sample, (0.0, 0.0), b, theta))) < 1e-6
 
 
+class TestNewtonObjective:
+    def test_hessian_matches_finite_differences_of_score(self):
+        # Same draws and tolerance as acceptance criterion C07, in the
+        # (mu1, mu2, log sigma1, log sigma2, atanh rho) search coordinates.
+        rng = np.random.default_rng(11)
+        h, worst = 1e-5, 0.0
+        for _ in range(100):
+            n = int(rng.integers(1, 50))
+            sample = rng.standard_normal((n, 2)) * rng.uniform(0.5, 2.0)
+            r = rng.uniform(-1.5, 1.5, size=2)
+            b = np.array([rng.uniform(0.6, 2.0), rng.uniform(0.6, 2.0)])
+            eta = np.array(
+                [
+                    rng.uniform(-1, 1),
+                    rng.uniform(-1, 1),
+                    math.log(rng.uniform(0.6, 2.0)),
+                    math.log(rng.uniform(0.6, 2.0)),
+                    math.atanh(rng.uniform(-0.8, 0.8)),
+                ]
+            )
+            w = gaussian_kernel_weight(sample, r, b)
+            moments = _local_moments(
+                sample[None, :, 0], sample[None, :, 1], w[None], r[None], b[None]
+            )
+            value, grad, hess = _objective(moments, eta[None], hessian=True)
+
+            theta = LocalParams(
+                eta[0], eta[1], math.exp(eta[2]), math.exp(eta[3]), math.tanh(eta[4])
+            )
+            wbar = w.mean()
+            assert value[0] == pytest.approx(-local_loglik(sample, r, b, theta) / wbar, abs=1e-10)
+            assert np.max(np.abs(grad[0] - eta_score(sample, r, b, eta))) < 1e-10
+            fd = np.empty((5, 5))
+            for k in range(5):
+                up, dn = eta.copy(), eta.copy()
+                up[k] += h
+                dn[k] -= h
+                fd[:, k] = (eta_score(sample, r, b, up) - eta_score(sample, r, b, dn)) / (2 * h)
+            worst = max(worst, float(np.max(np.abs(hess[0] - fd))))
+        assert worst <= 1e-6
+
+
 class TestPluginBandwidth:
     def test_two_point_closed_form(self):
         sample = [[-1.0, -2.0], [1.0, 2.0]]
@@ -230,6 +273,12 @@ class TestPluginBandwidth:
         sample = np.column_stack([np.ones(10), np.arange(10.0)])
         with pytest.raises(DegenerateSampleError):
             plugin_bandwidth(sample)
+
+    def test_many_columns_match_pairs(self, rng):
+        x = rng.standard_normal((60, 4)) * np.array([1.0, 2.0, 0.5, 3.0])
+        wide = plugin_bandwidth(x)
+        assert len(wide) == 4
+        assert wide[1:3] == pytest.approx(plugin_bandwidth(x[:, 1:3]), rel=1e-14)
 
 
 class TestEstimateLocalParams:

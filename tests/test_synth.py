@@ -1,5 +1,7 @@
 """Synthetic panel generators: determinism, dependence shape, validation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -90,6 +92,24 @@ class TestBearModel:
         dev = r - r.mean()
         skew = np.mean(dev**3) / np.mean(dev**2) ** 1.5
         assert skew < -0.2
+
+    def test_default_panel_bytes_unchanged(self):
+        # SHA-256 of synth_panel().returns, the input of the paper's run (C11),
+        # recorded before same-class CMD/GLD entries were added to the blocks.
+        p = synth_panel()
+        digest = hashlib.sha256(p.returns.tobytes()).hexdigest()
+        assert digest == "a41a5700f30c6002aab2b2886bc5d2aa80f1d9b090f82abd01646147103f7a37"
+
+    @pytest.mark.parametrize("n_assets", [11, 12])
+    def test_repeated_asset_classes(self, n_assets):
+        # Assets 4 and 10 are both commodities, 5 and 11 both gold.
+        p = synth_panel(months=20000, n_assets=n_assets, seed=8, model="bear")
+        assert p.returns.shape == (20000, n_assets)
+        assert np.all(np.isfinite(p.returns))
+        corr = np.corrcoef(p.returns, rowvar=False)
+        assert corr[4, 10] > 0.4
+        if n_assets == 12:
+            assert corr[5, 11] > 0.4
 
     def test_bear_prob_zero_is_calm_only(self):
         p = synth_panel(months=50000, seed=6, model="bear", bear_prob=0.0)

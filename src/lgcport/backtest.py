@@ -9,19 +9,26 @@ accumulated. Month t weights never see month t returns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from .errors import ConfigError, LgcportError, PortfolioWipeoutError
 from .localcov import (
-    LocalCovMatrix,
     global_covariance,
     moving_grid,
     pairwise_local_covariance,
     percentile_grid,
 )
-from .optimizer import StrategySpec, equal_weights, solve_minvar, solve_mv
+# solve_mv and solve_minvar are unused here but stay importable from this
+# module: external code (e.g. the span tracer in perfbench/) looks them up here.
+from .optimizer import (  # noqa: F401
+    StrategySpec,
+    equal_weights,
+    solve_batch,
+    solve_minvar,
+    solve_mv,
+)
 from .panel import ReturnPanel
 
 GRID_METHODS = ("moving", "percentile")
@@ -141,18 +148,101 @@ def wealth_path(returns_pct) -> np.ndarray:
     return out
 
 
-def _solve_weights(spec: StrategySpec, mu_dec, sigma_dec) -> np.ndarray:
-    if spec.kind in ("MVS", "MVSC"):
-        return solve_mv(mu_dec, sigma_dec, spec)
-    return solve_minvar(sigma_dec, spec)
+def _estimate(x, dates, config: BacktestConfig, need_global: bool, need_local: bool):
+    """Per date: the mean vector and each needed covariance, in decimal units.
+
+    Returns (means, covariances, errors, date_diagnostics): `covariances`
+    maps each needed source ("global", "local") to an (n_dates, N, N) stack,
+    and `errors` maps it to {date index: the LgcportError its estimation
+    raised}; the error is also recorded in the date's diagnostics.
+    Sequential, because local pair fits are warm-started from the previous
+    month.
+    """
+    n, n_assets = x.shape
+    m = config.window
+    means = np.empty((n - m, n_assets))
+    needed = [s for s, need in (("global", need_global), ("local", need_local)) if need]
+    covariances = {s: np.zeros((n - m, n_assets, n_assets)) for s in needed}
+    errors: Dict[str, Dict[int, LgcportError]] = {"global": {}, "local": {}}
+    date_diagnostics: List[dict] = []
+    warm: Dict[Tuple[int, int], object] = {}
+
+    for step in range(n - m):
+        t = m + step
+        window = x[t - m : t]
+        means[step] = window.mean(axis=0) / 100.0
+        diag_entry = {"date": dates[step]}
+
+        if need_global:
+            try:
+                sigma_global = global_covariance(window)
+            except LgcportError as err:
+                errors["global"][step] = err
+                diag_entry["global_error"] = str(err)
+            else:
+                covariances["global"][step] = sigma_global.matrix / 1e4
+                diag_entry["global_pd_repaired"] = sigma_global.pd_repaired
+
+        if need_local:
+            if config.grid_method == "moving":
+                grid = moving_grid(x, t, config.grid_lookback)
+            else:
+                grid = percentile_grid(window, config.grid_quantile)
+            try:
+                sigma_local = pairwise_local_covariance(
+                    window,
+                    grid,
+                    config.bandwidth_scale,
+                    ddof=config.ddof,
+                    diag_method=config.diag_method,
+                    init_params=warm,
+                )
+            except LgcportError as err:
+                errors["local"][step] = err
+                diag_entry["local_error"] = str(err)
+            else:
+                warm = sigma_local.pair_params
+                covariances["local"][step] = sigma_local.matrix / 1e4
+                diag_entry["local_pd_repaired"] = sigma_local.pd_repaired
+                diag_entry["pair_fallbacks"] = sigma_local.n_fallbacks
+        date_diagnostics.append(diag_entry)
+    return means, covariances, errors, date_diagnostics
+
+
+def _solve_targets(spec: StrategySpec, means, covariances, errors):
+    """Target weights of every date from one batched solve.
+
+    Returns (targets, failures): targets is (n_dates, N), and failures maps
+    each date without a target to its error, estimation errors included.
+    """
+    ok = np.array([step for step in range(len(means)) if step not in errors], dtype=int)
+    targets = np.full(means.shape, np.nan)
+    failures = dict(errors)
+    if ok.size:
+        try:
+            weights, failed = solve_batch(
+                spec, covariances[ok] if errors else covariances, means[ok]
+            )
+        except LgcportError as err:
+            weights, failed = targets[ok], dict.fromkeys(range(ok.size), err)
+        targets[ok] = weights
+        failures.update((int(ok[row]), err) for row, err in failed.items())
+    return targets, failures
 
 
 def run_backtest(panel: ReturnPanel, config: BacktestConfig) -> BacktestResult:
     """Run every configured strategy over the rolling window.
 
-    Strategies are independent: adding or removing one never changes the
-    numbers of another. Local-covariance strategies share one local matrix
+    Three passes: estimate the mean and covariances of every date, solve each
+    strategy's weights for all dates in one batched call (targets depend only
+    on the date's estimates), then account drift, turnover and costs month by
+    month. Strategies are independent: adding or removing one never changes
+    the numbers of another. Local-covariance strategies share one local matrix
     per date, with pair fits warm-started from the previous month.
+
+    A date whose covariance or solve fails keeps the previous month's target
+    for the strategies concerned, recorded in their `fallbacks`; a failure at
+    inception raises.
     """
     x = panel.returns
     n, n_assets = x.shape
@@ -176,46 +266,31 @@ def run_backtest(panel: ReturnPanel, config: BacktestConfig) -> BacktestResult:
 
     n_oos = n - m
     dates = [panel.dates[t] for t in range(m, n)]
+    means, covariances, errors, date_diagnostics = _estimate(
+        x, dates, config, need_global, need_local
+    )
+
+    solved = {
+        s.label: _solve_targets(
+            s, means, covariances[s.covariance_source], errors[s.covariance_source]
+        )
+        for s in specs
+        if s.kind != "EW"
+    }
+    for label, (_, failures) in solved.items():
+        if 0 in failures:
+            err = failures[0]
+            raise type(err)("%s at inception %s for %s" % (err, dates[0], label)) from err
+
     held = {s.label: np.zeros((n_oos, n_assets)) for s in specs}
     drifted = {s.label: np.zeros((n_oos, n_assets)) for s in specs}
     gross = {s.label: np.zeros(n_oos) for s in specs}
     turn = {s.label: np.zeros(n_oos) for s in specs}
     fallbacks: Dict[str, List[Tuple[str, str]]] = {s.label: [] for s in specs}
-    date_diagnostics: List[dict] = []
-    warm: Dict[Tuple[int, int], object] = {}
-
-    for step in range(n_oos):
-        t = m + step
-        window = x[t - m : t]
-        mu_dec = window.mean(axis=0) / 100.0
-        diag_entry = {"date": dates[step]}
-
-        sigma_global: Optional[LocalCovMatrix] = None
-        if need_global:
-            sigma_global = global_covariance(window)
-            diag_entry["global_pd_repaired"] = sigma_global.pd_repaired
-
-        sigma_local: Optional[LocalCovMatrix] = None
-        if need_local:
-            if config.grid_method == "moving":
-                grid = moving_grid(x, t, config.grid_lookback)
-            else:
-                grid = percentile_grid(window, config.grid_quantile)
-            sigma_local = pairwise_local_covariance(
-                window,
-                grid,
-                config.bandwidth_scale,
-                ddof=config.ddof,
-                diag_method=config.diag_method,
-                init_params=warm,
-            )
-            warm = sigma_local.pair_params
-            diag_entry["local_pd_repaired"] = sigma_local.pd_repaired
-            diag_entry["pair_fallbacks"] = sigma_local.n_fallbacks
-        date_diagnostics.append(diag_entry)
-
-        for spec in specs:
-            label = spec.label
+    for spec in specs:
+        label = spec.label
+        for step in range(n_oos):
+            t = m + step
             if step == 0:
                 prior = None
             else:
@@ -224,16 +299,12 @@ def run_backtest(panel: ReturnPanel, config: BacktestConfig) -> BacktestResult:
             if spec.kind == "EW":
                 target = equal_weights(n_assets) if step == 0 else prior
             else:
-                sigma = sigma_local if spec.covariance_source == "local" else sigma_global
-                try:
-                    target = _solve_weights(spec, mu_dec, sigma.matrix / 1e4)
-                except LgcportError as err:
-                    if step == 0:
-                        raise type(err)(
-                            "%s at inception %s for %s" % (err, dates[0], label)
-                        ) from err
+                targets, failures = solved[label]
+                if step in failures:
+                    fallbacks[label].append((dates[step], str(failures[step])))
                     target = held[label][step - 1]
-                    fallbacks[label].append((dates[step], str(err)))
+                else:
+                    target = targets[step]
 
             if prior is None:
                 pre_trade = np.zeros(n_assets) if config.charge_initial_allocation else target

@@ -526,13 +526,14 @@ def fit_local_batch(
     bandwidths, `theta0` (P, 5) starting parameters. Inputs must already be
     validated: finite samples, positive bandwidths, valid starts.
 
-    Pairs whose scale-free local mass is below `weight_floor` are not fitted
-    (iterations 0, gradient norm inf). The others run a modified Newton
-    iteration with an analytic Hessian and an Armijo line search in
-    (mu1, mu2, log sigma1, log sigma2, atanh rho), and leave the active set
-    once the max-norm of the wbar-normalized gradient is at most
-    `gradient_tol`. A pair whose gradient is not finite, whose line search
-    fails, or that reaches `max_iterations` stops unconverged.
+    Pairs whose scale-free local mass is below `weight_floor`, and pairs
+    whose kernel-weighted sample correlation reaches the cap +-(1 - 1e-9),
+    are not fitted (iterations 0, gradient norm inf, unconverged). The
+    others run a modified Newton iteration with an analytic Hessian and an
+    Armijo line search in (mu1, mu2, log sigma1, log sigma2, atanh rho), and
+    leave the active set once the max-norm of the wbar-normalized gradient is
+    at most `gradient_tol`. A pair whose gradient is not finite, whose line
+    search fails, or that reaches `max_iterations` stops unconverged.
     """
     n = xs.shape[1]
     norm = 2.0 * np.pi * b[:, 0] * b[:, 1]
@@ -555,6 +556,15 @@ def fit_local_batch(
     if not fitted.size:
         return fit
     mom = _local_moments(xs[fitted], ys[fitted], w[fitted], r[fitted], b[fitted])
+    # At a kernel-weighted sample correlation of +-1 (up to the cap) the
+    # likelihood keeps rising as |rho| -> 1, so there is no finite optimum:
+    # such a pair is not fitted, like a pair without local mass.
+    cov = mom.root @ mom.root.transpose(0, 2, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        collinear = np.abs(cov[:, 0, 1] / np.sqrt(cov[:, 0, 0] * cov[:, 1, 1])) >= _RHO_CAP
+    fitted, mom = fitted[~collinear], mom.take(~collinear)
+    if not fitted.size:
+        return fit
     eta = _to_eta(fit.params[fitted])
 
     live = np.arange(len(fitted))

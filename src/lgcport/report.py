@@ -14,7 +14,7 @@ import os
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Sequence
 
-from . import __version__
+from . import __version__, backtest
 from .backtest import (
     BacktestConfig,
     BacktestResult,
@@ -135,8 +135,7 @@ def asset_table(panel: ReturnPanel, quantile: float, bandwidth_scale: float):
         if name in extra:
             rows.append(["statistic", name] + extra[name])
         else:
-            key = {"minimum": "minimum", "maximum": "maximum"}.get(name, name)
-            rows.append(["statistic", name] + [getattr(s, key) for s in stats])
+            rows.append(["statistic", name] + [getattr(s, name) for s in stats])
 
     gcorr = global_covariance(panel).correlations
     for i, name in enumerate(panel.asset_names):
@@ -313,7 +312,8 @@ def execute_run(config: RunConfig) -> dict:
             charge_initial_allocation=config.charge_initial_allocation,
             diag_method=config.diag_method,
         )
-        result = run_window(panel, bt)
+        # Looked up on the module, so wrappers installed there see every call.
+        result = backtest.run_backtest(panel, bt)
 
         tag = "w%d" % m
         out = config.output_dir
@@ -358,12 +358,6 @@ def execute_run(config: RunConfig) -> dict:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return manifest
-
-
-def run_window(panel: ReturnPanel, bt_config: BacktestConfig) -> BacktestResult:
-    from .backtest import run_backtest
-
-    return run_backtest(panel, bt_config)
 
 
 def _write_file(outdir, name, header, rows, files: List[str]) -> None:

@@ -58,10 +58,6 @@ def _regime_correlation(n_assets: int, blocks) -> np.ndarray:
     return nearest_pd(corr)[0]
 
 
-def _chol(corr: np.ndarray) -> np.ndarray:
-    return np.linalg.cholesky(corr)
-
-
 def sample_clayton_uniforms(rng, n: int, dim: int, theta: float) -> np.ndarray:
     """Exchangeable Clayton copula draws via the Marshall-Olkin construction."""
     if theta <= 0.0:
@@ -129,11 +125,11 @@ def synth_panel(
             raise ValueError("rho must lie in (-1, 1)")
         corr = np.full((n_assets, n_assets), rho)
         np.fill_diagonal(corr, 1.0)
-        z = rng.standard_normal((months, n_assets)) @ _chol(nearest_pd(corr)[0]).T
+        z = rng.standard_normal((months, n_assets)) @ np.linalg.cholesky(nearest_pd(corr)[0]).T
         data = mu + sd * z
     else:
-        calm = _chol(_regime_correlation(n_assets, _CALM_BLOCKS))
-        bear = _chol(_regime_correlation(n_assets, _BEAR_BLOCKS))
+        calm = np.linalg.cholesky(_regime_correlation(n_assets, _CALM_BLOCKS))
+        bear = np.linalg.cholesky(_regime_correlation(n_assets, _BEAR_BLOCKS))
         in_bear = rng.random(months) < bear_prob
         z = rng.standard_normal((months, n_assets))
         data = np.empty((months, n_assets))

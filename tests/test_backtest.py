@@ -13,7 +13,12 @@ from lgcport.backtest import (
     wealth_path,
     weight_dispersion,
 )
-from lgcport.errors import ConfigError, PortfolioWipeoutError, SolverError
+from lgcport.errors import (
+    ConfigError,
+    DegenerateSampleError,
+    PortfolioWipeoutError,
+    SolverError,
+)
 from lgcport.optimizer import StrategySpec
 from lgcport.panel import ReturnPanel
 from lgcport.synth import synth_panel
@@ -292,16 +297,15 @@ class TestBacktestMechanics:
 class TestSolverFallback:
     def test_midstream_failure_reuses_previous_target(self, monkeypatch):
         panel = small_panel(months=30, n_assets=3, seed=13)
-        calls = {"n": 0}
-        real = backtest_mod.solve_mv
+        real = backtest_mod.solve_batch
 
-        def flaky(mu, sigma, spec):
-            calls["n"] += 1
-            if calls["n"] == 4:
-                raise SolverError("synthetic failure")
-            return real(mu, sigma, spec)
+        def flaky(spec, sigma, mu=None):
+            weights, failures = real(spec, sigma, mu)
+            weights[3] = np.nan
+            failures[3] = SolverError("synthetic failure")
+            return weights, failures
 
-        monkeypatch.setattr(backtest_mod, "solve_mv", flaky)
+        monkeypatch.setattr(backtest_mod, "solve_batch", flaky)
         res = run_backtest(panel, BacktestConfig(window=20, strategies=specs("MVSC")))
         s = res.strategies["MVSC"]
         assert len(s.fallbacks) == 1
@@ -313,9 +317,48 @@ class TestSolverFallback:
     def test_inception_failure_raises_with_context(self, monkeypatch):
         panel = small_panel(months=30, n_assets=3, seed=13)
 
-        def broken(mu, sigma, spec):
-            raise SolverError("no solution")
+        def broken(spec, sigma, mu=None):
+            weights = np.full((len(sigma), sigma.shape[1]), np.nan)
+            return weights, {i: SolverError("no solution") for i in range(len(sigma))}
 
-        monkeypatch.setattr(backtest_mod, "solve_mv", broken)
+        monkeypatch.setattr(backtest_mod, "solve_batch", broken)
         with pytest.raises(SolverError, match="inception"):
             run_backtest(panel, BacktestConfig(window=20, strategies=specs("MVSC")))
+
+
+def flat_panel(months, flat, n_assets=3, seed=13):
+    """A panel whose asset 1 returns a constant 0.5 % in the months `flat`."""
+    panel = small_panel(months=months, n_assets=n_assets, seed=seed)
+    panel.returns[flat, 1] = 0.5
+    return panel
+
+
+class TestDegenerateWindows:
+    def test_flat_window_falls_back_per_date(self):
+        # 35 flat months (20..54): the windows x[t - 24 : t] with t = 44..55,
+        # i.e. dates 20..31, have a zero-variance column, so no covariance
+        # exists on those 12 dates.
+        panel = flat_panel(70, slice(20, 55))
+        cfg = BacktestConfig(window=24, strategies=specs("EW", "MINC", "MINC-L"))
+        res = run_backtest(panel, cfg)
+        steps = list(range(20, 32))
+        flat_dates = [res.dates[s] for s in steps]
+        for label in ("MINC", "MINC-L"):
+            s = res.strategies[label]
+            assert [d for d, _ in s.fallbacks] == flat_dates
+            for step in steps:
+                assert np.array_equal(s.target_weights[step], s.target_weights[step - 1])
+            assert np.all(np.isfinite(s.wealth_net))
+        assert "zero variance" in res.strategies["MINC"].fallbacks[0][1]
+        assert "standard deviation is zero" in res.strategies["MINC-L"].fallbacks[0][1]
+        assert res.strategies["EW"].fallbacks == []
+        for step, diag in enumerate(res.date_diagnostics):
+            flat = step in steps
+            assert ("global_error" in diag) == flat
+            assert ("local_error" in diag) == flat
+            assert ("pair_fallbacks" in diag) != flat
+
+    def test_flat_window_at_inception_raises(self):
+        panel = flat_panel(40, slice(0, 24))
+        with pytest.raises(DegenerateSampleError, match="at inception .* for MINC"):
+            run_backtest(panel, BacktestConfig(window=24, strategies=specs("MINC")))

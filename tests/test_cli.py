@@ -141,6 +141,24 @@ class TestRunCommand:
         a = (out / "table_assets_w20.csv").read_bytes()
         assert a == (out / "table_assets_w24.csv").read_bytes()
 
+    def test_backtest_called_through_its_module(self, panel_file, tmp_path, monkeypatch):
+        import lgcport.backtest
+
+        windows = []
+        original = lgcport.backtest.run_backtest
+
+        def counted(panel, config):
+            windows.append(config.window)
+            return original(panel, config)
+
+        monkeypatch.setattr(lgcport.backtest, "run_backtest", counted)
+        code = run_cli(
+            "run", "--input", str(panel_file), "--out", str(tmp_path / "o"),
+            "--windows", "20,24", "--strategies", "EW,MIN",
+        )
+        assert code == 0
+        assert windows == [20, 24]
+
     def test_manifest_hash_matches_input(self, panel_file, tmp_path):
         import hashlib
 

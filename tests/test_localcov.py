@@ -173,9 +173,19 @@ class TestPairwiseLocalCovariance:
 
     def test_identical_columns_capped_below_one(self, rng):
         x = rng.standard_normal(200)
-        out = pairwise_local_covariance(np.column_stack([x, x]), (0.0, 0.0))
+        sample = np.column_stack([x, x])
+        out = pairwise_local_covariance(sample, (0.0, 0.0))
         assert out.correlations[0, 1] < 1.0
         assert np.linalg.eigvalsh(out.matrix)[0] > 0.0
+        # No finite local optimum exists at correlation 1: the pair is not
+        # fitted and falls back to its (capped) global Gaussian MLE.
+        diag = out.pair_diagnostics[(0, 1)]
+        assert diag.fallback and not diag.converged
+        assert diag.iterations == 0
+        mle = global_gaussian_mle(sample)
+        off = mle.rho * mle.sigma1 * mle.sigma2
+        want = np.array([[mle.sigma1**2, off], [off, mle.sigma2**2]]) * (200 / 199)
+        assert np.array_equal(out.matrix, nearest_pd(want)[0])
 
     def test_clayton_tails_are_asymmetric(self):
         rng = np.random.default_rng(42)

@@ -42,7 +42,9 @@ from .lgc import (
 )
 from .localcov import (
     LocalCovMatrix,
+    LocalCovStack,
     global_covariance,
+    local_covariance_stack,
     moving_grid,
     nearest_correlation,
     nearest_pd,

@@ -12,10 +12,14 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, LgcportError, PortfolioWipeoutError
-from .localcov import (
+# pairwise_local_covariance is unused here but stays importable from this
+# module: external code (e.g. the span tracer in perfbench/) looks it up here.
+from .localcov import (  # noqa: F401
     global_covariance,
+    local_covariance_stack,
     moving_grid,
     pairwise_local_covariance,
     percentile_grid,
@@ -154,9 +158,10 @@ def _estimate(x, dates, config: BacktestConfig, need_global: bool, need_local: b
     Returns (means, covariances, errors, date_diagnostics): `covariances`
     maps each needed source ("global", "local") to an (n_dates, N, N) stack,
     and `errors` maps it to {date index: the LgcportError its estimation
-    raised}; the error is also recorded in the date's diagnostics.
-    Sequential, because local pair fits are warm-started from the previous
-    month.
+    raised}; the error is also recorded in the date's diagnostics. The local
+    covariances of all dates come from one local_covariance_stack call: every
+    pair fit starts from the pair's global Gaussian MLE, so no date depends on
+    another and the fits run in blocked batches.
     """
     n, n_assets = x.shape
     m = config.window
@@ -165,7 +170,7 @@ def _estimate(x, dates, config: BacktestConfig, need_global: bool, need_local: b
     covariances = {s: np.zeros((n - m, n_assets, n_assets)) for s in needed}
     errors: Dict[str, Dict[int, LgcportError]] = {"global": {}, "local": {}}
     date_diagnostics: List[dict] = []
-    warm: Dict[Tuple[int, int], object] = {}
+    grids = np.empty((n - m, n_assets))
 
     for step in range(n - m):
         t = m + step
@@ -185,27 +190,29 @@ def _estimate(x, dates, config: BacktestConfig, need_global: bool, need_local: b
 
         if need_local:
             if config.grid_method == "moving":
-                grid = moving_grid(x, t, config.grid_lookback)
+                grids[step] = moving_grid(x, t, config.grid_lookback)
             else:
-                grid = percentile_grid(window, config.grid_quantile)
-            try:
-                sigma_local = pairwise_local_covariance(
-                    window,
-                    grid,
-                    config.bandwidth_scale,
-                    ddof=config.ddof,
-                    diag_method=config.diag_method,
-                    init_params=warm,
-                )
-            except LgcportError as err:
-                errors["local"][step] = err
-                diag_entry["local_error"] = str(err)
-            else:
-                warm = sigma_local.pair_params
-                covariances["local"][step] = sigma_local.matrix / 1e4
-                diag_entry["local_pd_repaired"] = sigma_local.pd_repaired
-                diag_entry["pair_fallbacks"] = sigma_local.n_fallbacks
+                grids[step] = percentile_grid(window, config.grid_quantile)
         date_diagnostics.append(diag_entry)
+
+    if need_local:
+        # windows[step] is x[t - m : t], as a view.
+        windows = sliding_window_view(x, m, axis=0)[: n - m].transpose(0, 2, 1)
+        local = local_covariance_stack(
+            windows,
+            grids,
+            config.bandwidth_scale,
+            ddof=config.ddof,
+            diag_method=config.diag_method,
+        )
+        covariances["local"] = local.matrices / 1e4
+        errors["local"] = local.errors
+        for step, diag_entry in enumerate(date_diagnostics):
+            if step in local.errors:
+                diag_entry["local_error"] = str(local.errors[step])
+            else:
+                diag_entry["local_pd_repaired"] = bool(local.pd_repaired[step])
+                diag_entry["pair_fallbacks"] = int(local.n_fallbacks[step])
     return means, covariances, errors, date_diagnostics
 
 
@@ -238,7 +245,8 @@ def run_backtest(panel: ReturnPanel, config: BacktestConfig) -> BacktestResult:
     on the date's estimates), then account drift, turnover and costs month by
     month. Strategies are independent: adding or removing one never changes
     the numbers of another. Local-covariance strategies share one local matrix
-    per date, with pair fits warm-started from the previous month.
+    per date; every date's pair fits start from the pairs' global Gaussian
+    MLEs, so the dates are fitted together in blocked batches.
 
     A date whose covariance or solve fails keeps the previous month's target
     for the strategies concerned, recorded in their `fallbacks`; a failure at

@@ -151,13 +151,8 @@ def bivariate_normal_density(v, theta: LocalParams):
     return float(out[0]) if scalar else out
 
 
-def penalty_integral(r, b, theta: LocalParams) -> float:
-    """Closed form of int K_b(v - r) psi(v; theta) dv.
-
-    The kernel is itself a Gaussian density in v centered at r with
-    covariance diag(b1^2, b2^2), so the integral is the convolution value:
-    a bivariate normal with covariance Sigma_theta + diag(b^2) evaluated at r.
-    """
+def _penalty_terms(r, b, theta: LocalParams):
+    """V = Sigma_theta + diag(b^2) as (v11, v22, v12, det), d = r - mu, and the penalty."""
     b1, b2 = _check_bandwidth(b)
     r1, r2 = _check_point(r)
     s1, s2, rho = theta.sigma1, theta.sigma2, theta.rho
@@ -168,26 +163,29 @@ def penalty_integral(r, b, theta: LocalParams) -> float:
     d1 = r1 - theta.mu1
     d2 = r2 - theta.mu2
     quad = (v22 * d1 * d1 - 2.0 * v12 * d1 * d2 + v11 * d2 * d2) / det
-    return math.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(det))
+    p = math.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(det))
+    return v11, v22, v12, det, d1, d2, p
+
+
+def penalty_integral(r, b, theta: LocalParams) -> float:
+    """Closed form of int K_b(v - r) psi(v; theta) dv.
+
+    The kernel is itself a Gaussian density in v centered at r with
+    covariance diag(b1^2, b2^2), so the integral is the convolution value:
+    a bivariate normal with covariance Sigma_theta + diag(b^2) evaluated at r.
+    """
+    return _penalty_terms(r, b, theta)[-1]
 
 
 def _penalty_gradient(r, b, theta: LocalParams) -> np.ndarray:
     """Gradient of penalty_integral with respect to (mu1, mu2, s1, s2, rho)."""
-    b1, b2 = _check_bandwidth(b)
-    r1, r2 = _check_point(r)
     s1, s2, rho = theta.sigma1, theta.sigma2, theta.rho
-    v11 = s1 * s1 + b1 * b1
-    v22 = s2 * s2 + b2 * b2
-    v12 = rho * s1 * s2
-    det = v11 * v22 - v12 * v12
-    p = penalty_integral(r, b, theta)
+    v11, v22, v12, det, d1, d2, p = _penalty_terms(r, b, theta)
 
     # Precision matrix entries.
     i11 = v22 / det
     i22 = v11 / det
     i12 = -v12 / det
-    d1 = r1 - theta.mu1
-    d2 = r2 - theta.mu2
     # e = S^-1 d, with d = r - mu.
     e1 = i11 * d1 + i12 * d2
     e2 = i12 * d1 + i22 * d2
@@ -260,21 +258,39 @@ def plugin_bandwidth(sample, scale: float = 1.1) -> Tuple[float, ...]:
     return tuple(float(scale * v) for v in sd)
 
 
+def gaussian_mle_batch(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Unweighted Gaussian MLEs of P bivariate samples at once, correlation capped below 1.
+
+    `xs`, `ys` are validated (P, n) samples with n >= 2. Returns (P, 5)
+    parameters (mu1, mu2, sigma1, sigma2, rho); a constant column gives sigma
+    0 and rho nan. Each row depends only on its own sample.
+    """
+    n = xs.shape[1]
+    mu1 = xs.mean(axis=1)
+    mu2 = ys.mean(axis=1)
+    dx = xs - mu1[:, None]
+    dy = ys - mu2[:, None]
+    v1 = (dx * dx).sum(axis=1) / n
+    v2 = (dy * dy).sum(axis=1) / n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = (dx * dy).sum(axis=1) / n / np.sqrt(v1 * v2)
+    rho = np.clip(rho, -_RHO_CAP, _RHO_CAP)
+    return np.column_stack([mu1, mu2, np.sqrt(v1), np.sqrt(v2), rho])
+
+
 def global_gaussian_mle(sample) -> LocalParams:
-    """Unweighted Gaussian MLE of a bivariate sample, correlation capped below 1."""
+    """Unweighted Gaussian MLE of a bivariate sample, correlation capped below 1.
+
+    The one-pair case of gaussian_mle_batch.
+    """
     s = _as_sample(sample)
     if s.shape[0] < 2:
         raise ValueError("MLE needs at least 2 observations")
-    mu = s.mean(axis=0)
-    dx = s[:, 0] - mu[0]
-    dy = s[:, 1] - mu[1]
-    v1 = float(dx @ dx) / s.shape[0]
-    v2 = float(dy @ dy) / s.shape[0]
-    if v1 <= 0.0 or v2 <= 0.0:
+    columns = np.ascontiguousarray(s.T)
+    theta = gaussian_mle_batch(columns[:1], columns[1:])[0]
+    if theta[2] <= 0.0 or theta[3] <= 0.0:
         raise DegenerateSampleError("constant column, Gaussian MLE undefined")
-    rho = float(dx @ dy) / s.shape[0] / math.sqrt(v1 * v2)
-    rho = min(max(rho, -_RHO_CAP), _RHO_CAP)
-    return LocalParams(float(mu[0]), float(mu[1]), math.sqrt(v1), math.sqrt(v2), rho)
+    return LocalParams.from_array(theta)
 
 
 # Newton solver settings: Armijo sufficient-decrease constant, step halvings
@@ -323,35 +339,37 @@ class _LocalMoments(NamedTuple):
         return _LocalMoments(*(a[idx] for a in self))
 
 
-def _local_moments(xs, ys, w, r, b) -> _LocalMoments:
-    total = w.sum(axis=1)
-    p = w / total[:, None]
-    s = np.stack([xs, ys], axis=2)
-    center = np.einsum("pi,pic->pc", p, s)
-    dev = s - center[:, None, :]
+def _local_moments(xs, ys, p, r, b, wbar) -> _LocalMoments:
+    """Moments of (P, n) samples under kernel weights `p` normalized to sum to one."""
+    dev = np.stack([xs, ys], axis=2)
+    center = np.einsum("pi,pic->pc", p, dev)
+    dev -= center[:, None, :]
     lam, vec = np.linalg.eigh(np.einsum("pi,pic,pid->pcd", p, dev, dev))
     root = vec * np.sqrt(np.clip(lam, 0.0, None))[:, None, :]
     kernel_cov = b[:, :, None] ** 2 * np.eye(2)
-    return _LocalMoments(center, root, r, kernel_cov, total / w.shape[1])
+    return _LocalMoments(center, root, r, kernel_cov, wbar)
 
 
-def _sigma_derivatives(eta: np.ndarray):
-    """Sigma(eta) with its first and second derivatives over eta.
+def _sigma_derivatives(eta: np.ndarray, hessian: bool):
+    """Sigma(eta) with, for `hessian`, its first and second derivatives over eta.
 
-    Shapes (P, 2, 2), (P, 5, 2, 2) and (P, 5, 5, 2, 2). With v11 = exp(2 l1),
-    v22 = exp(2 l2) and v12 = tanh(a) exp(l1 + l2), only the coordinates
-    l1, l2, a (indices 2, 3, 4) move Sigma.
+    Shapes (P, 2, 2), (P, 5, 2, 2) and (P, 5, 5, 2, 2); without `hessian`
+    the derivatives are None. With v11 = exp(2 l1), v22 = exp(2 l2) and
+    v12 = tanh(a) exp(l1 + l2), only the coordinates l1, l2, a (indices 2, 3,
+    4) move Sigma.
     """
     n = len(eta)
     s1 = np.exp(eta[:, 2])
     s2 = np.exp(eta[:, 3])
     rho = np.tanh(eta[:, 4])
     v11, v22, v12 = s1 * s1, s2 * s2, rho * s1 * s2
-    dv12_da = s1 * s2 / np.cosh(eta[:, 4]) ** 2
 
     sigma = np.empty((n, 2, 2))
     sigma[:, 0, 0], sigma[:, 1, 1] = v11, v22
     sigma[:, 0, 1] = sigma[:, 1, 0] = v12
+    if not hessian:
+        return sigma, None, None
+    dv12_da = s1 * s2 / np.cosh(eta[:, 4]) ** 2
 
     d1 = np.zeros((n, 5, 2, 2))
     d1[:, 2, 0, 0] = 2.0 * v11
@@ -410,11 +428,16 @@ def _gaussian_form(v, dv, d2v, dev, shift, hessian: bool):
         - 0.5 * np.einsum("pim,pkim->pk", e, dv_e)
     )
     g = shift - dv_e
+    # Each trace is a dot product of flattened matrices, so every term is one
+    # stacked matmul; V, V_k and V_kl are symmetric.
+    p, m = len(v), dev.shape[2]
+    curvature = (inv - e @ e.transpose(0, 2, 1)).reshape(p, 4, 1)
+    inv_dv_t = inv_dv.transpose(0, 1, 3, 2).reshape(p, 5, 4)
+    inv_g = inv[:, None] @ g
     hess = (
-        0.5 * np.einsum("pij,pklji->pkl", inv, d2v)
-        - 0.5 * np.einsum("pkij,plji->pkl", inv_dv, inv_dv)
-        + np.einsum("pkim,pij,pljm->pkl", g, inv, g)
-        - 0.5 * np.einsum("pim,pklij,pjm->pkl", e, d2v, e)
+        0.5 * (d2v.reshape(p, 25, 4) @ curvature).reshape(p, 5, 5)
+        - 0.5 * inv_dv.reshape(p, 5, 4) @ inv_dv_t.transpose(0, 2, 1)
+        + g.reshape(p, 5, 2 * m) @ inv_g.reshape(p, 5, 2 * m).transpose(0, 2, 1)
     )
     return value, grad, hess
 
@@ -426,7 +449,7 @@ def _objective(mom: _LocalMoments, eta: np.ndarray, hessian: bool = False):
     where T is _gaussian_form: the first part is the weighted Gaussian
     log-likelihood at the local moments, the second the closed-form penalty.
     """
-    sigma, d1, d2 = _sigma_derivatives(eta)
+    sigma, d1, d2 = _sigma_derivatives(eta, hessian)
     mu = eta[:, :2]
     data_dev = np.concatenate([(mom.center - mu)[:, :, None], mom.root], axis=2)
     pen_dev = (mom.r - mu)[:, :, None]
@@ -537,9 +560,17 @@ def fit_local_batch(
     """
     n = xs.shape[1]
     norm = 2.0 * np.pi * b[:, 0] * b[:, 1]
-    z1 = (xs - r[:, :1]) / b[:, :1]
+    # Kernel weights exp(-0.5 (z1^2 + z2^2)) / norm, built in place: the
+    # (P, n) arrays are the solver's working memory.
+    w = (xs - r[:, :1]) / b[:, :1]
     z2 = (ys - r[:, 1:]) / b[:, 1:]
-    w = np.exp(-0.5 * (z1 * z1 + z2 * z2)) / norm[:, None]
+    w *= w
+    z2 *= z2
+    w += z2
+    del z2
+    w *= -0.5
+    np.exp(w, out=w)
+    w /= norm[:, None]
     effective_weight = w.sum(axis=1)
     # Scale-invariant local mass: kernel values with the normalizing
     # constant removed, so the floor does not depend on b or data units.
@@ -555,7 +586,12 @@ def fit_local_batch(
     fitted = np.flatnonzero(mass >= weight_floor)
     if not fitted.size:
         return fit
-    mom = _local_moments(xs[fitted], ys[fitted], w[fitted], r[fitted], b[fitted])
+    # Views rather than copies of the (P, n) arrays when every pair is fitted,
+    # and the weights normalized in place.
+    rows = fitted if fitted.size < len(xs) else slice(None)
+    w[rows] /= effective_weight[rows, None]
+    mom = _local_moments(xs[rows], ys[rows], w[rows], r[rows], b[rows], effective_weight[rows] / n)
+    del w  # the Newton iterations allocate (P, 5, 5, 2, 2) arrays
     # At a kernel-weighted sample correlation of +-1 (up to the cap) the
     # likelihood keeps rising as |rho| -> 1, so there is no finite optimum:
     # such a pair is not fitted, like a pair without local mass.

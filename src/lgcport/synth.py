@@ -69,10 +69,9 @@ def sample_clayton_uniforms(rng, n: int, dim: int, theta: float) -> np.ndarray:
 
 def clayton_normal_sample(rng, n: int, dim: int, theta: float) -> np.ndarray:
     """Clayton dependence with standard normal marginals."""
-    from scipy.stats import norm
+    from scipy.special import ndtri
 
-    u = sample_clayton_uniforms(rng, n, dim, theta)
-    return norm.ppf(u)
+    return ndtri(sample_clayton_uniforms(rng, n, dim, theta))
 
 
 def synth_panel(

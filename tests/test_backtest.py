@@ -24,6 +24,7 @@ from lgcport.panel import ReturnPanel
 from lgcport.synth import synth_panel
 
 import lgcport.backtest as backtest_mod
+import lgcport.localcov as localcov_mod
 
 
 def specs(*labels):
@@ -292,6 +293,31 @@ class TestBacktestMechanics:
         )
         with pytest.raises(ConfigError):
             run_backtest(panel, cfg)
+
+
+class TestLocalEstimate:
+    def test_one_fit_call_per_block_and_one_repair_per_date(self, monkeypatch):
+        # 36 dates of 6 pairs x 24 months, 10 dates per block: 4 blocks.
+        calls = {"fit": 0, "repair": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(
+            localcov_mod, "fit_local_batch", counting("fit", localcov_mod.fit_local_batch)
+        )
+        monkeypatch.setattr(localcov_mod, "nearest_pd", counting("repair", localcov_mod.nearest_pd))
+        monkeypatch.setattr(localcov_mod, "_BLOCK_PAIR_OBS", 10 * 6 * 24)
+        panel = small_panel(months=60, n_assets=4, seed=3)
+        res = run_backtest(panel, BacktestConfig(window=24, strategies=specs("MINC-L")))
+        assert calls == {"fit": 4, "repair": 36}
+        for diag in res.date_diagnostics:
+            assert set(diag) == {"date", "local_pd_repaired", "pair_fallbacks"}
+            assert diag["pair_fallbacks"] == 0
 
 
 class TestSolverFallback:

@@ -18,13 +18,14 @@ from lgcport.lgc import (
     bivariate_normal_density,
     estimate_local_params,
     gaussian_kernel_weight,
+    gaussian_mle_batch,
     global_gaussian_mle,
     local_loglik,
     local_score,
     penalty_integral,
     plugin_bandwidth,
 )
-from lgcport.lgc import _local_moments, _objective
+from lgcport.lgc import _local_moments, _objective, _penalty_gradient
 
 from conftest import gauss_pair, eta_score
 
@@ -208,6 +209,84 @@ class TestLocalScore:
         assert np.max(np.abs(local_score(sample, (0.0, 0.0), b, theta))) < 1e-6
 
 
+    def test_penalty_gradient_bits_match_reference_formula(self):
+        # The reference recomputes the penalty value with penalty_integral
+        # instead of reusing the convolution terms; on C07's draws the two
+        # agree bit for bit, so local_score is unchanged.
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            n = int(rng.integers(1, 50))
+            rng.standard_normal((n, 2)) * rng.uniform(0.5, 2.0)  # C07's sample draw
+            r = rng.uniform(-1.5, 1.5, size=2)
+            b = (float(rng.uniform(0.6, 2.0)), float(rng.uniform(0.6, 2.0)))
+            theta = LocalParams(
+                rng.uniform(-1, 1),
+                rng.uniform(-1, 1),
+                rng.uniform(0.6, 2.0),
+                rng.uniform(0.6, 2.0),
+                rng.uniform(-0.8, 0.8),
+            )
+            assert np.array_equal(
+                _penalty_gradient(r, b, theta), reference_penalty_gradient(r, b, theta)
+            )
+
+
+def reference_penalty_gradient(r, b, theta):
+    """Gradient of penalty_integral over (mu1, mu2, s1, s2, rho), from its value."""
+    s1, s2, rho = theta.sigma1, theta.sigma2, theta.rho
+    v11 = s1 * s1 + b[0] * b[0]
+    v22 = s2 * s2 + b[1] * b[1]
+    v12 = rho * s1 * s2
+    det = v11 * v22 - v12 * v12
+    p = penalty_integral(r, b, theta)
+    i11, i22, i12 = v22 / det, v11 / det, -v12 / det
+    d1, d2 = r[0] - theta.mu1, r[1] - theta.mu2
+    e1 = i11 * d1 + i12 * d2
+    e2 = i12 * d1 + i22 * d2
+
+    def quad_term(a11, a12, a22):
+        quad = e1 * e1 * a11 + 2.0 * e1 * e2 * a12 + e2 * e2 * a22
+        trace = i11 * a11 + 2.0 * i12 * a12 + i22 * a22
+        return 0.5 * p * (quad - trace)
+
+    return np.array(
+        [
+            p * e1,
+            p * e2,
+            quad_term(2.0 * s1, rho * s2, 0.0),
+            quad_term(0.0, rho * s1, 2.0 * s2),
+            quad_term(0.0, s1 * s2, 0.0),
+        ]
+    )
+
+
+class TestGlobalGaussianMle:
+    def test_matches_biased_sample_moments(self, rng):
+        sample = gauss_pair(rng, 300, -0.4, means=(1.0, -2.0), sds=(3.0, 0.5))
+        theta = global_gaussian_mle(sample)
+        cov = np.cov(sample, rowvar=False, ddof=0)
+        assert np.allclose([theta.mu1, theta.mu2], sample.mean(axis=0), rtol=0, atol=1e-12)
+        assert theta.sigma1 == pytest.approx(math.sqrt(cov[0, 0]), rel=1e-12)
+        assert theta.sigma2 == pytest.approx(math.sqrt(cov[1, 1]), rel=1e-12)
+        assert theta.rho == pytest.approx(cov[0, 1] / math.sqrt(cov[0, 0] * cov[1, 1]), rel=1e-12)
+
+    def test_batch_rows_are_the_one_pair_fits(self, rng):
+        samples = [gauss_pair(rng, 90, rho) for rho in (-0.9, 0.0, 0.5, 0.99)]
+        xs = np.array([s[:, 0] for s in samples])
+        ys = np.array([s[:, 1] for s in samples])
+        batch = gaussian_mle_batch(xs, ys)
+        for row, sample in zip(batch, samples):
+            assert np.array_equal(row, global_gaussian_mle(sample).as_array())
+
+    def test_identical_columns_capped_below_one(self, rng):
+        x = rng.standard_normal(50)
+        assert global_gaussian_mle(np.column_stack([x, x])).rho == 1.0 - 1e-9
+
+    def test_constant_column_raises(self):
+        with pytest.raises(DegenerateSampleError):
+            global_gaussian_mle(np.column_stack([np.ones(10), np.arange(10.0)]))
+
+
 class TestNewtonObjective:
     def test_hessian_matches_finite_differences_of_score(self):
         # Same draws and tolerance as acceptance criterion C07, in the
@@ -230,7 +309,12 @@ class TestNewtonObjective:
             )
             w = gaussian_kernel_weight(sample, r, b)
             moments = _local_moments(
-                sample[None, :, 0], sample[None, :, 1], w[None], r[None], b[None]
+                sample[None, :, 0],
+                sample[None, :, 1],
+                (w / w.sum())[None],
+                r[None],
+                b[None],
+                np.array([w.mean()]),
             )
             value, grad, hess = _objective(moments, eta[None], hessian=True)
 

@@ -19,8 +19,10 @@ from lgcport.lgc import (
     local_loglik,
     plugin_bandwidth,
 )
+import lgcport.localcov as localcov
 from lgcport.localcov import (
     global_covariance,
+    local_covariance_stack,
     moving_grid,
     nearest_correlation,
     nearest_pd,
@@ -299,7 +301,9 @@ class TestNewtonOnPaperPanel:
                 pair, r = window[:, [1, 4]], grid[[1, 4]]
                 b = np.array(plugin_bandwidth(pair))
                 w = gaussian_kernel_weight(pair, r, b)
-                moments = _local_moments(pair.T[:1], pair.T[1:], w[None], r[None], b[None])
+                moments = _local_moments(
+                    pair.T[:1], pair.T[1:], (w / w.sum())[None], r[None], b[None], w.mean()
+                )
                 start = _to_eta(warm[(1, 4)].as_array()[None])
                 hess = _objective(moments, start, hessian=True)[2][0]
                 assert np.linalg.eigvalsh(hess)[0] < 0.0
@@ -309,3 +313,123 @@ class TestNewtonOnPaperPanel:
         assert diag.converged and not diag.fallback
         assert diag.gradient_norm <= GRADIENT_TOL
         assert out.n_fallbacks == 0
+
+
+def c11_windows(window, n_dates):
+    """Windows and moving grids of the first `n_dates` dates of the paper's run."""
+    x = synth_panel().returns
+    ts = range(window, window + n_dates)
+    return np.stack([x[t - window : t] for t in ts]), np.stack([moving_grid(x, t) for t in ts])
+
+
+class TestLocalCovarianceStack:
+    def test_a_date_does_not_depend_on_its_block(self, monkeypatch):
+        windows, grids = c11_windows(120, 30)
+        real = localcov.fit_local_batch
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[0]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(localcov, "fit_local_batch", counted)
+        runs = []
+        for dates_per_block, n_calls in ((1, 30), (7, 5), (30, 1)):
+            monkeypatch.setattr(localcov, "_BLOCK_PAIR_OBS", dates_per_block * 15 * 120)
+            calls.clear()
+            runs.append(local_covariance_stack(windows, grids))
+            assert len(calls) == n_calls
+        for run in runs[1:]:
+            for name in ("matrices", "correlations", "pd_repaired", "n_fallbacks"):
+                assert np.array_equal(getattr(run, name), getattr(runs[0], name))
+        for d in (0, 13, 29):
+            alone = local_covariance_stack(windows[d : d + 1], grids[d : d + 1])
+            assert np.array_equal(alone.matrices[0], runs[0].matrices[d])
+
+    def test_one_date_api_is_its_one_date_case(self):
+        windows, grids = c11_windows(240, 4)
+        stack = local_covariance_stack(windows, grids)
+        for d in range(4):
+            one = pairwise_local_covariance(windows[d], grids[d])
+            assert np.array_equal(one.matrix, stack.matrices[d])
+            assert np.array_equal(one.correlations, stack.correlations[d])
+            assert one.pd_repaired == stack.pd_repaired[d]
+            assert one.n_fallbacks == stack.n_fallbacks[d]
+
+    def test_agrees_with_the_warm_started_chain(self):
+        # Cold and warm starts reach the same optimum up to the 1e-6 gradient
+        # tolerance; over every fit of the paper's run the largest |d rho|
+        # measured is 3.8e-6.
+        windows, grids = c11_windows(120, 60)
+        stack = local_covariance_stack(windows, grids)
+        warm, worst = {}, 0.0
+        for d in range(60):
+            out = pairwise_local_covariance(windows[d], grids[d], init_params=warm)
+            warm = out.pair_params
+            worst = max(worst, float(np.max(np.abs(out.correlations - stack.correlations[d]))))
+        assert worst <= 2e-5
+
+    @pytest.mark.parametrize("case", ["paper", "clayton_tail"])
+    def test_every_date_is_a_valid_covariance(self, case):
+        if case == "paper":
+            windows, grids = c11_windows(120, 60)
+        else:
+            x = synth_panel(months=140, n_assets=12, model="clayton", seed=0).returns
+            windows = np.stack([x[t - 120 : t] for t in range(120, 140)])
+            grids = np.stack([percentile_grid(w, 0.05) for w in windows])
+        stack = local_covariance_stack(windows, grids)
+        assert not stack.errors
+        if case == "clayton_tail":
+            assert stack.pd_repaired.all()
+        for m, corr in zip(stack.matrices, stack.correlations):
+            assert np.array_equal(m, m.T)
+            assert np.linalg.eigvalsh(m)[0] > 0.0
+            assert np.max(np.abs(corr)) <= 1.0
+            d = np.sqrt(np.diag(m))
+            assert np.max(np.abs(m / np.outer(d, d))) <= 1.0 + 1e-12
+
+    def test_zero_variance_date_fails_alone(self):
+        windows, grids = c11_windows(120, 6)
+        windows[2][:, 1] = 0.5
+        stack = local_covariance_stack(windows, grids)
+        assert list(stack.errors) == [2]
+        assert isinstance(stack.errors[2], DegenerateSampleError)
+        assert "standard deviation is zero" in str(stack.errors[2])
+        assert not stack.matrices[2].any() and stack.n_fallbacks[2] == 0
+        rest = [0, 1, 3, 4, 5]
+        clean = local_covariance_stack(windows[rest], grids[rest])
+        assert np.array_equal(stack.matrices[rest], clean.matrices)
+
+    def test_collinear_pair_falls_back_to_its_global_mle(self, rng):
+        x = rng.standard_normal((60, 3))
+        x[:, 2] = x[:, 0]
+        windows = np.stack([x[:50], x[10:]])
+        stack = local_covariance_stack(windows, np.zeros((2, 3)))
+        assert stack.n_fallbacks.tolist() == [1, 1]
+        for d in range(2):
+            mle = global_gaussian_mle(windows[d][:, [0, 2]])
+            assert stack.correlations[d][0, 2] == mle.rho
+
+    def test_single_asset_dates_use_the_sample_variance(self, rng):
+        x = rng.standard_normal((30, 1))
+        windows = np.stack([x[:20], x[10:]])
+        stack = local_covariance_stack(windows, np.zeros((2, 1)))
+        for d in range(2):
+            assert np.array_equal(stack.matrices[d], global_covariance(windows[d]).matrix)
+
+    def test_ddof_leaving_no_degrees_of_freedom_fails_every_date(self, rng):
+        windows = rng.standard_normal((3, 4, 2))
+        stack = local_covariance_stack(windows, np.zeros((3, 2)), ddof=4)
+        assert sorted(stack.errors) == [0, 1, 2]
+        assert all(isinstance(e, InsufficientDataError) for e in stack.errors.values())
+
+    def test_rejects_malformed_input(self, rng):
+        windows = rng.standard_normal((3, 20, 2))
+        with pytest.raises(ValueError):
+            local_covariance_stack(windows[0], np.zeros(2))
+        with pytest.raises(ValueError):
+            local_covariance_stack(windows, np.zeros((2, 2)))
+        with pytest.raises(ValueError):
+            local_covariance_stack(windows, np.full((3, 2), np.nan))
+        with pytest.raises(ValueError):
+            local_covariance_stack(windows, np.zeros((3, 2)), diag_method="mode")

@@ -100,6 +100,19 @@ class TestBearModel:
         digest = hashlib.sha256(p.returns.tobytes()).hexdigest()
         assert digest == "a41a5700f30c6002aab2b2886bc5d2aa80f1d9b090f82abd01646147103f7a37"
 
+    @pytest.mark.parametrize(
+        "months, n_assets, want",
+        [
+            (140, 12, "8e879322dc7f62d2f06e701e2e7a8e0e1d30d8ced551e396c2a742c4e6645ba0"),
+            (463, 24, "d3a3fda2edb48fe1c8c8934f00fb67697ef3bc3880aa044054c133c3a1a85cd3"),
+        ],
+    )
+    def test_clayton_panel_bytes_unchanged(self, months, n_assets, want):
+        # SHA-256 of the benchmark's Clayton panels at seed 0, recorded while
+        # the normal quantiles came from scipy.stats.norm.ppf (now ndtri).
+        p = synth_panel(months=months, n_assets=n_assets, model="clayton", seed=0)
+        assert hashlib.sha256(p.returns.tobytes()).hexdigest() == want
+
     @pytest.mark.parametrize("n_assets", [11, 12])
     def test_repeated_asset_classes(self, n_assets):
         # Assets 4 and 10 are both commodities, 5 and 11 both gold.

@@ -8,6 +8,7 @@ accumulated. Month t weights never see month t returns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -50,8 +51,6 @@ class BacktestConfig:
     grid_quantile: float = 0.05
     bandwidth_scale: float = 1.1
     charge_initial_allocation: bool = False
-    diag_method: str = "mean"
-    ddof: int = 1
 
     def __post_init__(self):
         if self.window < 2:
@@ -61,18 +60,20 @@ class BacktestConfig:
         labels = [s.label for s in self.strategies]
         if len(set(labels)) != len(labels):
             raise ConfigError("duplicate strategy labels: %r" % (labels,))
-        if self.tcost_bp < 0.0:
-            raise ConfigError("transaction cost must be nonnegative")
+        if not 0.0 <= self.tcost_bp < math.inf:
+            raise ConfigError("transaction cost must be nonnegative and finite")
         if self.grid_method not in GRID_METHODS:
             raise ConfigError(
                 "grid_method must be one of %r, got %r" % (GRID_METHODS, self.grid_method)
             )
+        if self.grid_lookback < 1:
+            raise ConfigError("grid lookback must be at least 1, got %d" % self.grid_lookback)
         if self.grid_method == "moving" and self.grid_lookback > self.window:
             raise ConfigError("grid lookback exceeds the estimation window")
         if not 0.0 < self.grid_quantile < 1.0:
             raise ConfigError("grid quantile must lie in (0, 1)")
-        if self.bandwidth_scale <= 0.0:
-            raise ConfigError("bandwidth scale must be positive")
+        if not 0.0 < self.bandwidth_scale < math.inf:
+            raise ConfigError("bandwidth scale must be positive and finite")
 
 
 @dataclass
@@ -198,13 +199,7 @@ def _estimate(x, dates, config: BacktestConfig, need_global: bool, need_local: b
     if need_local:
         # windows[step] is x[t - m : t], as a view.
         windows = sliding_window_view(x, m, axis=0)[: n - m].transpose(0, 2, 1)
-        local = local_covariance_stack(
-            windows,
-            grids,
-            config.bandwidth_scale,
-            ddof=config.ddof,
-            diag_method=config.diag_method,
-        )
+        local = local_covariance_stack(windows, grids, config.bandwidth_scale)
         covariances["local"] = local.matrices / 1e4
         errors["local"] = local.errors
         for step, diag_entry in enumerate(date_diagnostics):

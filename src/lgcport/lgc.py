@@ -539,8 +539,6 @@ def fit_local_batch(
     b: np.ndarray,
     theta0: np.ndarray,
     *,
-    weight_floor: float = WEIGHT_FLOOR,
-    gradient_tol: float = GRADIENT_TOL,
     max_iterations: int = MAX_ITERATIONS,
 ) -> BatchFit:
     """Maximize the local log-likelihood of P pairs at once by damped Newton.
@@ -549,13 +547,13 @@ def fit_local_batch(
     bandwidths, `theta0` (P, 5) starting parameters. Inputs must already be
     validated: finite samples, positive bandwidths, valid starts.
 
-    Pairs whose scale-free local mass is below `weight_floor`, and pairs
+    Pairs whose scale-free local mass is below WEIGHT_FLOOR, and pairs
     whose kernel-weighted sample correlation reaches the cap +-(1 - 1e-9),
     are not fitted (iterations 0, gradient norm inf, unconverged). The
     others run a modified Newton iteration with an analytic Hessian and an
     Armijo line search in (mu1, mu2, log sigma1, log sigma2, atanh rho), and
     leave the active set once the max-norm of the wbar-normalized gradient is
-    at most `gradient_tol`. A pair whose gradient is not finite, whose line
+    at most GRADIENT_TOL. A pair whose gradient is not finite, whose line
     search fails, or that reaches `max_iterations` stops unconverged.
     """
     n = xs.shape[1]
@@ -583,7 +581,7 @@ def fit_local_batch(
         effective_weight=effective_weight,
         local_mass=mass,
     )
-    fitted = np.flatnonzero(mass >= weight_floor)
+    fitted = np.flatnonzero(mass >= WEIGHT_FLOOR)
     if not fitted.size:
         return fit
     # Views rather than copies of the (P, n) arrays when every pair is fitted,
@@ -609,7 +607,7 @@ def fit_local_batch(
         grad, hess = _freeze_clipped(eta[live], grad, hess)
         gnorm = np.abs(grad).max(axis=1)
         fit.gradient_norm[fitted[live]] = gnorm
-        done = gnorm <= gradient_tol
+        done = gnorm <= GRADIENT_TOL
         fit.converged[fitted[live[done]]] = True
         go = ~done & np.isfinite(gnorm)
         if it == max_iterations or not go.any():
@@ -632,8 +630,6 @@ def estimate_local_params(
     b,
     init: Optional[LocalParams] = None,
     *,
-    weight_floor: float = WEIGHT_FLOOR,
-    gradient_tol: float = GRADIENT_TOL,
     max_iterations: int = MAX_ITERATIONS,
 ) -> Tuple[LocalParams, FitDiagnostics]:
     """Maximize the local log-likelihood at grid point r.
@@ -647,9 +643,6 @@ def estimate_local_params(
     init : LocalParams, optional
         Starting point; defaults to the global Gaussian MLE. Passing the
         previous month's fit warm-starts rolling estimation.
-    weight_floor : float
-        Minimum mean unnormalized kernel mass at r. Below it there is no
-        local information and InsufficientLocalDataError is raised.
 
     Returns
     -------
@@ -657,7 +650,10 @@ def estimate_local_params(
 
     Raises
     ------
-    InsufficientLocalDataError, NonConvergenceError, DegenerateSampleError
+    InsufficientLocalDataError
+        The scale-free kernel mass at r is below WEIGHT_FLOOR: there is no
+        local information.
+    NonConvergenceError, DegenerateSampleError
 
     Notes
     -----
@@ -681,11 +677,9 @@ def estimate_local_params(
         np.array([[r1, r2]]),
         np.array([[b1, b2]]),
         theta0.as_array()[None],
-        weight_floor=weight_floor,
-        gradient_tol=gradient_tol,
         max_iterations=max_iterations,
     )
-    if fit.local_mass[0] < weight_floor:
+    if fit.local_mass[0] < WEIGHT_FLOOR:
         raise InsufficientLocalDataError(
             "no effective observations near grid point (%g, %g): local mass %.3e"
             % (r1, r2, fit.local_mass[0]),

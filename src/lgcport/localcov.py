@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -17,9 +17,7 @@ from .errors import (
 # estimate_local_params is unused here but stays importable from this module:
 # external code (e.g. the span tracer in perfbench/) looks it up here.
 from .lgc import (  # noqa: F401
-    BatchFit,
     FitDiagnostics,
-    LocalParams,
     estimate_local_params,
     fit_local_batch,
     gaussian_mle_batch,
@@ -44,11 +42,8 @@ class LocalCovMatrix:
 
     matrix: np.ndarray
     pd_repaired: bool
+    correlations: np.ndarray  # before repair
     pair_diagnostics: Dict[Tuple[int, int], FitDiagnostics] = field(default_factory=dict)
-    diag_source: str = "sample"
-    correlations: Optional[np.ndarray] = None
-    local_sd: Optional[np.ndarray] = None
-    pair_params: Dict[Tuple[int, int], LocalParams] = field(default_factory=dict)
 
     @property
     def n_fallbacks(self) -> int:
@@ -141,183 +136,70 @@ def global_covariance(panel) -> LocalCovMatrix:
     sd = np.sqrt(np.diag(cov))
     corr = cov / np.outer(sd, sd)
     repaired_cov, repaired = nearest_pd(cov)
-    return LocalCovMatrix(
-        matrix=repaired_cov,
-        pd_repaired=repaired,
-        diag_source="sample variance",
-        correlations=corr,
-        local_sd=sd,
-    )
+    return LocalCovMatrix(matrix=repaired_cov, pd_repaired=repaired, correlations=corr)
 
 
 @dataclass
 class LocalCovStack:
     """Local covariances of a stack of dates, each field with a leading (D,) axis.
 
-    A date in `errors` has no estimate: its matrices are zero, its flag False
-    and its fallback count 0.
+    The per-pair fields are (D, P), pairs in np.triu_indices order within a
+    date. A date in `errors` has no estimate: its matrices are zero and its
+    flags and pair diagnostics False or 0.
     """
 
     matrices: np.ndarray  # (D, N, N), repaired to positive definite
     correlations: np.ndarray  # (D, N, N) pairwise local correlations, before repair
     pd_repaired: np.ndarray  # (D,) bool
-    n_fallbacks: np.ndarray  # (D,) pairs that fell back to their global Gaussian MLE
+    fallback: np.ndarray  # (D, P) the pair fell back to its global Gaussian MLE
+    converged: np.ndarray  # (D, P)
+    iterations: np.ndarray  # (D, P) Newton steps
+    gradient_norm: np.ndarray  # (D, P)
+    effective_weight: np.ndarray  # (D, P)
     errors: Dict[int, LgcportError]
 
+    @property
+    def n_fallbacks(self) -> np.ndarray:
+        """(D,) number of pairs of each date that fell back."""
+        return self.fallback.sum(axis=1)
 
-class _Assembled(NamedTuple):
-    """What _assemble builds for D dates of P pairs each."""
-
-    matrices: np.ndarray  # (D, N, N)
-    pd_repaired: np.ndarray  # (D,)
-    correlations: np.ndarray  # (D, N, N)
-    local_sd: np.ndarray  # (D, N)
-    params: np.ndarray  # (D, P, 5), fallbacks included
-    fallback: np.ndarray  # (D, P)
-    fit: BatchFit  # over the D * P pairs, date-major
-
-
-def _assemble(windows, grids, bandwidths, ddof, diag_method, starts=None) -> _Assembled:
-    """Fit every pair of every date in one fit_local_batch call and assemble.
-
-    `windows` is a validated (D, n, N) stack with N >= 2, `grids` and
-    `bandwidths` are (D, N). `starts` holds (D * P, 5) starting parameters,
-    pairs in np.triu_indices order within each date; a NaN row, or no
-    `starts`, starts the pair from its global Gaussian MLE, which is also the
-    fallback of a pair whose fit does not converge. See
-    pairwise_local_covariance for the assembly.
-    """
-    n_dates, n, n_assets = windows.shape
-    first, second = np.triu_indices(n_assets, 1)
-    columns = windows.transpose(0, 2, 1)
-    xs = columns[:, first].reshape(-1, n)
-    ys = columns[:, second].reshape(-1, n)
-    mle = gaussian_mle_batch(xs, ys)
-    theta0 = mle if starts is None else np.where(np.isnan(starts), mle, starts)
-
-    def by_pair(a):
-        return np.stack([a[:, first], a[:, second]], axis=2).reshape(-1, 2)
-
-    fit = fit_local_batch(xs, ys, by_pair(grids), by_pair(bandwidths), theta0)
-    fallback = ~fit.converged
-    params = np.where(fallback[:, None], mle, fit.params).reshape(n_dates, -1, 5)
-    sigma1, sigma2, rho = params[..., 2], params[..., 3], params[..., 4]
-
-    shape = (n_dates, n_assets, n_assets)
-    assets = np.arange(n_assets)
-    corr = np.zeros(shape)
-    corr[:, first, second] = corr[:, second, first] = rho
-    corr[:, assets, assets] = 1.0
-    # sigmas[:, i, j] is asset i's sigma from the fit of pair {i, j}; row i
-    # without its diagonal lists them in the order of the pairs containing i.
-    sigmas = np.zeros(shape)
-    sigmas[:, first, second] = sigma1
-    sigmas[:, second, first] = sigma2
-    per_asset = sigmas[:, ~np.eye(n_assets, dtype=bool)].reshape(n_dates, n_assets, -1)
-    if diag_method == "mean":
-        sd = per_asset.mean(axis=2)
-    else:
-        sd = np.median(per_asset, axis=2)
-    cov = np.zeros(shape)
-    cov[:, first, second] = cov[:, second, first] = rho * sigma1 * sigma2
-    cov[:, assets, assets] = sd * sd
-    cov *= n / (n - ddof)
-
-    repairs = [nearest_pd(c) for c in cov]
-    return _Assembled(
-        matrices=np.array([r[0] for r in repairs]),
-        pd_repaired=np.array([r[1] for r in repairs]),
-        correlations=corr,
-        local_sd=sd,
-        params=params,
-        fallback=fallback.reshape(n_dates, -1),
-        fit=fit,
-    )
+    def pair_diagnostics(self, d: int) -> Dict[Tuple[int, int], FitDiagnostics]:
+        """The fit of each pair (i, j) of date d."""
+        first, second = np.triu_indices(self.matrices.shape[1], 1)
+        return {
+            (int(i), int(j)): FitDiagnostics(
+                converged=bool(self.converged[d, k]),
+                iterations=int(self.iterations[d, k]),
+                gradient_norm=float(self.gradient_norm[d, k]),
+                effective_weight=float(self.effective_weight[d, k]),
+                fallback=bool(self.fallback[d, k]),
+            )
+            for k, (i, j) in enumerate(zip(first, second))
+        }
 
 
-def _check_diag_method(diag_method: str):
-    if diag_method not in ("mean", "median"):
-        raise ValueError("diag_method must be 'mean' or 'median', got %r" % diag_method)
-
-
-def pairwise_local_covariance(
-    panel,
-    grid,
-    bandwidth_scale: float = 1.1,
-    *,
-    ddof: int = 1,
-    diag_method: str = "mean",
-    init_params: Optional[Dict[Tuple[int, int], LocalParams]] = None,
-) -> LocalCovMatrix:
-    """Assemble an N x N covariance from bivariate local fits at a grid point.
-
-    Each pair (i, j) is fitted at (grid[i], grid[j]) with its own plug-in
-    bandwidth; the off-diagonal entry is rho * sigma_i * sigma_j from that
-    pair's fit, and the diagonal for asset i aggregates its sigma estimates
-    across the N-1 pairs containing i. The result is scaled by n/(n - ddof)
-    so the wide-bandwidth limit matches the n-1 sample covariance, then
-    repaired to positive definiteness. All pairs are fitted together by one
-    fit_local_batch call: this is the one-date case of
-    local_covariance_stack, with optional warm starts.
-
-    Pairs that fail to fit (no local mass, or no convergence) fall back to
-    the pair's global Gaussian MLE and are flagged in pair_diagnostics.
-
-    `init_params` maps pair indices to warm starts, e.g. the previous
-    month's `pair_params`; other pairs start from their global Gaussian MLE.
-    """
-    x = _as_matrix(panel)
-    n, n_assets = x.shape
-    g = np.asarray(grid, dtype=float).reshape(-1)
-    if g.shape != (n_assets,) or not np.all(np.isfinite(g)):
-        raise ValueError("grid must hold one finite coordinate per asset")
-    if n <= ddof:
-        raise InsufficientDataError("need more than ddof=%d observations" % ddof)
-    _check_diag_method(diag_method)
-    if n_assets == 1:
-        return global_covariance(x)
-
-    bandwidth = np.array(plugin_bandwidth(x, bandwidth_scale))
-    first, second = np.triu_indices(n_assets, 1)
-    pairs = list(zip(first.tolist(), second.tolist()))
-    inits = init_params or {}
-    starts = np.array([inits[p].as_array() if p in inits else [np.nan] * 5 for p in pairs])
-    out = _assemble(x[None], g[None], bandwidth[None], ddof, diag_method, starts)
-
-    diagnostics: Dict[Tuple[int, int], FitDiagnostics] = {}
-    for k, pair in enumerate(pairs):
-        diagnostics[pair] = out.fit.diagnostics(k)
-        diagnostics[pair].fallback = bool(out.fallback[0, k])
-    return LocalCovMatrix(
-        matrix=out.matrices[0],
-        pd_repaired=bool(out.pd_repaired[0]),
-        pair_diagnostics=diagnostics,
-        diag_source="%s of pairwise local sigmas" % diag_method,
-        correlations=out.correlations[0],
-        local_sd=out.local_sd[0],
-        pair_params={p: LocalParams.from_array(out.params[0, k]) for k, p in enumerate(pairs)},
-    )
-
-
-def local_covariance_stack(
-    windows,
-    grids,
-    bandwidth_scale: float = 1.1,
-    *,
-    ddof: int = 1,
-    diag_method: str = "mean",
-) -> LocalCovStack:
-    """pairwise_local_covariance of every date of a stack, without warm starts.
+def local_covariance_stack(windows, grids, bandwidth_scale: float = 1.1) -> LocalCovStack:
+    """Assemble an N x N covariance per date from bivariate local fits.
 
     `windows` is (D, n, N) and `grids` is (D, N): date d is estimated from
-    `windows[d]` at `grids[d]`, every pair starting from its global Gaussian
-    MLE. Each date is checked on its own, so a date whose window has no
-    estimate (a column with zero variance, say) gets its LgcportError in
-    `errors` and leaves the other dates untouched. The remaining dates are
-    fitted in blocks of consecutive dates, one fit_local_batch call per
-    block; a block holds at most 24,576 pair-observations (pairs x n), or
-    one date if a date alone holds more. A date's result does not depend on the
-    block it lands in.
+    `windows[d]` at `grids[d]`. Each pair (i, j) is fitted at
+    (grid[i], grid[j]) with its own plug-in bandwidth, starting from the
+    pair's global Gaussian MLE; the off-diagonal entry is
+    rho * sigma_i * sigma_j from that pair's fit, and the diagonal for asset
+    i is the mean of its sigma estimates across the N-1 pairs containing i.
+    The result is scaled by n/(n - 1) so the wide-bandwidth limit matches the
+    n-1 sample covariance, then repaired to positive definiteness. A single
+    asset gets its sample variance. Pairs that fail to fit (no local mass, or
+    no convergence) fall back to the pair's global Gaussian MLE and are
+    flagged in `fallback`.
+
+    Each date is checked on its own, so a date whose window has no estimate
+    (a column with zero variance, say) gets its LgcportError in `errors` and
+    leaves the other dates untouched. The remaining dates are fitted in
+    blocks of consecutive dates, one fit_local_batch call per block; a block
+    holds at most 24,576 pair-observations (pairs x n), or one date if a date
+    alone holds more. A date's result does not depend on the block it lands
+    in.
     """
     w = np.asarray(windows, dtype=float)
     if w.ndim != 3:
@@ -326,16 +208,20 @@ def local_covariance_stack(
     g = np.asarray(grids, dtype=float)
     if g.shape != (n_dates, n_assets) or not np.all(np.isfinite(g)):
         raise ValueError("grids must hold one finite coordinate per date and asset")
-    _check_diag_method(diag_method)
+    n_pairs = n_assets * (n_assets - 1) // 2
     out = LocalCovStack(
         matrices=np.zeros((n_dates, n_assets, n_assets)),
         correlations=np.zeros((n_dates, n_assets, n_assets)),
         pd_repaired=np.zeros(n_dates, dtype=bool),
-        n_fallbacks=np.zeros(n_dates, dtype=int),
+        fallback=np.zeros((n_dates, n_pairs), dtype=bool),
+        converged=np.zeros((n_dates, n_pairs), dtype=bool),
+        iterations=np.zeros((n_dates, n_pairs), dtype=int),
+        gradient_norm=np.zeros((n_dates, n_pairs)),
+        effective_weight=np.zeros((n_dates, n_pairs)),
         errors={},
     )
-    if n <= ddof:
-        err = InsufficientDataError("need more than ddof=%d observations" % ddof)
+    if n < 2:
+        err = InsufficientDataError("local covariance needs at least 2 observations")
         out.errors = dict.fromkeys(range(n_dates), err)
         return out
 
@@ -354,15 +240,75 @@ def local_covariance_stack(
         return out
 
     ok = np.array([d for d in range(n_dates) if d not in out.errors], dtype=int)
-    per_block = max(1, _BLOCK_PAIR_OBS // (n_assets * (n_assets - 1) // 2 * n))
+    per_block = max(1, _BLOCK_PAIR_OBS // (n_pairs * n))
     for lo in range(0, ok.size, per_block):
-        idx = ok[lo : lo + per_block]
-        block = _assemble(w[idx], g[idx], bandwidths[idx], ddof, diag_method)
-        out.matrices[idx] = block.matrices
-        out.correlations[idx] = block.correlations
-        out.pd_repaired[idx] = block.pd_repaired
-        out.n_fallbacks[idx] = block.fallback.sum(axis=1)
+        _fit_block(out, ok[lo : lo + per_block], w, g, bandwidths)
     return out
+
+
+def _fit_block(out: LocalCovStack, idx, windows, grids, bandwidths) -> None:
+    """Fit every pair of the dates `idx` in one fit_local_batch call and
+    write the dates' estimates into `out` (see local_covariance_stack)."""
+    windows, grids, bandwidths = windows[idx], grids[idx], bandwidths[idx]
+    n_dates, n, n_assets = windows.shape
+    first, second = np.triu_indices(n_assets, 1)
+    columns = windows.transpose(0, 2, 1)
+    xs = columns[:, first].reshape(-1, n)
+    ys = columns[:, second].reshape(-1, n)
+    mle = gaussian_mle_batch(xs, ys)
+
+    def by_pair(a):
+        return np.stack([a[:, first], a[:, second]], axis=2).reshape(-1, 2)
+
+    fit = fit_local_batch(xs, ys, by_pair(grids), by_pair(bandwidths), mle)
+    fallback = ~fit.converged
+    params = np.where(fallback[:, None], mle, fit.params).reshape(n_dates, -1, 5)
+    sigma1, sigma2, rho = params[..., 2], params[..., 3], params[..., 4]
+
+    shape = (n_dates, n_assets, n_assets)
+    assets = np.arange(n_assets)
+    corr = np.zeros(shape)
+    corr[:, first, second] = corr[:, second, first] = rho
+    corr[:, assets, assets] = 1.0
+    # sigmas[:, i, j] is asset i's sigma from the fit of pair {i, j}; row i
+    # without its diagonal lists them in the order of the pairs containing i.
+    sigmas = np.zeros(shape)
+    sigmas[:, first, second] = sigma1
+    sigmas[:, second, first] = sigma2
+    per_asset = sigmas[:, ~np.eye(n_assets, dtype=bool)].reshape(n_dates, n_assets, -1)
+    sd = per_asset.mean(axis=2)
+    cov = np.zeros(shape)
+    cov[:, first, second] = cov[:, second, first] = rho * sigma1 * sigma2
+    cov[:, assets, assets] = sd * sd
+    cov *= n / (n - 1)
+
+    for d, c in zip(idx, cov):
+        out.matrices[d], out.pd_repaired[d] = nearest_pd(c)
+    out.correlations[idx] = corr
+    out.fallback[idx] = fallback.reshape(n_dates, -1)
+    for name in ("converged", "iterations", "gradient_norm", "effective_weight"):
+        getattr(out, name)[idx] = getattr(fit, name).reshape(n_dates, -1)
+
+
+def pairwise_local_covariance(panel, grid, bandwidth_scale: float = 1.1) -> LocalCovMatrix:
+    """The local covariance of one (n, N) window at one grid point.
+
+    This is the one-date case of local_covariance_stack: an error the stack
+    would record for the date is raised, and each pair's fit is reported in
+    `pair_diagnostics`.
+    """
+    x = _as_matrix(panel)
+    stack = local_covariance_stack(
+        x[None], np.asarray(grid, dtype=float).reshape(1, -1), bandwidth_scale
+    )
+    if stack.errors:
+        raise stack.errors[0]
+    return LocalCovMatrix(
+        matrix=stack.matrices[0],
+        pd_repaired=bool(stack.pd_repaired[0]),
+        pair_diagnostics=stack.pair_diagnostics(0),
+        correlations=stack.correlations[0],
+    )
 
 
 def moving_grid(panel, t: int, lookback: int = 3) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Sequence
@@ -123,6 +124,10 @@ def _sha256(path) -> str:
 
 def asset_table(panel: ReturnPanel, quantile: float, bandwidth_scale: float):
     """Rows of the asset overview table: stats plus both correlation matrices."""
+    if not 0.0 < quantile < 1.0:
+        raise ConfigError("grid quantile must lie in (0, 1), got %g" % quantile)
+    if not 0.0 < bandwidth_scale < math.inf:
+        raise ConfigError("bandwidth scale must be positive and finite, got %g" % bandwidth_scale)
     header = ["section", "row"] + list(panel.asset_names)
     rows: List[list] = []
     stats = [descriptive_stats(panel.returns[:, i]) for i in range(panel.n_assets)]
@@ -265,7 +270,6 @@ class RunConfig:
     gamma: float = 1.0
     var_alpha: float = 0.95
     asset_table_quantile: float = 0.05
-    diag_method: str = "mean"
 
     def __post_init__(self):
         if self.mode not in ("returns", "prices"):
@@ -274,8 +278,8 @@ class RunConfig:
             raise ConfigError("need at least one window length")
         if not self.strategies:
             raise ConfigError("strategy list is empty")
-        if not self.tcosts_bp or any(bp < 0.0 for bp in self.tcosts_bp):
-            raise ConfigError("transaction costs must be nonnegative")
+        if not self.tcosts_bp or any(not 0.0 <= bp < math.inf for bp in self.tcosts_bp):
+            raise ConfigError("transaction costs must be nonnegative and finite")
         for label in self.strategies:
             try:
                 StrategySpec.from_label(label, self.gamma)
@@ -283,6 +287,21 @@ class RunConfig:
                 raise ConfigError(str(err)) from err
         if not 0.0 < self.var_alpha < 1.0:
             raise ConfigError("var_alpha must lie in (0, 1)")
+        for m in self.windows:
+            self.backtest_config(m)
+
+    def backtest_config(self, window: int) -> BacktestConfig:
+        """The backtest of one window; costs are charged at the largest nonzero rate."""
+        return BacktestConfig(
+            window=window,
+            strategies=[StrategySpec.from_label(s, self.gamma) for s in self.strategies],
+            tcost_bp=max((bp for bp in self.tcosts_bp if bp > 0.0), default=0.0),
+            grid_method=self.grid_method,
+            grid_lookback=self.grid_lookback,
+            grid_quantile=self.grid_quantile,
+            bandwidth_scale=self.bandwidth_scale,
+            charge_initial_allocation=self.charge_initial_allocation,
+        )
 
 
 def execute_run(config: RunConfig) -> dict:
@@ -294,26 +313,13 @@ def execute_run(config: RunConfig) -> dict:
     """
     panel = load_panel(config.input_path, config.mode)
     os.makedirs(config.output_dir, exist_ok=True)
-    primary_bp = max((bp for bp in config.tcosts_bp if bp > 0.0), default=0.0)
-    specs = [StrategySpec.from_label(s, config.gamma) for s in config.strategies]
 
     files: List[str] = []
     window_meta: Dict[str, dict] = {}
     assets = asset_table(panel, config.asset_table_quantile, config.bandwidth_scale)
     for m in config.windows:
-        bt = BacktestConfig(
-            window=m,
-            strategies=specs,
-            tcost_bp=primary_bp,
-            grid_method=config.grid_method,
-            grid_lookback=config.grid_lookback,
-            grid_quantile=config.grid_quantile,
-            bandwidth_scale=config.bandwidth_scale,
-            charge_initial_allocation=config.charge_initial_allocation,
-            diag_method=config.diag_method,
-        )
         # Looked up on the module, so wrappers installed there see every call.
-        result = backtest.run_backtest(panel, bt)
+        result = backtest.run_backtest(panel, config.backtest_config(m))
 
         tag = "w%d" % m
         out = config.output_dir

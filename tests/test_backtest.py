@@ -1,7 +1,12 @@
 """Rolling backtest accounting: drift, turnover, costs, wealth, no look-ahead."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lgcport.backtest import (
     BacktestConfig,
@@ -35,19 +40,37 @@ def small_panel(months=40, n_assets=3, seed=7, model="gaussian"):
     return synth_panel(months=months, n_assets=n_assets, model=model, seed=seed)
 
 
+def finite_vectors(lo, hi, min_size=1, max_size=12):
+    """1-d float arrays with entries in [lo, hi], subnormals included."""
+    return st.integers(min_size, max_size).flatmap(
+        lambda n: arrays(np.float64, n, elements=st.floats(lo, hi))
+    )
+
+
+@st.composite
+def weights_and_returns(draw):
+    """Weights summing to one, shorts allowed, and percent returns of the month."""
+    raw = draw(finite_vectors(-0.2, 1.0))
+    assume(raw.sum() >= 0.5)
+    returns = draw(arrays(np.float64, raw.size, elements=st.floats(-99.0, 500.0)))
+    return raw / raw.sum(), returns
+
+
 class TestDriftedWeights:
     def test_hand_case(self):
         out = drifted_weights(np.array([0.5, 0.5]), np.array([10.0, 0.0]))
         assert np.allclose(out, [0.55 / 1.05, 0.5 / 1.05], atol=1e-15)
 
-    def test_sums_to_one_randomized(self, rng):
-        for _ in range(200):
-            w = rng.dirichlet(np.ones(5)) - 0.1
-            w /= w.sum()
-            r = rng.uniform(-50.0, 50.0, size=5)
-            out = drifted_weights(w, r)
-            if abs(out.sum() - 1.0) > 1e-12:
-                raise AssertionError("drifted weights do not sum to one")
+    @given(weights_and_returns())
+    def test_sums_to_one_randomized(self, case):
+        w, r = case
+        value = [wi * (1.0 + ri / 100.0) for wi, ri in zip(w, r)]
+        total = math.fsum(value)
+        assume(total > 1e-3)
+        out = drifted_weights(w, r)
+        tol = 1e-12 * math.fsum(abs(v) for v in out)
+        assert abs(out.sum() - 1.0) <= tol
+        assert np.allclose(out, np.array(value) / total, rtol=1e-12, atol=tol)
 
     def test_zero_returns_identity(self):
         w = np.array([0.2, 0.3, 0.5])
@@ -62,21 +85,25 @@ class TestTurnoverAndCosts:
     def test_turnover_hand_case(self):
         assert turnover(np.array([0.6, 0.4]), np.array([0.5, 0.5])) == pytest.approx(0.2)
 
-    def test_turnover_loop_oracle(self, rng):
-        a = rng.dirichlet(np.ones(6))
-        b = rng.dirichlet(np.ones(6))
-        want = sum(abs(a[i] - b[i]) for i in range(6))
-        assert turnover(a, b) == pytest.approx(want, abs=1e-15)
+    @given(st.data())
+    def test_turnover_loop_oracle(self, data):
+        a = data.draw(finite_vectors(-2.0, 2.0))
+        b = data.draw(arrays(np.float64, a.size, elements=st.floats(-2.0, 2.0)))
+        want = math.fsum(abs(a[i] - b[i]) for i in range(a.size))
+        assert turnover(a, b) == pytest.approx(want, rel=1e-13, abs=1e-300)
+        assert turnover(a, b) == turnover(b, a)
+        assert turnover(a, a) == 0.0
 
     def test_cost_hand_case(self):
         # 10 bp on turnover 0.5: 0.5 * 10 * 0.01 = 0.05 percent.
         net = apply_transaction_costs([1.0], [0.5], 10.0)
         assert net[0] == pytest.approx(0.95, abs=1e-15)
 
-    def test_zero_cost_is_exact_identity(self, rng):
-        g = rng.standard_normal(50)
-        t = rng.uniform(0.0, 2.0, size=50)
-        assert np.array_equal(apply_transaction_costs(g, t, 0.0), g)
+    @given(st.data())
+    def test_zero_cost_is_exact_identity(self, data):
+        g = data.draw(finite_vectors(-1e6, 1e6, max_size=50))
+        t = data.draw(arrays(np.float64, g.size, elements=st.floats(0.0, 2.0)))
+        assert apply_transaction_costs(g, t, 0.0).tobytes() == g.tobytes()
 
     def test_negative_turnover_rejected(self):
         with pytest.raises(ValueError):
@@ -103,14 +130,15 @@ class TestPathStatistics:
         assert hi == pytest.approx(20.0)
         assert lo == pytest.approx(-20.0)
 
-    def test_wealth_recursion_loop_oracle(self, rng):
-        r = rng.uniform(-5.0, 5.0, size=30)
+    @given(finite_vectors(-99.0, 100.0, min_size=0, max_size=60))
+    def test_wealth_recursion_loop_oracle(self, r):
         path = wealth_path(r)
-        assert path[0] == 1.0
+        assert path[0] == 1.0 and len(path) == len(r) + 1
         level = 1.0
         for i, ret in enumerate(r):
             level *= 1.0 + ret / 100.0
             assert path[i + 1] == pytest.approx(level, rel=1e-14)
+        assert path[-1] == pytest.approx(math.prod(1.0 + v / 100.0 for v in r), rel=1e-13)
 
     def test_wealth_wipeout_raises(self):
         with pytest.raises(PortfolioWipeoutError):

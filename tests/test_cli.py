@@ -244,6 +244,31 @@ class TestErrorHandling:
         assert err["error"] == "ConfigError"
         assert option in err["message"] and "abc" in err["message"]
 
+    @pytest.mark.parametrize(
+        "command, option, value",
+        [
+            ("run", "--grid-lookback", "0"),
+            ("run", "--bandwidth-scale", "0"),
+            ("run", "--tcost", "nan"),
+            ("run", "--tcost", "inf"),
+            ("describe", "--bandwidth-scale", "-1"),
+            ("describe", "--grid-quantile", "0"),
+        ],
+    )
+    def test_out_of_range_setting_reports_json(
+        self, panel_file, tmp_path, capsys, command, option, value
+    ):
+        out = tmp_path / "o"
+        argv = [command, "--input", str(panel_file), option, value]
+        if command == "run":
+            argv += ["--out", str(out), "--windows", "24"]
+        assert run_cli(*argv) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ConfigError"
+        # The run was refused before it wrote anything.
+        assert not out.exists()
+
 
 class TestConsoleEntry:
     def test_module_invocation(self, tmp_path):

@@ -1,5 +1,6 @@
 """Covariance assembly, grids and positive-definiteness repair."""
 
+import itertools
 import math
 
 import numpy as np
@@ -14,7 +15,9 @@ from lgcport.lgc import (
     _objective,
     _to_eta,
     estimate_local_params,
+    fit_local_batch,
     gaussian_kernel_weight,
+    gaussian_mle_batch,
     global_gaussian_mle,
     local_loglik,
     plugin_bandwidth,
@@ -212,19 +215,11 @@ class TestPairwiseLocalCovariance:
         ref = global_covariance(x)
         assert np.allclose(out.matrix, ref.matrix, rtol=1e-4)
 
-    def test_ddof_zero_gives_mle_scale(self, rng):
-        x = gauss_pair(rng, 100, 0.3)
-        a = pairwise_local_covariance(x, x.mean(axis=0), bandwidth_scale=1e6, ddof=0)
-        b = pairwise_local_covariance(x, x.mean(axis=0), bandwidth_scale=1e6, ddof=1)
-        assert np.allclose(b.matrix, a.matrix * 100.0 / 99.0, rtol=1e-10)
-
-    def test_diagnostics_and_warm_start_params(self, rng):
+    def test_pair_diagnostics(self, rng):
         x = rng.standard_normal((120, 3))
         out = pairwise_local_covariance(x, np.zeros(3))
         assert set(out.pair_diagnostics) == {(0, 1), (0, 2), (1, 2)}
-        assert set(out.pair_params) == {(0, 1), (0, 2), (1, 2)}
-        rerun = pairwise_local_covariance(x, np.zeros(3), init_params=out.pair_params)
-        assert np.allclose(rerun.matrix, out.matrix, atol=1e-6)
+        assert all(d.converged and not d.fallback for d in out.pair_diagnostics.values())
 
     def test_batched_fits_match_single_pair_fits(self):
         # One batched solve against one estimate_local_params call per pair,
@@ -232,22 +227,37 @@ class TestPairwiseLocalCovariance:
         # different numbers of Newton steps.
         rng = np.random.default_rng(4)
         x = clayton_normal_sample(rng, 160, 5, 2.0) * np.array([1.0, 2.0, 0.5, 3.0, 1.5])
+        first, second = np.triu_indices(5, 1)
         warm = None
         for window in (x[:150], x[10:]):
             grid = percentile_grid(window, 0.1)
-            out = pairwise_local_covariance(window, grid, init_params=warm)
+            b = np.array(plugin_bandwidth(window))
+            xs, ys = window.T[first], window.T[second]
+            fit = fit_local_batch(
+                xs,
+                ys,
+                np.column_stack([grid[first], grid[second]]),
+                np.column_stack([b[first], b[second]]),
+                gaussian_mle_batch(xs, ys) if warm is None else warm,
+            )
             steps = set()
-            for (i, j), theta in out.pair_params.items():
+            for k, (i, j) in enumerate(zip(first, second)):
                 pair = window[:, [i, j]]
-                init = warm[(i, j)] if warm else None
+                init = None if warm is None else LocalParams.from_array(warm[k])
                 single, diag = estimate_local_params(
                     pair, (grid[i], grid[j]), plugin_bandwidth(pair), init
                 )
-                assert np.max(np.abs(single.as_array() - theta.as_array())) <= 1e-9
-                assert out.pair_diagnostics[(i, j)].iterations == diag.iterations
+                assert np.max(np.abs(single.as_array() - fit.params[k])) <= 1e-9
+                assert fit.iterations[k] == diag.iterations
                 steps.add(diag.iterations)
             assert len(steps) > 1
-            warm = out.pair_params
+            if warm is None:
+                # The one-date API runs the same cold batch.
+                out = pairwise_local_covariance(window, grid)
+                assert np.max(np.abs(out.correlations[first, second] - fit.params[:, 4])) <= 1e-9
+                iterations = [out.pair_diagnostics[p].iterations for p in zip(first, second)]
+                assert iterations == fit.iterations.tolist()
+            warm = fit.params
 
     def test_grid_length_mismatch_raises(self, rng):
         x = rng.standard_normal((50, 3))
@@ -269,21 +279,39 @@ def bfgs_refit(sample, r, b):
     return np.array([e[0], e[1], math.exp(e[2]), math.exp(e[3]), math.tanh(e[4])])
 
 
+PAPER_PAIRS = list(itertools.combinations(range(6), 2))
+
+
+def warm_chain(months, window=120):
+    """Per month index t of the paper's run: (t, {pair: (LocalParams, FitDiagnostics)}).
+
+    Every pair is fitted by its own estimate_local_params call, warm-started
+    from its fit at the month before (the first month from its global MLE).
+    A fit that does not converge raises. The dict is updated in place.
+    """
+    x = synth_panel().returns
+    fits = {}
+    for t in months:
+        w, grid = x[t - window : t], moving_grid(x, t)
+        for i, j in PAPER_PAIRS:
+            pair = w[:, [i, j]]
+            init = fits[i, j][0] if (i, j) in fits else None
+            fits[i, j] = estimate_local_params(pair, grid[[i, j]], plugin_bandwidth(pair), init)
+        yield t, fits
+
+
 class TestNewtonOnPaperPanel:
-    """Warm-started batched fits along the paper's run (synth_panel(), window 120)."""
+    """Warm-started single-pair fits along the paper's run (synth_panel(), window 120)."""
 
     def test_agrees_with_tight_bfgs_refit(self):
         # Both solvers reach the same optimum; the Newton fits stop at gradient
         # 1e-6, and the largest difference measured over this slice is 7.8e-6
         # (in mu2), so the bound leaves a factor of 2.5.
         x = synth_panel().returns
-        warm = {}
         worst = 0.0
-        for t in range(120, 130):
+        for t, fits in warm_chain(range(120, 130)):
             window, grid = x[t - 120 : t], moving_grid(x, t)
-            out = pairwise_local_covariance(window, grid, init_params=warm)
-            warm = out.pair_params
-            for (i, j), theta in out.pair_params.items():
+            for (i, j), (theta, _) in fits.items():
                 pair = window[:, [i, j]]
                 ref = bfgs_refit(pair, grid[[i, j]], plugin_bandwidth(pair))
                 worst = max(worst, float(np.max(np.abs(ref - theta.as_array()))))
@@ -292,27 +320,25 @@ class TestNewtonOnPaperPanel:
     def test_indefinite_warm_start_converges(self):
         # At month index 224 the warm start of pair (1, 4) has an indefinite
         # Hessian: the only such start in the window-120 run, where a plain
-        # gradient-step fallback stalled. The modified Newton step converges.
+        # gradient-step fallback stalled. The modified Newton step converges,
+        # as do the other pairs of the chain.
         x = synth_panel().returns
-        warm = {}
-        for t in range(120, 225):
-            window, grid = x[t - 120 : t], moving_grid(x, t)
-            if t == 224:
-                pair, r = window[:, [1, 4]], grid[[1, 4]]
-                b = np.array(plugin_bandwidth(pair))
-                w = gaussian_kernel_weight(pair, r, b)
-                moments = _local_moments(
-                    pair.T[:1], pair.T[1:], (w / w.sum())[None], r[None], b[None], w.mean()
-                )
-                start = _to_eta(warm[(1, 4)].as_array()[None])
-                hess = _objective(moments, start, hessian=True)[2][0]
-                assert np.linalg.eigvalsh(hess)[0] < 0.0
-            out = pairwise_local_covariance(window, grid, init_params=warm)
-            warm = out.pair_params
-        diag = out.pair_diagnostics[(1, 4)]
-        assert diag.converged and not diag.fallback
+        for _, fits in warm_chain(range(120, 224)):
+            pass
+        t = 224
+        window, grid = x[t - 120 : t], moving_grid(x, t)
+        pair, r = window[:, [1, 4]], grid[[1, 4]]
+        b = np.array(plugin_bandwidth(pair))
+        w = gaussian_kernel_weight(pair, r, b)
+        moments = _local_moments(
+            pair.T[:1], pair.T[1:], (w / w.sum())[None], r[None], b[None], w.mean()
+        )
+        start = _to_eta(fits[1, 4][0].as_array()[None])
+        hess = _objective(moments, start, hessian=True)[2][0]
+        assert np.linalg.eigvalsh(hess)[0] < 0.0
+        _, diag = estimate_local_params(pair, r, b, fits[1, 4][0])
+        assert diag.converged
         assert diag.gradient_norm <= GRADIENT_TOL
-        assert out.n_fallbacks == 0
 
 
 def c11_windows(window, n_dates):
@@ -358,15 +384,13 @@ class TestLocalCovarianceStack:
 
     def test_agrees_with_the_warm_started_chain(self):
         # Cold and warm starts reach the same optimum up to the 1e-6 gradient
-        # tolerance; over every fit of the paper's run the largest |d rho|
-        # measured is 3.8e-6.
+        # tolerance; the largest |d rho| measured over this slice is 3.6e-6.
         windows, grids = c11_windows(120, 60)
         stack = local_covariance_stack(windows, grids)
-        warm, worst = {}, 0.0
-        for d in range(60):
-            out = pairwise_local_covariance(windows[d], grids[d], init_params=warm)
-            warm = out.pair_params
-            worst = max(worst, float(np.max(np.abs(out.correlations - stack.correlations[d]))))
+        worst = 0.0
+        for d, (_, fits) in enumerate(warm_chain(range(120, 180))):
+            for (i, j), (theta, _) in fits.items():
+                worst = max(worst, abs(theta.rho - stack.correlations[d][i, j]))
         assert worst <= 2e-5
 
     @pytest.mark.parametrize("case", ["paper", "clayton_tail"])
@@ -417,11 +441,13 @@ class TestLocalCovarianceStack:
         for d in range(2):
             assert np.array_equal(stack.matrices[d], global_covariance(windows[d]).matrix)
 
-    def test_ddof_leaving_no_degrees_of_freedom_fails_every_date(self, rng):
-        windows = rng.standard_normal((3, 4, 2))
-        stack = local_covariance_stack(windows, np.zeros((3, 2)), ddof=4)
+    def test_window_shorter_than_two_fails_every_date(self, rng):
+        windows = rng.standard_normal((3, 1, 2))
+        stack = local_covariance_stack(windows, np.zeros((3, 2)))
         assert sorted(stack.errors) == [0, 1, 2]
         assert all(isinstance(e, InsufficientDataError) for e in stack.errors.values())
+        with pytest.raises(InsufficientDataError):
+            pairwise_local_covariance(windows[0], np.zeros(2))
 
     def test_rejects_malformed_input(self, rng):
         windows = rng.standard_normal((3, 20, 2))
@@ -431,5 +457,3 @@ class TestLocalCovarianceStack:
             local_covariance_stack(windows, np.zeros((2, 2)))
         with pytest.raises(ValueError):
             local_covariance_stack(windows, np.full((3, 2), np.nan))
-        with pytest.raises(ValueError):
-            local_covariance_stack(windows, np.zeros((3, 2)), diag_method="mode")

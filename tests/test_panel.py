@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lgcport.errors import PanelAlignmentError, PanelParseError
 from lgcport.panel import (
@@ -77,6 +80,30 @@ class TestLoadReturns:
         assert back.asset_names == panel.asset_names
         assert back.dates == panel.dates
         assert np.array_equal(back.returns, panel.returns)
+
+    # Any finite double, with the extremes drawn often: subnormals, the
+    # smallest normal, the most negative finite value and negative zero.
+    CELLS = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from(
+            [5e-324, -4.9e-322, 2.2250738585072014e-308, -1.7976931348623157e308, -0.0]
+        ),
+    )
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_roundtrip_is_bitwise_for_any_values(self, tmp_path, data):
+        shape = (data.draw(st.integers(2, 24)), data.draw(st.integers(1, 6)))
+        values = data.draw(arrays(np.float64, shape, elements=self.CELLS))
+        start = data.draw(st.integers(1000 * 12, 9998 * 12))
+        dates = [month_label(start + t) for t in range(shape[0])]
+        panel = ReturnPanel(["A%d" % i for i in range(shape[1])], dates, values)
+        path = tmp_path / "panel.csv"
+        write_panel(panel, path)
+        back = load_panel(path)
+        assert back.asset_names == panel.asset_names
+        assert back.dates == dates
+        assert back.returns.tobytes() == values.tobytes()
 
     def test_bad_header(self, tmp_path):
         path = write_text(tmp_path / "r.csv", "month,A\n2020-01,1\n2020-02,2\n")

@@ -16,10 +16,12 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, LgcportError, PortfolioWipeoutError
-# pairwise_local_covariance is unused here but stays importable from this
-# module: external code (e.g. the span tracer in perfbench/) looks it up here.
+# global_covariance and pairwise_local_covariance are unused here but stay
+# importable from this module: external code (e.g. the span tracer in
+# perfbench/) looks them up here.
 from .localcov import (  # noqa: F401
     global_covariance,
+    global_covariance_stack,
     local_covariance_stack,
     moving_grid,
     pairwise_local_covariance,
@@ -153,77 +155,58 @@ def wealth_path(returns_pct) -> np.ndarray:
     return out
 
 
-def _estimate(x, dates, config: BacktestConfig, need_global: bool, need_local: bool):
-    """Per date: the mean vector and each needed covariance, in decimal units.
-
-    Returns (means, covariances, errors, date_diagnostics): `covariances`
-    maps each needed source ("global", "local") to an (n_dates, N, N) stack,
-    and `errors` maps it to {date index: the LgcportError its estimation
-    raised}; the error is also recorded in the date's diagnostics. The local
-    covariances of all dates come from one local_covariance_stack call: every
-    pair fit starts from the pair's global Gaussian MLE, so no date depends on
-    another and the fits run in blocked batches.
-    """
-    n, n_assets = x.shape
+def _estimate(x, config: BacktestConfig, sources):
+    """(means, stacks) of every date, in decimal units: means is (n_dates, N),
+    and `stacks` maps each source in `sources` ("global", "local") to its
+    CovStack over all dates. A date whose estimate failed has its LgcportError
+    in the stack's `errors`; no date's estimate depends on another's."""
+    n = x.shape[0]
     m = config.window
-    means = np.empty((n - m, n_assets))
-    needed = [s for s, need in (("global", need_global), ("local", need_local)) if need]
-    covariances = {s: np.zeros((n - m, n_assets, n_assets)) for s in needed}
-    errors: Dict[str, Dict[int, LgcportError]] = {"global": {}, "local": {}}
-    date_diagnostics: List[dict] = []
-    grids = np.empty((n - m, n_assets))
+    # windows[step] is x[t - m : t] with t = m + step, as a view.
+    windows = sliding_window_view(x, m, axis=0)[: n - m].transpose(0, 2, 1)
+    stacks = {}
+    if "global" in sources:
+        stacks["global"] = global_covariance_stack(windows)
+    if "local" in sources:
+        if config.grid_method == "moving":
+            grids = [moving_grid(x, t, config.grid_lookback) for t in range(m, n)]
+        else:
+            grids = [percentile_grid(w, config.grid_quantile) for w in windows]
+        stacks["local"] = local_covariance_stack(windows, grids, config.bandwidth_scale)
+    for stack in stacks.values():
+        stack.matrices /= 1e4
+    return windows.mean(axis=1) / 100.0, stacks
 
-    for step in range(n - m):
-        t = m + step
-        window = x[t - m : t]
-        means[step] = window.mean(axis=0) / 100.0
-        diag_entry = {"date": dates[step]}
 
-        if need_global:
-            try:
-                sigma_global = global_covariance(window)
-            except LgcportError as err:
-                errors["global"][step] = err
-                diag_entry["global_error"] = str(err)
+def _date_diagnostics(dates, stacks) -> List[dict]:
+    """Per date: each source's error, or whether its matrix was PD-repaired
+    (and, for the local source, how many pairs fell back)."""
+    out = [{"date": date} for date in dates]
+    for source, stack in stacks.items():
+        for step, entry in enumerate(out):
+            if step in stack.errors:
+                entry[source + "_error"] = str(stack.errors[step])
             else:
-                covariances["global"][step] = sigma_global.matrix / 1e4
-                diag_entry["global_pd_repaired"] = sigma_global.pd_repaired
-
-        if need_local:
-            if config.grid_method == "moving":
-                grids[step] = moving_grid(x, t, config.grid_lookback)
-            else:
-                grids[step] = percentile_grid(window, config.grid_quantile)
-        date_diagnostics.append(diag_entry)
-
-    if need_local:
-        # windows[step] is x[t - m : t], as a view.
-        windows = sliding_window_view(x, m, axis=0)[: n - m].transpose(0, 2, 1)
-        local = local_covariance_stack(windows, grids, config.bandwidth_scale)
-        covariances["local"] = local.matrices / 1e4
-        errors["local"] = local.errors
-        for step, diag_entry in enumerate(date_diagnostics):
-            if step in local.errors:
-                diag_entry["local_error"] = str(local.errors[step])
-            else:
-                diag_entry["local_pd_repaired"] = bool(local.pd_repaired[step])
-                diag_entry["pair_fallbacks"] = int(local.n_fallbacks[step])
-    return means, covariances, errors, date_diagnostics
+                entry[source + "_pd_repaired"] = bool(stack.pd_repaired[step])
+                if source == "local":
+                    entry["pair_fallbacks"] = int(stack.n_fallbacks[step])
+    return out
 
 
-def _solve_targets(spec: StrategySpec, means, covariances, errors):
-    """Target weights of every date from one batched solve.
+def _solve_targets(spec: StrategySpec, means, stack):
+    """Target weights of every date from one batched solve over the CovStack.
 
     Returns (targets, failures): targets is (n_dates, N), and failures maps
     each date without a target to its error, estimation errors included.
     """
+    errors = stack.errors
     ok = np.array([step for step in range(len(means)) if step not in errors], dtype=int)
     targets = np.full(means.shape, np.nan)
     failures = dict(errors)
     if ok.size:
         try:
             weights, failed = solve_batch(
-                spec, covariances[ok] if errors else covariances, means[ok]
+                spec, stack.matrices[ok] if errors else stack.matrices, means[ok]
             )
         except LgcportError as err:
             weights, failed = targets[ok], dict.fromkeys(range(ok.size), err)
@@ -235,13 +218,12 @@ def _solve_targets(spec: StrategySpec, means, covariances, errors):
 def run_backtest(panel: ReturnPanel, config: BacktestConfig) -> BacktestResult:
     """Run every configured strategy over the rolling window.
 
-    Three passes: estimate the mean and covariances of every date, solve each
-    strategy's weights for all dates in one batched call (targets depend only
-    on the date's estimates), then account drift, turnover and costs month by
-    month. Strategies are independent: adding or removing one never changes
-    the numbers of another. Local-covariance strategies share one local matrix
-    per date; every date's pair fits start from the pairs' global Gaussian
-    MLEs, so the dates are fitted together in blocked batches.
+    Three passes: estimate the mean and covariances of every date (one stack
+    per covariance source, shared by its strategies), then per strategy solve
+    the weights of all dates in one batched call (targets depend only on the
+    date's estimates) and account drift, turnover and costs month by month.
+    Strategies are independent: adding or removing one never changes the
+    numbers of another.
 
     A date whose covariance or solve fails keeps the previous month's target
     for the strategies concerned, recorded in their `fallbacks`; a failure at
@@ -259,79 +241,47 @@ def run_backtest(panel: ReturnPanel, config: BacktestConfig) -> BacktestResult:
     ) < 1.0:
         raise ConfigError("window too short for grid quantile %g" % config.grid_quantile)
 
-    specs = list(config.strategies)
-    need_global = any(
-        s.kind != "EW" and s.covariance_source == "global" for s in specs
-    )
-    need_local = any(
-        s.kind != "EW" and s.covariance_source == "local" for s in specs
-    )
-
     n_oos = n - m
     dates = [panel.dates[t] for t in range(m, n)]
-    means, covariances, errors, date_diagnostics = _estimate(
-        x, dates, config, need_global, need_local
-    )
-
-    solved = {
-        s.label: _solve_targets(
-            s, means, covariances[s.covariance_source], errors[s.covariance_source]
-        )
-        for s in specs
-        if s.kind != "EW"
-    }
-    for label, (_, failures) in solved.items():
+    sources = {s.covariance_source for s in config.strategies if s.kind != "EW"}
+    means, stacks = _estimate(x, config, sources)
+    strategies: Dict[str, StrategyResult] = {}
+    for spec in config.strategies:
+        # EW has no targets: it buys equal weights and then holds.
+        targets, failures = None, {}
+        if spec.kind != "EW":
+            targets, failures = _solve_targets(spec, means, stacks[spec.covariance_source])
         if 0 in failures:
             err = failures[0]
-            raise type(err)("%s at inception %s for %s" % (err, dates[0], label)) from err
-
-    held = {s.label: np.zeros((n_oos, n_assets)) for s in specs}
-    drifted = {s.label: np.zeros((n_oos, n_assets)) for s in specs}
-    gross = {s.label: np.zeros(n_oos) for s in specs}
-    turn = {s.label: np.zeros(n_oos) for s in specs}
-    fallbacks: Dict[str, List[Tuple[str, str]]] = {s.label: [] for s in specs}
-    for spec in specs:
-        label = spec.label
-        for step in range(n_oos):
-            t = m + step
+            raise type(err)("%s at inception %s for %s" % (err, dates[0], spec.label)) from err
+        held, drifted = np.zeros((n_oos, n_assets)), np.zeros((n_oos, n_assets))
+        gross, turn = np.zeros(n_oos), np.zeros(n_oos)
+        for step, t in enumerate(range(m, n)):
             if step == 0:
-                prior = None
+                target = equal_weights(n_assets) if targets is None else targets[0]
+                drifted[0] = 0.0 if config.charge_initial_allocation else target
             else:
-                prior = drifted_weights(held[label][step - 1], x[t - 1])
-
-            if spec.kind == "EW":
-                target = equal_weights(n_assets) if step == 0 else prior
-            else:
-                targets, failures = solved[label]
-                if step in failures:
-                    fallbacks[label].append((dates[step], str(failures[step])))
-                    target = held[label][step - 1]
+                drifted[step] = drifted_weights(held[step - 1], x[t - 1])
+                if targets is None:
+                    target = drifted[step]
                 else:
-                    target = targets[step]
+                    target = held[step - 1] if step in failures else targets[step]
+            held[step] = target
+            turn[step] = turnover(target, drifted[step])
+            gross[step] = float(target @ x[t])
 
-            if prior is None:
-                pre_trade = np.zeros(n_assets) if config.charge_initial_allocation else target
-            else:
-                pre_trade = prior
-            held[label][step] = target
-            drifted[label][step] = pre_trade
-            turn[label][step] = turnover(target, pre_trade)
-            gross[label][step] = float(target @ x[t])
-
-    strategies: Dict[str, StrategyResult] = {}
-    for spec in specs:
-        label = spec.label
-        net = apply_transaction_costs(gross[label], turn[label], config.tcost_bp)
-        strategies[label] = StrategyResult(
+        fallbacks = [(dates[step], str(failures[step])) for step in sorted(failures)]
+        net = apply_transaction_costs(gross, turn, config.tcost_bp)
+        strategies[spec.label] = StrategyResult(
             spec=spec,
-            target_weights=held[label],
-            drifted_weights=drifted[label],
-            gross_returns=gross[label],
+            target_weights=held,
+            drifted_weights=drifted,
+            gross_returns=gross,
             net_returns=net,
-            turnover=turn[label],
-            wealth_gross=wealth_path(gross[label]),
+            turnover=turn,
+            wealth_gross=wealth_path(gross),
             wealth_net=wealth_path(net),
-            fallbacks=fallbacks[label],
+            fallbacks=fallbacks,
         )
 
     return BacktestResult(
@@ -341,5 +291,5 @@ def run_backtest(panel: ReturnPanel, config: BacktestConfig) -> BacktestResult:
         dates=dates,
         inception_date=panel.dates[m - 1],
         strategies=strategies,
-        date_diagnostics=date_diagnostics,
+        date_diagnostics=_date_diagnostics(dates, stacks),
     )

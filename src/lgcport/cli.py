@@ -92,15 +92,18 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    panel = synth_panel(
-        months=args.months,
-        n_assets=args.assets,
-        model=args.model,
-        seed=args.seed,
-        rho=args.rho,
-        clayton_theta=args.theta,
-        start=args.start,
-    )
+    try:
+        panel = synth_panel(
+            months=args.months,
+            n_assets=args.assets,
+            model=args.model,
+            seed=args.seed,
+            rho=args.rho,
+            clayton_theta=args.theta,
+            start=args.start,
+        )
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
     write_panel(panel, args.out)
     print("wrote %d months x %d assets to %s" % (panel.n_months, panel.n_assets, args.out))
     return 0

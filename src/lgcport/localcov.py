@@ -33,7 +33,15 @@ PD_TOL = 1e-10
 # 1 MB here: a few (pairs, window) arrays of 192 kB each, plus the Newton
 # step's per-pair Hessian terms. At 2**15 the peak RSS of the paper's run was
 # 5.2 % above that of fitting one date per call; at this bound it is 3.5 %.
+# global_covariance_stack's blocks hold as many observations (assets x window
+# length): its centred copy of a block is 192 kB.
 _BLOCK_PAIR_OBS = 3 * 2**13
+
+# The per-pair fields of a LocalCovStack (FitDiagnostics' fields) and their dtypes.
+_PAIR_FIELDS = (
+    ("converged", bool), ("iterations", int), ("gradient_norm", float),
+    ("effective_weight", float), ("fallback", bool),
+)
 
 
 @dataclass
@@ -124,39 +132,40 @@ def nearest_pd(matrix, tol: float = PD_TOL) -> Tuple[np.ndarray, bool]:
     return (out + out.T) / 2.0, True
 
 
-def global_covariance(panel) -> LocalCovMatrix:
-    """Ordinary sample covariance (n-1 denominator), PD-repaired if needed."""
-    x = _as_matrix(panel)
-    if x.shape[0] < 2:
-        raise InsufficientDataError("covariance needs at least 2 observations")
-    cov = np.cov(x, rowvar=False, ddof=1)
-    cov = np.atleast_2d(cov)
-    if np.any(np.diag(cov) <= 0.0):
-        raise DegenerateSampleError("a column has zero variance")
-    sd = np.sqrt(np.diag(cov))
-    corr = cov / np.outer(sd, sd)
-    repaired_cov, repaired = nearest_pd(cov)
-    return LocalCovMatrix(matrix=repaired_cov, pd_repaired=repaired, correlations=corr)
-
-
 @dataclass
-class LocalCovStack:
-    """Local covariances of a stack of dates, each field with a leading (D,) axis.
+class CovStack:
+    """Covariances of a stack of dates, each field with a leading (D,) axis.
 
-    The per-pair fields are (D, P), pairs in np.triu_indices order within a
-    date. A date in `errors` has no estimate: its matrices are zero and its
-    flags and pair diagnostics False or 0.
+    A date in `errors` has no estimate: its matrices are zero and its flag
+    False.
     """
 
     matrices: np.ndarray  # (D, N, N), repaired to positive definite
-    correlations: np.ndarray  # (D, N, N) pairwise local correlations, before repair
+    correlations: np.ndarray  # (D, N, N), before repair
     pd_repaired: np.ndarray  # (D,) bool
-    fallback: np.ndarray  # (D, P) the pair fell back to its global Gaussian MLE
+    errors: Dict[int, LgcportError]
+
+    @classmethod
+    def empty(cls, n_dates: int, n_assets: int, **extra):
+        """A stack with no estimate written yet; `extra` are a subclass's fields."""
+        shape = (n_dates, n_assets, n_assets)
+        return cls(np.zeros(shape), np.zeros(shape), np.zeros(n_dates, dtype=bool), {}, **extra)
+
+
+@dataclass
+class LocalCovStack(CovStack):
+    """Local covariances of a stack of dates, plus the fit of each pair.
+
+    `correlations` are the pairwise local correlations. The per-pair fields
+    are (D, P), pairs in np.triu_indices order within a date; a date in
+    `errors` has them False or 0.
+    """
+
     converged: np.ndarray  # (D, P)
     iterations: np.ndarray  # (D, P) Newton steps
     gradient_norm: np.ndarray  # (D, P)
     effective_weight: np.ndarray  # (D, P)
-    errors: Dict[int, LgcportError]
+    fallback: np.ndarray  # (D, P) the pair fell back to its global Gaussian MLE
 
     @property
     def n_fallbacks(self) -> np.ndarray:
@@ -168,14 +177,75 @@ class LocalCovStack:
         first, second = np.triu_indices(self.matrices.shape[1], 1)
         return {
             (int(i), int(j)): FitDiagnostics(
-                converged=bool(self.converged[d, k]),
-                iterations=int(self.iterations[d, k]),
-                gradient_norm=float(self.gradient_norm[d, k]),
-                effective_weight=float(self.effective_weight[d, k]),
-                fallback=bool(self.fallback[d, k]),
+                **{name: getattr(self, name)[d, k].item() for name, _ in _PAIR_FIELDS}
             )
             for k, (i, j) in enumerate(zip(first, second))
         }
+
+
+def _as_windows(windows) -> np.ndarray:
+    w = np.asarray(windows, dtype=float)
+    if w.ndim != 3:
+        raise ValueError("windows must have shape (dates, n, N), got %r" % (w.shape,))
+    return w
+
+
+def _write_repaired(out: CovStack, idx, cov) -> None:
+    """Write the covariances `cov` of the dates `idx` into `out`, symmetrized;
+    one stacked eigenvalue check finds the dates nearest_pd would repair, and
+    only those go through it."""
+    cov = (cov + cov.transpose(0, 2, 1)) / 2.0
+    vals = np.linalg.eigvalsh(cov)
+    top = vals[:, -1]
+    out.matrices[idx] = cov
+    for k in np.flatnonzero(~((top > 0.0) & (vals[:, 0] >= PD_TOL * top))):
+        out.matrices[idx[k]], out.pd_repaired[idx[k]] = nearest_pd(cov[k])
+
+
+def global_covariance_stack(windows) -> CovStack:
+    """Sample covariance (n-1 denominator) of each (n, N) window of the
+    (D, n, N) stack, PD-repaired if needed.
+
+    A date with a zero-variance column gets a DegenerateSampleError in
+    `errors`, and n < 2 fails every date. The dates are done in blocks of at
+    most 24,576 observations (n x N per date), or of one date; a date's
+    result does not depend on its block.
+    """
+    w = _as_windows(windows)
+    n_dates, n, n_assets = w.shape
+    out = CovStack.empty(n_dates, n_assets)
+    if n < 2:
+        err = InsufficientDataError("covariance needs at least 2 observations")
+        out.errors = dict.fromkeys(range(n_dates), err)
+        return out
+    per_block = max(1, _BLOCK_PAIR_OBS // (n * n_assets))
+    for lo in range(0, n_dates, per_block):
+        block = w[lo : lo + per_block]
+        centred = block - block.mean(axis=1, keepdims=True)
+        cov = centred.transpose(0, 2, 1) @ centred
+        cov *= 1.0 / (n - 1)
+        var = np.diagonal(cov, axis1=1, axis2=2)
+        flat = np.any(var <= 0.0, axis=1)
+        for d in np.flatnonzero(flat):
+            out.errors[int(lo + d)] = DegenerateSampleError("a column has zero variance")
+        ok, sd = np.flatnonzero(~flat), np.sqrt(var[~flat])
+        out.correlations[lo + ok] = cov[ok] / (sd[:, :, None] * sd[:, None, :])
+        _write_repaired(out, lo + ok, cov[ok])
+    return out
+
+
+def _only_date(stack: CovStack, **extra) -> LocalCovMatrix:
+    """The estimate of a one-date stack; raises the date's error if it has one."""
+    if stack.errors:
+        raise stack.errors[0]
+    matrix, correlations = stack.matrices[0], stack.correlations[0]
+    return LocalCovMatrix(matrix, bool(stack.pd_repaired[0]), correlations, **extra)
+
+
+def global_covariance(panel) -> LocalCovMatrix:
+    """Ordinary sample covariance (n-1 denominator), PD-repaired if needed:
+    the one-date case of global_covariance_stack, raising the date's error."""
+    return _only_date(global_covariance_stack(_as_matrix(panel)[None]))
 
 
 def local_covariance_stack(windows, grids, bandwidth_scale: float = 1.1) -> LocalCovStack:
@@ -189,9 +259,9 @@ def local_covariance_stack(windows, grids, bandwidth_scale: float = 1.1) -> Loca
     i is the mean of its sigma estimates across the N-1 pairs containing i.
     The result is scaled by n/(n - 1) so the wide-bandwidth limit matches the
     n-1 sample covariance, then repaired to positive definiteness. A single
-    asset gets its sample variance. Pairs that fail to fit (no local mass, or
-    no convergence) fall back to the pair's global Gaussian MLE and are
-    flagged in `fallback`.
+    asset, or a window shorter than 2, is left to global_covariance_stack.
+    Pairs that fail to fit (no local mass, or no convergence) fall back to
+    the pair's global Gaussian MLE and are flagged in `fallback`.
 
     Each date is checked on its own, so a date whose window has no estimate
     (a column with zero variance, say) gets its LgcportError in `errors` and
@@ -201,43 +271,23 @@ def local_covariance_stack(windows, grids, bandwidth_scale: float = 1.1) -> Loca
     alone holds more. A date's result does not depend on the block it lands
     in.
     """
-    w = np.asarray(windows, dtype=float)
-    if w.ndim != 3:
-        raise ValueError("windows must have shape (dates, n, N), got %r" % (w.shape,))
+    w = _as_windows(windows)
     n_dates, n, n_assets = w.shape
     g = np.asarray(grids, dtype=float)
     if g.shape != (n_dates, n_assets) or not np.all(np.isfinite(g)):
         raise ValueError("grids must hold one finite coordinate per date and asset")
     n_pairs = n_assets * (n_assets - 1) // 2
-    out = LocalCovStack(
-        matrices=np.zeros((n_dates, n_assets, n_assets)),
-        correlations=np.zeros((n_dates, n_assets, n_assets)),
-        pd_repaired=np.zeros(n_dates, dtype=bool),
-        fallback=np.zeros((n_dates, n_pairs), dtype=bool),
-        converged=np.zeros((n_dates, n_pairs), dtype=bool),
-        iterations=np.zeros((n_dates, n_pairs), dtype=int),
-        gradient_norm=np.zeros((n_dates, n_pairs)),
-        effective_weight=np.zeros((n_dates, n_pairs)),
-        errors={},
-    )
-    if n < 2:
-        err = InsufficientDataError("local covariance needs at least 2 observations")
-        out.errors = dict.fromkeys(range(n_dates), err)
-        return out
+    pair_fields = {name: np.zeros((n_dates, n_pairs), kind) for name, kind in _PAIR_FIELDS}
+    if n < 2 or n_assets == 1:
+        return LocalCovStack(**vars(global_covariance_stack(w)), **pair_fields)
 
+    out = LocalCovStack.empty(n_dates, n_assets, **pair_fields)
     bandwidths = np.zeros((n_dates, n_assets))
     for d in range(n_dates):
         try:
-            if n_assets == 1:
-                single = global_covariance(w[d])
-                out.matrices[d], out.correlations[d] = single.matrix, single.correlations
-                out.pd_repaired[d] = single.pd_repaired
-            else:
-                bandwidths[d] = plugin_bandwidth(w[d], bandwidth_scale)
+            bandwidths[d] = plugin_bandwidth(w[d], bandwidth_scale)
         except LgcportError as err:
             out.errors[d] = err
-    if n_assets == 1:
-        return out
 
     ok = np.array([d for d in range(n_dates) if d not in out.errors], dtype=int)
     per_block = max(1, _BLOCK_PAIR_OBS // (n_pairs * n))
@@ -282,8 +332,7 @@ def _fit_block(out: LocalCovStack, idx, windows, grids, bandwidths) -> None:
     cov[:, assets, assets] = sd * sd
     cov *= n / (n - 1)
 
-    for d, c in zip(idx, cov):
-        out.matrices[d], out.pd_repaired[d] = nearest_pd(c)
+    _write_repaired(out, idx, cov)
     out.correlations[idx] = corr
     out.fallback[idx] = fallback.reshape(n_dates, -1)
     for name in ("converged", "iterations", "gradient_norm", "effective_weight"):
@@ -301,14 +350,7 @@ def pairwise_local_covariance(panel, grid, bandwidth_scale: float = 1.1) -> Loca
     stack = local_covariance_stack(
         x[None], np.asarray(grid, dtype=float).reshape(1, -1), bandwidth_scale
     )
-    if stack.errors:
-        raise stack.errors[0]
-    return LocalCovMatrix(
-        matrix=stack.matrices[0],
-        pd_repaired=bool(stack.pd_repaired[0]),
-        pair_diagnostics=stack.pair_diagnostics(0),
-        correlations=stack.correlations[0],
-    )
+    return _only_date(stack, pair_diagnostics=stack.pair_diagnostics(0))
 
 
 def moving_grid(panel, t: int, lookback: int = 3) -> np.ndarray:

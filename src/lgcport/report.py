@@ -33,6 +33,9 @@ from .panel import ReturnPanel, load_panel
 
 REPORT_SCHEMA_VERSION = "1"
 
+# Grid quantile of the local correlations in a run's asset table.
+ASSET_TABLE_QUANTILE = 0.05
+
 ALL_STRATEGY_LABELS = (
     "EW",
     "MVS",
@@ -269,7 +272,6 @@ class RunConfig:
     charge_initial_allocation: bool = False
     gamma: float = 1.0
     var_alpha: float = 0.95
-    asset_table_quantile: float = 0.05
 
     def __post_init__(self):
         if self.mode not in ("returns", "prices"):
@@ -316,7 +318,7 @@ def execute_run(config: RunConfig) -> dict:
 
     files: List[str] = []
     window_meta: Dict[str, dict] = {}
-    assets = asset_table(panel, config.asset_table_quantile, config.bandwidth_scale)
+    assets = asset_table(panel, ASSET_TABLE_QUANTILE, config.bandwidth_scale)
     for m in config.windows:
         # Looked up on the module, so wrappers installed there see every call.
         result = backtest.run_backtest(panel, config.backtest_config(m))

@@ -24,7 +24,8 @@ from lgcport.errors import (
     PortfolioWipeoutError,
     SolverError,
 )
-from lgcport.optimizer import StrategySpec
+from lgcport.localcov import nearest_pd
+from lgcport.optimizer import StrategySpec, solve_batch
 from lgcport.panel import ReturnPanel
 from lgcport.synth import synth_panel
 
@@ -342,10 +343,35 @@ class TestLocalEstimate:
         monkeypatch.setattr(localcov_mod, "_BLOCK_PAIR_OBS", 10 * 6 * 24)
         panel = small_panel(months=60, n_assets=4, seed=3)
         res = run_backtest(panel, BacktestConfig(window=24, strategies=specs("MINC-L")))
-        assert calls == {"fit": 4, "repair": 36}
+        # nearest_pd runs only on the dates that fail the stacked PD check.
+        repaired = sum(diag["local_pd_repaired"] for diag in res.date_diagnostics)
+        assert 0 < repaired < 36
+        assert calls == {"fit": 4, "repair": repaired}
         for diag in res.date_diagnostics:
             assert set(diag) == {"date", "local_pd_repaired", "pair_fallbacks"}
             assert diag["pair_fallbacks"] == 0
+
+
+class TestGlobalEstimate:
+    @pytest.mark.parametrize("window", [24, 40])
+    def test_targets_match_a_per_date_oracle(self, window):
+        # Asset 4 repeats asset 0 in the first 50 months, so the early
+        # windows are singular and go through nearest_pd.
+        panel = synth_panel(months=90, n_assets=5, model="clayton", seed=2)
+        panel.returns[:50, 4] = panel.returns[:50, 0]
+        labels = ("MVS", "MVSC", "MIN", "MINC")
+        res = run_backtest(panel, BacktestConfig(window=window, strategies=specs(*labels)))
+        x = panel.returns
+        windows = [x[t - window : t] for t in range(window, len(x))]
+        covs, repaired = zip(*(nearest_pd(np.cov(w, rowvar=False, ddof=1)) for w in windows))
+        assert any(repaired) and not all(repaired)
+        assert [d["global_pd_repaired"] for d in res.date_diagnostics] == list(repaired)
+        sigma = np.stack(covs) / 1e4
+        mu = np.stack([w.mean(axis=0) / 100.0 for w in windows])
+        for spec in specs(*labels):
+            want, failures = solve_batch(spec, sigma, mu)
+            assert not failures
+            assert np.array_equal(res.strategies[spec.label].target_weights, want)
 
 
 class TestSolverFallback:

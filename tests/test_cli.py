@@ -269,6 +269,25 @@ class TestErrorHandling:
         # The run was refused before it wrote anything.
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--months", "1"], "at least 2 months"),
+            (["--assets", "0"], "1 asset"),
+            (["--model", "gaussian", "--rho", "2"], "rho"),
+            (["--model", "clayton", "--theta", "0"], "theta"),
+        ],
+    )
+    def test_bad_synth_setting_reports_json(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "s.csv"
+        assert run_cli("synth", "--out", str(out), *argv) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ConfigError"
+        assert message in err["message"]
+        assert not out.exists()
+
 
 class TestConsoleEntry:
     def test_module_invocation(self, tmp_path):

@@ -25,6 +25,7 @@ from lgcport.lgc import (
 import lgcport.localcov as localcov
 from lgcport.localcov import (
     global_covariance,
+    global_covariance_stack,
     local_covariance_stack,
     moving_grid,
     nearest_correlation,
@@ -457,3 +458,77 @@ class TestLocalCovarianceStack:
             local_covariance_stack(windows, np.zeros((2, 2)))
         with pytest.raises(ValueError):
             local_covariance_stack(windows, np.full((3, 2), np.nan))
+
+
+def clayton_windows(window):
+    """Windows of a 463x24 Clayton panel whose asset 23 equals asset 0 in the
+    first 250 months, so the dates whose window ends by then are singular."""
+    x = synth_panel(months=463, n_assets=24, model="clayton", seed=0).returns
+    x[:250, 23] = x[:250, 0]
+    return np.stack([x[t - window : t] for t in range(window, len(x))])
+
+
+class TestGlobalCovarianceStack:
+    @pytest.mark.parametrize("window", [120, 240])
+    def test_equals_per_date_sample_covariance_and_repair(self, window):
+        windows = clayton_windows(window)
+        stack = global_covariance_stack(windows)
+        assert not stack.errors
+        assert stack.pd_repaired.any() and not stack.pd_repaired.all()
+        for d, w in enumerate(windows):
+            cov = np.cov(w, rowvar=False, ddof=1)
+            want, repaired = nearest_pd(cov)
+            assert np.array_equal(stack.matrices[d], want)
+            assert stack.pd_repaired[d] == repaired
+            sd = np.sqrt(np.diag(cov))
+            assert np.array_equal(stack.correlations[d], cov / np.outer(sd, sd))
+
+    def test_a_date_does_not_depend_on_its_block(self, monkeypatch):
+        windows = clayton_windows(240)[:30]
+        runs = []
+        for dates_per_block in (1, 7, 30):
+            monkeypatch.setattr(localcov, "_BLOCK_PAIR_OBS", dates_per_block * 240 * 24)
+            runs.append(global_covariance_stack(windows))
+        for run in runs[1:]:
+            for name in ("matrices", "correlations", "pd_repaired"):
+                assert np.array_equal(getattr(run, name), getattr(runs[0], name))
+        for d in (0, 13, 29):
+            alone = global_covariance_stack(windows[d : d + 1])
+            assert np.array_equal(alone.matrices[0], runs[0].matrices[d])
+            assert alone.pd_repaired[0] == runs[0].pd_repaired[d]
+
+    def test_zero_variance_date_fails_alone(self, monkeypatch):
+        windows, _ = c11_windows(120, 6)
+        windows[4][:, 1] = 0.5
+        monkeypatch.setattr(localcov, "_BLOCK_PAIR_OBS", 3 * 120 * 6)
+        stack = global_covariance_stack(windows)
+        assert list(stack.errors) == [4]
+        assert isinstance(stack.errors[4], DegenerateSampleError)
+        assert str(stack.errors[4]) == "a column has zero variance"
+        assert not stack.matrices[4].any() and not stack.pd_repaired[4]
+        rest = [0, 1, 2, 3, 5]
+        clean = global_covariance_stack(windows[rest])
+        assert np.array_equal(stack.matrices[rest], clean.matrices)
+
+    def test_window_shorter_than_two_fails_every_date(self, rng):
+        stack = global_covariance_stack(rng.standard_normal((3, 1, 2)))
+        assert sorted(stack.errors) == [0, 1, 2]
+        assert all(isinstance(e, InsufficientDataError) for e in stack.errors.values())
+        with pytest.raises(InsufficientDataError):
+            global_covariance(rng.standard_normal((1, 2)))
+
+    def test_rejects_malformed_input(self, rng):
+        with pytest.raises(ValueError):
+            global_covariance_stack(rng.standard_normal((20, 2)))
+        with pytest.raises(ValueError):
+            global_covariance(rng.standard_normal((2, 20, 2)))
+
+    def test_one_date_api_is_its_one_date_case(self):
+        windows = clayton_windows(120)[[0, 200]]
+        stack = global_covariance_stack(windows)
+        assert stack.pd_repaired.tolist() == [True, False]
+        for d in range(2):
+            one = global_covariance(windows[d])
+            assert np.array_equal(one.matrix, stack.matrices[d])
+            assert np.array_equal(one.correlations, stack.correlations[d])
+            assert one.pd_repaired == stack.pd_repaired[d]

@@ -5,16 +5,26 @@ A five-parameter Gaussian family is fitted at a grid point r by maximizing
     L(theta) = n^-1 sum_i K_b(R_i - r) log psi(R_i; theta) - int K_b(v - r) psi(v; theta) dv
 
 where K_b is a product Gaussian kernel and psi the bivariate normal density.
-The integral term has a closed form (Gaussian convolution), so the objective,
-its gradient and its Hessian are exact. fit_local_batch maximizes it for many
-pairs at once by damped Newton; estimate_local_params is its one-pair case.
+The integral term has a closed form (Gaussian convolution), and the data term
+depends on the sample only through its kernel-weighted mean and covariance.
+So each pair's objective is a pair of 2 x 2 Gaussian forms in its five
+parameters, whose value, gradient and Hessian are written out elementwise
+over (P,) arrays of pairs; a Hessian is kept as its 15 distinct entries.
+
+fit_local_batch maximizes the objective for many pairs at once in two
+stages: local_moments reduces the samples to moments, a slice of pairs at a
+time, and fit_local_moments runs a damped Newton iteration on the moments
+alone. Its step comes from a vectorized 5 x 5 LDL' factorization, with an
+eigenvalue-modified step (a Gill-Murray-style modified Newton method) as the
+fallback where the Hessian is indefinite or nearly singular.
+estimate_local_params is the one-pair case.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -303,6 +313,18 @@ _EIGEN_FLOOR = 1e-8
 # Upper clip of |eta| per coordinate of (mu1, mu2, log s1, log s2, atanh rho).
 _ETA_CLIP = np.array([np.inf, np.inf, _LOG_SIGMA_CLIP, _LOG_SIGMA_CLIP, _ATANH_CLIP])
 
+# Pair-observations (pairs x window length) per slice of kernel weights and
+# moments. A slice's (pairs, window) arrays take 192 kB each, and the Newton
+# iterations after it keep only the moments of each pair (12 floats).
+_BLOCK_PAIR_OBS = 3 * 2**13
+
+# A symmetric 5 x 5 matrix per pair is stored as its 15 distinct entries, one
+# (P,) row each, in np.triu_indices(5) order; entry (i, j) is row _PACKED[i][j].
+_ROW, _COL = np.triu_indices(5)
+_PACKED = np.zeros((5, 5), dtype=int)
+_PACKED[_ROW, _COL] = _PACKED[_COL, _ROW] = np.arange(15)
+_PACKED = _PACKED.tolist()
+
 
 def _to_eta(theta: np.ndarray) -> np.ndarray:
     """(P, 5) parameters (mu1, mu2, s1, s2, rho) to clipped search coordinates."""
@@ -321,164 +343,188 @@ def _from_eta(eta: np.ndarray) -> np.ndarray:
     return theta
 
 
-class _LocalMoments(NamedTuple):
-    """Per-pair constants of the objective, each with a leading (P,) axis.
+def _full_hessian(packed: np.ndarray) -> np.ndarray:
+    """(15, P) packed rows to the (P, 5, 5) matrices."""
+    return np.moveaxis(packed[np.array(_PACKED)], -1, 0)
 
-    The data term of the local likelihood depends on the sample only through
-    the kernel-weighted mean and covariance, so those are computed once per
-    fit and every objective evaluation costs O(1) per pair instead of O(n).
+
+def local_moments(xs: np.ndarray, ys: np.ndarray, r: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kernel-weighted moments of P pairs: the sample statistics of their fits.
+
+    `xs`, `ys` are validated (P, n) samples, `r` and `b` (P, 2) grid points
+    and positive bandwidths. Returns a (12, P) array whose rows are
+        0-1  kernel-weighted mean (c1, c2)
+        2-4  kernel-weighted covariance (s11, s22, s12)
+        5-6  grid point (r1, r2)
+        7-8  squared bandwidths (b1^2, b2^2)
+        9    mean kernel weight wbar
+        10   effective weight, the sum of the kernel values
+        11   scale-free local mass, the mean kernel value without its
+             normalizing constant
+    The local likelihood depends on the sample only through rows 0-9, so
+    every objective evaluation costs O(1) per pair instead of O(n). Each
+    column depends only on its own pair.
     """
+    n = xs.shape[1]
+    norm = 2.0 * np.pi * b[:, 0] * b[:, 1]
+    # Kernel weights exp(-0.5 (z1^2 + z2^2)) / norm, built in place.
+    w = (xs - r[:, :1]) / b[:, :1]
+    z2 = (ys - r[:, 1:]) / b[:, 1:]
+    w *= w
+    z2 *= z2
+    w += z2
+    del z2
+    w *= -0.5
+    np.exp(w, out=w)
+    w /= norm[:, None]
+    effective_weight = w.sum(axis=1)
+    # A pair without local mass has no moments (its column is not finite)
+    # and is not fitted.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w /= effective_weight[:, None]
+    c1 = (w * xs).sum(axis=1)
+    c2 = (w * ys).sum(axis=1)
+    dx = xs - c1[:, None]
+    dy = ys - c2[:, None]
+    s22 = (w * dy * dy).sum(axis=1)
+    w *= dx  # the weighted x deviations, for s11 and s12
+    return np.array([
+        c1, c2, (w * dx).sum(axis=1), s22, (w * dy).sum(axis=1),
+        r[:, 0], r[:, 1], b[:, 0] ** 2, b[:, 1] ** 2,
+        effective_weight / n, effective_weight, effective_weight * norm / n,
+    ])
 
-    center: np.ndarray  # (P, 2) kernel-weighted mean
-    root: np.ndarray  # (P, 2, 2) square root of the kernel-weighted covariance
-    r: np.ndarray  # (P, 2) grid point
-    kernel_cov: np.ndarray  # (P, 2, 2) diag(b1^2, b2^2)
-    wbar: np.ndarray  # (P,) mean kernel weight
 
-    def take(self, idx) -> "_LocalMoments":
-        return _LocalMoments(*(a[idx] for a in self))
+def _gaussian_form(va, vb, vc, d1, d2, s=None, hessian: bool = False):
+    """T = 0.5 log det V + 0.5 d' V^-1 d + 0.5 tr(V^-1 S) per pair, and for
+    `hessian` its gradient (5, P) and packed Hessian (15, P) over
+    x = (mu1, mu2, va, vb, vc).
 
-
-def _local_moments(xs, ys, p, r, b, wbar) -> _LocalMoments:
-    """Moments of (P, n) samples under kernel weights `p` normalized to sum to one."""
-    dev = np.stack([xs, ys], axis=2)
-    center = np.einsum("pi,pic->pc", p, dev)
-    dev -= center[:, None, :]
-    lam, vec = np.linalg.eigh(np.einsum("pi,pic,pid->pcd", p, dev, dev))
-    root = vec * np.sqrt(np.clip(lam, 0.0, None))[:, None, :]
-    kernel_cov = b[:, :, None] ** 2 * np.eye(2)
-    return _LocalMoments(center, root, r, kernel_cov, wbar)
-
-
-def _sigma_derivatives(eta: np.ndarray, hessian: bool):
-    """Sigma(eta) with, for `hessian`, its first and second derivatives over eta.
-
-    Shapes (P, 2, 2), (P, 5, 2, 2) and (P, 5, 5, 2, 2); without `hessian`
-    the derivatives are None. With v11 = exp(2 l1), v22 = exp(2 l2) and
-    v12 = tanh(a) exp(l1 + l2), only the coordinates l1, l2, a (indices 2, 3,
-    4) move Sigma.
+    V = [[va, vc], [vc, vb]], d = c - mu for a constant c, and S = (s11, s22,
+    s12) is a constant symmetric matrix, zero if None. With
+    U = V^-1 = [[p11, p12], [p12, p22]], e = U d, Q = U (d d' + S) U and V_k
+    the derivative of V in va, vb or vc:
+        dT/dmu = -e,   dT/dV_k = 0.5 tr(U V_k) - 0.5 tr(Q V_k),
+        d2T/dmu dmu' = U,   d2T/dmu dV_k = U V_k e,
+        d2T/dV_k dV_l = -0.5 tr(U V_k U V_l) + tr(U V_k Q V_l)  (symmetrized).
     """
-    n = len(eta)
-    s1 = np.exp(eta[:, 2])
-    s2 = np.exp(eta[:, 3])
-    rho = np.tanh(eta[:, 4])
-    v11, v22, v12 = s1 * s1, s2 * s2, rho * s1 * s2
-
-    sigma = np.empty((n, 2, 2))
-    sigma[:, 0, 0], sigma[:, 1, 1] = v11, v22
-    sigma[:, 0, 1] = sigma[:, 1, 0] = v12
-    if not hessian:
-        return sigma, None, None
-    dv12_da = s1 * s2 / np.cosh(eta[:, 4]) ** 2
-
-    d1 = np.zeros((n, 5, 2, 2))
-    d1[:, 2, 0, 0] = 2.0 * v11
-    d1[:, 3, 1, 1] = 2.0 * v22
-    off = d1[:, :, 0, 1]
-    off[:, 2] = off[:, 3] = v12
-    off[:, 4] = dv12_da
-    d1[:, :, 1, 0] = off
-
-    d2 = np.zeros((n, 5, 5, 2, 2))
-    d2[:, 2, 2, 0, 0] = 4.0 * v11
-    d2[:, 3, 3, 1, 1] = 4.0 * v22
-    off = d2[:, :, :, 0, 1]
-    off[:, 2:4, 2:4] = v12[:, None, None]
-    off[:, 2:4, 4] = off[:, 4, 2:4] = dv12_da[:, None]
-    off[:, 4, 4] = -2.0 * rho * dv12_da
-    d2[:, :, :, 1, 0] = off
-    return sigma, d1, d2
-
-
-def _mean_shift(m: int) -> np.ndarray:
-    """d D / d eta for a (2, m) deviation matrix whose first column is c - mu."""
-    out = np.zeros((5, 2, m))
-    out[0, 0, 0] = out[1, 1, 0] = -1.0
-    return out
-
-
-_DATA_SHIFT = _mean_shift(3)
-_PENALTY_SHIFT = _mean_shift(1)
-
-
-def _gaussian_form(v, dv, d2v, dev, shift, hessian: bool):
-    """T = 0.5 log det V + 0.5 tr(D' V^-1 D), and for `hessian` its eta derivatives.
-
-    V is (P, 2, 2) with derivatives dv, d2v; D is (P, 2, m) and affine in eta
-    with constant derivative `shift` (5, 2, m). With E = V^-1 D and
-    G_k = D_k - V_k E:
-        dT/dk    = 0.5 tr(V^-1 V_k) + tr(D_k' E) - 0.5 tr(E' V_k E)
-        d2T/dkdl = 0.5 tr(V^-1 V_kl) - 0.5 tr(V^-1 V_k V^-1 V_l)
-                   + tr(G_k' V^-1 G_l) - 0.5 tr(E' V_kl E)
-    """
-    det = v[:, 0, 0] * v[:, 1, 1] - v[:, 0, 1] * v[:, 1, 0]
-    inv = np.empty_like(v)
-    inv[:, 0, 0], inv[:, 1, 1] = v[:, 1, 1], v[:, 0, 0]
-    inv[:, 0, 1], inv[:, 1, 0] = -v[:, 0, 1], -v[:, 1, 0]
-    inv /= det[:, None, None]
-    e = inv @ dev
-    value = 0.5 * np.log(det) + 0.5 * np.einsum("pim,pim->p", dev, e)
+    det = va * vb - vc * vc
+    p11, p22, p12 = vb / det, va / det, -vc / det
+    e1 = p11 * d1 + p12 * d2
+    e2 = p12 * d1 + p22 * d2
+    value = 0.5 * np.log(det) + 0.5 * (d1 * e1 + d2 * e2)
+    if s is not None:
+        s11, s22, s12 = s
+        value += 0.5 * (p11 * s11 + p22 * s22 + 2.0 * p12 * s12)
     if not hessian:
         return value
-    inv_dv = inv[:, None] @ dv
-    dv_e = dv @ e[:, None]
-    grad = (
-        0.5 * np.einsum("pkii->pk", inv_dv)
-        + np.einsum("kim,pim->pk", shift, e)
-        - 0.5 * np.einsum("pim,pkim->pk", e, dv_e)
-    )
-    g = shift - dv_e
-    # Each trace is a dot product of flattened matrices, so every term is one
-    # stacked matmul; V, V_k and V_kl are symmetric.
-    p, m = len(v), dev.shape[2]
-    curvature = (inv - e @ e.transpose(0, 2, 1)).reshape(p, 4, 1)
-    inv_dv_t = inv_dv.transpose(0, 1, 3, 2).reshape(p, 5, 4)
-    inv_g = inv[:, None] @ g
-    hess = (
-        0.5 * (d2v.reshape(p, 25, 4) @ curvature).reshape(p, 5, 5)
-        - 0.5 * inv_dv.reshape(p, 5, 4) @ inv_dv_t.transpose(0, 2, 1)
-        + g.reshape(p, 5, 2 * m) @ inv_g.reshape(p, 5, 2 * m).transpose(0, 2, 1)
-    )
+    q11, q22, q12 = e1 * e1, e2 * e2, e1 * e2
+    if s is not None:
+        # (U S)_11, (U S)_12, (U S)_21, (U S)_22, then Q += (U S) U.
+        a11, a12 = p11 * s11 + p12 * s12, p11 * s12 + p12 * s22
+        a21, a22 = p12 * s11 + p22 * s12, p12 * s12 + p22 * s22
+        q11 += a11 * p11 + a12 * p12
+        q22 += a21 * p12 + a22 * p22
+        q12 += a11 * p12 + a12 * p22
+    # The outputs are filled a row at a time, so at most a few (P,)
+    # temporaries live beside them.
+    grad = np.empty((5,) + e1.shape)
+    grad[0], grad[1] = -e1, -e2
+    grad[2], grad[3], grad[4] = 0.5 * (p11 - q11), 0.5 * (p22 - q22), p12 - q12
+    hess = np.empty((15,) + e1.shape)
+    hess[0], hess[1], hess[5] = p11, p12, p22
+    hess[2], hess[3], hess[4] = p11 * e1, p12 * e2, p11 * e2 + p12 * e1
+    hess[6], hess[7], hess[8] = p12 * e1, p22 * e2, p12 * e2 + p22 * e1
+    hess[9] = p11 * (q11 - 0.5 * p11)
+    hess[10] = p12 * (q12 - 0.5 * p12)
+    hess[11] = p12 * q11 + p11 * q12 - p11 * p12
+    hess[12] = p22 * (q22 - 0.5 * p22)
+    hess[13] = p12 * q22 + p22 * q12 - p22 * p12
+    hess[14] = 2.0 * p12 * q12 + p22 * q11 + p11 * q22 - p12 * p12 - p11 * p22
     return value, grad, hess
 
 
-def _objective(mom: _LocalMoments, eta: np.ndarray, hessian: bool = False):
-    """F(eta) = -local_loglik / wbar per pair, and for `hessian` its derivatives.
+def _chain(grad, hess, va, vb, vc, dvc, rho):
+    """Gradient and packed Hessian over x = (mu1, mu2, va, vb, vc) to eta.
 
-    F = log(2 pi) + T(Sigma, [c - mu, root]) + exp(-log(2 pi) - T(Sigma + B, [r - mu])) / wbar
+    va = exp(2 l1), vb = exp(2 l2) and vc = tanh(a) exp(l1 + l2) in
+    eta = (mu1, mu2, l1, l2, a), with dvc = d vc / d a. The Jacobian columns
+    of (va, vb, vc) over (l1, l2, a) are (2 va, 0, vc), (0, 2 vb, vc) and
+    (0, 0, dvc); their second derivatives add the gradient terms.
+    """
+    g1, g2, ga, gb, gc = grad
+    h = [[hess[_PACKED[i][j]] for j in range(5)] for i in range(5)]
+
+    def hj(k):
+        """Row k of H J, over (l1, l2, a)."""
+        return 2.0 * va * h[k][2] + vc * h[k][4], 2.0 * vb * h[k][3] + vc * h[k][4], dvc * h[k][4]
+
+    vc_gc, dvc_gc = vc * gc, dvc * gc
+    out_grad = np.empty_like(grad)
+    out_grad[0], out_grad[1], out_grad[4] = g1, g2, dvc_gc
+    out_grad[2], out_grad[3] = 2.0 * va * ga + vc_gc, 2.0 * vb * gb + vc_gc
+    out = np.empty_like(hess)
+    out[0], out[1], out[5] = h[0][0], h[0][1], h[1][1]
+    out[2], out[3], out[4] = hj(0)
+    out[6], out[7], out[8] = hj(1)
+    ua, ub, uc = hj(2), hj(3), hj(4)
+    out[9] = 2.0 * va * ua[0] + vc * uc[0] + 4.0 * va * ga + vc_gc
+    out[10] = 2.0 * va * ua[1] + vc * uc[1] + vc_gc
+    out[11] = 2.0 * va * ua[2] + vc * uc[2] + dvc_gc
+    out[12] = 2.0 * vb * ub[1] + vc * uc[1] + 4.0 * vb * gb + vc_gc
+    out[13] = 2.0 * vb * ub[2] + vc * uc[2] + dvc_gc
+    out[14] = dvc * uc[2] - 2.0 * rho * dvc_gc
+    return out_grad, out
+
+
+def _objective(mom: np.ndarray, eta: np.ndarray, hessian: bool = False):
+    """F(eta) = -local_loglik / wbar per pair, and for `hessian` its gradient
+    (5, P) and packed Hessian (15, P).
+
+    `mom` holds local_moments rows (at least rows 0-9) and `eta` is (5, P).
+    With Sigma = [[va, vc], [vc, vb]] and B = diag(b1^2, b2^2),
+        F = log(2 pi) + T(Sigma, c - mu, S) + exp(-log(2 pi) - T(Sigma + B, r - mu)) / wbar
     where T is _gaussian_form: the first part is the weighted Gaussian
     log-likelihood at the local moments, the second the closed-form penalty.
     """
-    sigma, d1, d2 = _sigma_derivatives(eta, hessian)
-    mu = eta[:, :2]
-    data_dev = np.concatenate([(mom.center - mu)[:, :, None], mom.root], axis=2)
-    pen_dev = (mom.r - mu)[:, :, None]
-    data = _gaussian_form(sigma, d1, d2, data_dev, _DATA_SHIFT, hessian)
-    pen = _gaussian_form(sigma + mom.kernel_cov, d1, d2, pen_dev, _PENALTY_SHIFT, hessian)
+    c1, c2, s11, s22, s12, r1, r2, k11, k22, wbar = mom[:10]
+    mu1, mu2, l1, l2, a = eta
+    s1, s2, rho = np.exp(l1), np.exp(l2), np.tanh(a)
+    va, vb, vc = s1 * s1, s2 * s2, rho * s1 * s2
+    data = _gaussian_form(va, vb, vc, c1 - mu1, c2 - mu2, (s11, s22, s12), hessian)
+    pen = _gaussian_form(va + k11, vb + k22, vc, r1 - mu1, r2 - mu2, None, hessian)
     if not hessian:
-        return _LOG_2PI + data + np.exp(-_LOG_2PI - pen) / mom.wbar
-    penalty = np.exp(-_LOG_2PI - pen[0]) / mom.wbar
-    value = _LOG_2PI + data[0] + penalty
-    grad = data[1] - penalty[:, None] * pen[1]
-    outer = pen[1][:, :, None] * pen[1][:, None, :]
-    hess = data[2] + penalty[:, None, None] * (outer - pen[2])
-    return value, grad, hess
+        return _LOG_2PI + data + np.exp(-_LOG_2PI - pen) / wbar
+    (value, grad, hess), (pen_value, pen_grad, pen_hess) = data, pen
+    # The penalty's Hessian rows are freed before the chain rule allocates
+    # the output's.
+    del data, pen
+    penalty = np.exp(-_LOG_2PI - pen_value) / wbar
+    value = _LOG_2PI + value + penalty
+    grad -= penalty * pen_grad
+    # hess + penalty (g g' - H) for the penalty's gradient g and Hessian H.
+    for k, (i, j) in enumerate(zip(_ROW, _COL)):
+        pen_hess[k] -= pen_grad[i] * pen_grad[j]
+    pen_hess *= penalty
+    hess -= pen_hess
+    del pen_hess
+    return (value,) + _chain(grad, hess, va, vb, vc, s1 * s2 / np.cosh(a) ** 2, rho)
 
 
 def _freeze_clipped(eta, grad, hess):
     """Zero the gradient and decouple the Hessian in coordinates at their clip."""
-    at_clip = np.abs(eta) >= _ETA_CLIP
+    at_clip = np.abs(eta) >= _ETA_CLIP[:, None]
     if not at_clip.any():
         return grad, hess
-    free = ~at_clip
-    grad = np.where(free, grad, 0.0)
-    hess = np.where(free[:, :, None] & free[:, None, :], hess, 0.0)
-    hess = hess + np.eye(5) * at_clip[:, None, :]
+    grad = np.where(at_clip, 0.0, grad)
+    diagonal = (_ROW == _COL)[:, None].astype(float)
+    hess = np.where(at_clip[_ROW] | at_clip[_COL], diagonal, hess)
     return grad, hess
 
 
-def _newton_direction(grad, hess):
-    """Modified Newton step -H'^-1 g, with each eigenvalue l of H replaced by
+def _eigen_direction(grad, hess):
+    """Modified Newton step -H'^-1 g for (P, 5) gradients and (P, 5, 5)
+    Hessians, with each eigenvalue l of H replaced by
     max(|l|, _EIGEN_FLOOR * max|l|), so the step descends where H is indefinite."""
     lam, vec = np.linalg.eigh(hess)
     mag = np.abs(lam)
@@ -487,23 +533,67 @@ def _newton_direction(grad, hess):
     return -np.einsum("pij,pj->pi", vec, coef)
 
 
-def _line_search(mom: _LocalMoments, eta, value, grad, step):
+def _newton_direction(grad, hess):
+    """The modified Newton step of _eigen_direction for a (5, P) gradient and
+    a (15, P) packed Hessian, returned as (5, P).
+
+    A 5 x 5 LDL' factorization runs on the packed rows. Where every pivot is
+    positive and tr(H) tr(H^-1) <= 1 / _EIGEN_FLOOR (so every eigenvalue is
+    at least _EIGEN_FLOOR times the largest, and the modification would
+    leave H as it is), the step is the plain Newton step -H^-1 g from the
+    factors. The other pairs, indefinite or nearly singular, go through
+    _eigen_direction.
+    """
+    h = [[hess[_PACKED[i][j]] for j in range(5)] for i in range(5)]
+    low = [[None] * 5 for _ in range(5)]
+    pivots = []
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j in range(5):
+            scaled = [low[j][k] * pivots[k] for k in range(j)]
+            pivots.append(h[j][j] - sum(low[j][k] * scaled[k] for k in range(j)))
+            for i in range(j + 1, 5):
+                low[i][j] = (h[i][j] - sum(low[i][k] * scaled[k] for k in range(j))) / pivots[j]
+        # tr(H^-1) = sum_k |row k of L^-1|^2 / d_k, with L^-1 unit lower triangular.
+        inv = [[None] * 5 for _ in range(5)]
+        inv_trace = 1.0 / pivots[0]
+        for i in range(1, 5):
+            for j in range(i):
+                inv[i][j] = -low[i][j] - sum(low[i][k] * inv[k][j] for k in range(j + 1, i))
+            inv_trace = inv_trace + (1.0 + sum(v * v for v in inv[i][:i])) / pivots[i]
+        del inv
+        trace = h[0][0] + h[1][1] + h[2][2] + h[3][3] + h[4][4]
+        plain = np.all(np.array(pivots) > 0.0, axis=0) & (trace * inv_trace * _EIGEN_FLOOR <= 1.0)
+        # Forward substitution, the pivots, back substitution.
+        step = np.empty_like(grad)
+        for i in range(5):
+            step[i] = -grad[i] - sum(low[i][k] * step[k] for k in range(i))
+        for i in reversed(range(5)):
+            step[i] = step[i] / pivots[i] - sum(low[k][i] * step[k] for k in range(i + 1, 5))
+    bad = np.flatnonzero(~plain)
+    if bad.size:
+        step[:, bad] = _eigen_direction(grad[:, bad].T, _full_hessian(hess[:, bad])).T
+    return step
+
+
+def _line_search(mom, eta, value, grad, step):
     """Backtracking (Armijo) search along `step` from clipped trial points.
 
-    Returns the new points and a mask of the pairs whose search succeeded; a
-    non-finite trial objective counts as a rejected step.
+    `eta`, `grad` and `step` are (5, P). Returns the new points and a mask of
+    the pairs whose search succeeded; a non-finite trial objective counts as
+    a rejected step.
     """
-    slope = np.einsum("pi,pi->p", grad, step)
-    t = np.ones(len(eta))
+    clip = _ETA_CLIP[:, None]
+    slope = (grad * step).sum(axis=0)
+    t = np.ones(eta.shape[1])
     new = eta.copy()
-    accepted = np.zeros(len(eta), dtype=bool)
-    todo = np.arange(len(eta))
+    accepted = np.zeros(eta.shape[1], dtype=bool)
+    todo = np.arange(eta.shape[1])
     for _ in range(_MAX_BACKTRACKS):
-        trial = np.clip(eta[todo] + t[todo, None] * step[todo], -_ETA_CLIP, _ETA_CLIP)
+        trial = np.clip(eta[:, todo] + t[todo] * step[:, todo], -clip, clip)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            f = _objective(mom.take(todo), trial)
+            f = _objective(mom[:, todo], trial)
         ok = np.isfinite(f) & (f <= value[todo] + _ARMIJO_C * t[todo] * slope[todo])
-        new[todo[ok]] = trial[ok]
+        new[:, todo[ok]] = trial[:, ok]
         accepted[todo[ok]] = True
         todo = todo[~ok]
         if not todo.size:
@@ -514,7 +604,8 @@ def _line_search(mom: _LocalMoments, eta, value, grad, step):
 
 @dataclass
 class BatchFit:
-    """Per-pair results of fit_local_batch, each with a leading (P,) axis."""
+    """Per-pair results of fit_local_moments (and fit_local_batch), each with a
+    leading (P,) axis."""
 
     params: np.ndarray  # (P, 5) mu1, mu2, sigma1, sigma2, rho
     converged: np.ndarray
@@ -547,6 +638,21 @@ def fit_local_batch(
     bandwidths, `theta0` (P, 5) starting parameters. Inputs must already be
     validated: finite samples, positive bandwidths, valid starts.
 
+    The samples are reduced to local_moments in slices of at most
+    _BLOCK_PAIR_OBS pair-observations, and fit_local_moments fits them.
+    """
+    per_slice = max(1, _BLOCK_PAIR_OBS // xs.shape[1])
+    slices = [slice(lo, lo + per_slice) for lo in range(0, len(xs), per_slice)]
+    moments = np.concatenate([local_moments(xs[k], ys[k], r[k], b[k]) for k in slices], axis=1)
+    return fit_local_moments(moments, theta0, max_iterations=max_iterations)
+
+
+def fit_local_moments(
+    moments: np.ndarray, theta0: np.ndarray, *, max_iterations: int = MAX_ITERATIONS
+) -> BatchFit:
+    """Maximize the local log-likelihood of P pairs given their (12, P)
+    local_moments, from (P, 5) starting parameters `theta0`.
+
     Pairs whose scale-free local mass is below WEIGHT_FLOOR, and pairs
     whose kernel-weighted sample correlation reaches the cap +-(1 - 1e-9),
     are not fitted (iterations 0, gradient norm inf, unconverged). The
@@ -554,73 +660,53 @@ def fit_local_batch(
     Armijo line search in (mu1, mu2, log sigma1, log sigma2, atanh rho), and
     leave the active set once the max-norm of the wbar-normalized gradient is
     at most GRADIENT_TOL. A pair whose gradient is not finite, whose line
-    search fails, or that reaches `max_iterations` stops unconverged.
+    search fails, or that reaches `max_iterations` stops unconverged. Each
+    pair's result depends only on its own moments and start.
     """
-    n = xs.shape[1]
-    norm = 2.0 * np.pi * b[:, 0] * b[:, 1]
-    # Kernel weights exp(-0.5 (z1^2 + z2^2)) / norm, built in place: the
-    # (P, n) arrays are the solver's working memory.
-    w = (xs - r[:, :1]) / b[:, :1]
-    z2 = (ys - r[:, 1:]) / b[:, 1:]
-    w *= w
-    z2 *= z2
-    w += z2
-    del z2
-    w *= -0.5
-    np.exp(w, out=w)
-    w /= norm[:, None]
-    effective_weight = w.sum(axis=1)
-    # Scale-invariant local mass: kernel values with the normalizing
-    # constant removed, so the floor does not depend on b or data units.
-    mass = effective_weight * norm / n
+    effective_weight, mass = moments[10], moments[11]
     fit = BatchFit(
         params=np.array(theta0, dtype=float),
-        converged=np.zeros(len(xs), dtype=bool),
-        iterations=np.zeros(len(xs), dtype=int),
-        gradient_norm=np.full(len(xs), np.inf),
+        converged=np.zeros(len(mass), dtype=bool),
+        iterations=np.zeros(len(mass), dtype=int),
+        gradient_norm=np.full(len(mass), np.inf),
         effective_weight=effective_weight,
         local_mass=mass,
     )
-    fitted = np.flatnonzero(mass >= WEIGHT_FLOOR)
-    if not fitted.size:
-        return fit
-    # Views rather than copies of the (P, n) arrays when every pair is fitted,
-    # and the weights normalized in place.
-    rows = fitted if fitted.size < len(xs) else slice(None)
-    w[rows] /= effective_weight[rows, None]
-    mom = _local_moments(xs[rows], ys[rows], w[rows], r[rows], b[rows], effective_weight[rows] / n)
-    del w  # the Newton iterations allocate (P, 5, 5, 2, 2) arrays
     # At a kernel-weighted sample correlation of +-1 (up to the cap) the
     # likelihood keeps rising as |rho| -> 1, so there is no finite optimum:
     # such a pair is not fitted, like a pair without local mass.
-    cov = mom.root @ mom.root.transpose(0, 2, 1)
+    s11, s22, s12 = moments[2:5]
     with np.errstate(divide="ignore", invalid="ignore"):
-        collinear = np.abs(cov[:, 0, 1] / np.sqrt(cov[:, 0, 0] * cov[:, 1, 1])) >= _RHO_CAP
-    fitted, mom = fitted[~collinear], mom.take(~collinear)
+        collinear = np.abs(s12 / np.sqrt(s11 * s22)) >= _RHO_CAP
+    fitted = np.flatnonzero((mass >= WEIGHT_FLOOR) & ~collinear)
     if not fitted.size:
         return fit
-    eta = _to_eta(fit.params[fitted])
-
+    eta = np.ascontiguousarray(_to_eta(fit.params[fitted]).T)
+    # `live` indexes the pairs of `fitted` still iterating, and `mom` holds
+    # their moments, one column each.
     live = np.arange(len(fitted))
+    mom = moments[:10, fitted]
     for it in range(max_iterations + 1):
-        value, grad, hess = _objective(mom.take(live), eta[live], hessian=True)
-        grad, hess = _freeze_clipped(eta[live], grad, hess)
-        gnorm = np.abs(grad).max(axis=1)
+        point = eta[:, live]
+        value, grad, hess = _objective(mom, point, hessian=True)
+        grad, hess = _freeze_clipped(point, grad, hess)
+        gnorm = np.abs(grad).max(axis=0)
         fit.gradient_norm[fitted[live]] = gnorm
         done = gnorm <= GRADIENT_TOL
         fit.converged[fitted[live[done]]] = True
         go = ~done & np.isfinite(gnorm)
         if it == max_iterations or not go.any():
             break
-        live = live[go]
-        step = _newton_direction(grad[go], hess[go])
-        new, moved = _line_search(mom.take(live), eta[live], value[go], grad[go], step)
-        eta[live] = new
-        live = live[moved]
+        live, mom, point, value, grad = live[go], mom[:, go], point[:, go], value[go], grad[:, go]
+        step = _newton_direction(grad, hess[:, go])
+        del hess
+        new, moved = _line_search(mom, point, value, grad, step)
+        eta[:, live] = new
+        live, mom = live[moved], mom[:, moved]
         fit.iterations[fitted[live]] += 1
         if not live.size:
             break
-    fit.params[fitted] = _from_eta(eta)
+    fit.params[fitted] = _from_eta(eta.T)
     return fit
 
 

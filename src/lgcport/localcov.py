@@ -17,10 +17,12 @@ from .errors import (
 # estimate_local_params is unused here but stays importable from this module:
 # external code (e.g. the span tracer in perfbench/) looks it up here.
 from .lgc import (  # noqa: F401
+    _BLOCK_PAIR_OBS,
     FitDiagnostics,
     estimate_local_params,
-    fit_local_batch,
+    fit_local_moments,
     gaussian_mle_batch,
+    local_moments,
     plugin_bandwidth,
 )
 from .panel import ReturnPanel
@@ -28,14 +30,18 @@ from .panel import ReturnPanel
 # Relative eigenvalue floor below which a matrix counts as not positive definite.
 PD_TOL = 1e-10
 
-# Pair-observations (pairs x window length) per fit_local_batch call of
-# local_covariance_stack. It bounds the working memory of a block, about
-# 1 MB here: a few (pairs, window) arrays of 192 kB each, plus the Newton
-# step's per-pair Hessian terms. At 2**15 the peak RSS of the paper's run was
-# 5.2 % above that of fitting one date per call; at this bound it is 3.5 %.
-# global_covariance_stack's blocks hold as many observations (assets x window
-# length): its centred copy of a block is 192 kB.
-_BLOCK_PAIR_OBS = 3 * 2**13
+# _BLOCK_PAIR_OBS (from lgc) bounds the pair-observations (pairs x window
+# length) that local_covariance_stack gathers and reduces to moments at a
+# time: a few (pairs, window) arrays of 192 kB each. global_covariance_stack's
+# blocks hold as many observations (assets x window length): its centred copy
+# of a block is 192 kB.
+#
+# Pairs per Newton pass of local_covariance_stack, in whole dates (or one date
+# if a date alone holds more). A pass keeps 12 moments, 5 parameters and
+# 15 Hessian entries per pair, however long the window; this bound keeps its
+# working memory near that of one moment slice while a pass is long enough
+# that numpy's per-call overhead does not dominate.
+_BLOCK_PAIRS = 2048
 
 # The per-pair fields of a LocalCovStack (FitDiagnostics' fields) and their dtypes.
 _PAIR_FIELDS = (
@@ -266,10 +272,11 @@ def local_covariance_stack(windows, grids, bandwidth_scale: float = 1.1) -> Loca
     Each date is checked on its own, so a date whose window has no estimate
     (a column with zero variance, say) gets its LgcportError in `errors` and
     leaves the other dates untouched. The remaining dates are fitted in
-    blocks of consecutive dates, one fit_local_batch call per block; a block
-    holds at most 24,576 pair-observations (pairs x n), or one date if a date
-    alone holds more. A date's result does not depend on the block it lands
-    in.
+    blocks of consecutive dates, one Newton pass per block of at most 2,048
+    pairs (or one date if a date alone holds more). A block's samples are
+    reduced to kernel-weighted moments a slice of at most 24,576
+    pair-observations (pairs x n) at a time. A date's result does not depend
+    on the block or slice it lands in.
     """
     w = _as_windows(windows)
     n_dates, n, n_assets = w.shape
@@ -290,27 +297,44 @@ def local_covariance_stack(windows, grids, bandwidth_scale: float = 1.1) -> Loca
             out.errors[d] = err
 
     ok = np.array([d for d in range(n_dates) if d not in out.errors], dtype=int)
-    per_block = max(1, _BLOCK_PAIR_OBS // (n_pairs * n))
+    per_block = max(1, _BLOCK_PAIRS // n_pairs)
     for lo in range(0, ok.size, per_block):
         _fit_block(out, ok[lo : lo + per_block], w, g, bandwidths)
     return out
 
 
-def _fit_block(out: LocalCovStack, idx, windows, grids, bandwidths) -> None:
-    """Fit every pair of the dates `idx` in one fit_local_batch call and
-    write the dates' estimates into `out` (see local_covariance_stack)."""
-    windows, grids, bandwidths = windows[idx], grids[idx], bandwidths[idx]
-    n_dates, n, n_assets = windows.shape
+def _block_moments(idx, windows, grids, bandwidths):
+    """The (12, P) local_moments and (P, 5) global-MLE starts of every pair
+    of the dates `idx`, pairs in np.triu_indices order within a date.
+
+    Pair k is pair k % n_pairs of date idx[k // n_pairs]. The samples are
+    gathered a slice of at most _BLOCK_PAIR_OBS pair-observations at a time,
+    and only their moments and starts are kept.
+    """
+    n, n_assets = windows.shape[1:]
     first, second = np.triu_indices(n_assets, 1)
-    columns = windows.transpose(0, 2, 1)
-    xs = columns[:, first].reshape(-1, n)
-    ys = columns[:, second].reshape(-1, n)
-    mle = gaussian_mle_batch(xs, ys)
+    n_pairs = len(first)
+    total = len(idx) * n_pairs
+    per_slice = max(1, _BLOCK_PAIR_OBS // n)
+    moments, starts = [], []
+    for lo in range(0, total, per_slice):
+        k = np.arange(lo, min(lo + per_slice, total))
+        date, i, j = idx[k // n_pairs], first[k % n_pairs], second[k % n_pairs]
+        xs, ys = windows[date, :, i], windows[date, :, j]
+        starts.append(gaussian_mle_batch(xs, ys))
+        r = np.column_stack([grids[date, i], grids[date, j]])
+        b = np.column_stack([bandwidths[date, i], bandwidths[date, j]])
+        moments.append(local_moments(xs, ys, r, b))
+    return np.concatenate(moments, axis=1), np.concatenate(starts)
 
-    def by_pair(a):
-        return np.stack([a[:, first], a[:, second]], axis=2).reshape(-1, 2)
 
-    fit = fit_local_batch(xs, ys, by_pair(grids), by_pair(bandwidths), mle)
+def _fit_block(out: LocalCovStack, idx, windows, grids, bandwidths) -> None:
+    """Fit every pair of the dates `idx` in one Newton pass and write the
+    dates' estimates into `out` (see local_covariance_stack)."""
+    n_dates, n, n_assets = len(idx), windows.shape[1], windows.shape[2]
+    first, second = np.triu_indices(n_assets, 1)
+    moments, mle = _block_moments(idx, windows, grids, bandwidths)
+    fit = fit_local_moments(moments, mle)
     fallback = ~fit.converged
     params = np.where(fallback[:, None], mle, fit.params).reshape(n_dates, -1, 5)
     sigma1, sigma2, rho = params[..., 2], params[..., 3], params[..., 4]

@@ -326,8 +326,9 @@ class TestBacktestMechanics:
 
 class TestLocalEstimate:
     def test_one_fit_call_per_block_and_one_repair_per_date(self, monkeypatch):
-        # 36 dates of 6 pairs x 24 months, 10 dates per block: 4 blocks.
-        calls = {"fit": 0, "repair": 0}
+        # 36 dates of 6 pairs x 24 months: Newton passes of 10 dates (4
+        # passes), each reduced to moments in slices of 5 dates (8 slices).
+        calls = {"moments": 0, "newton": 0, "repair": 0}
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
@@ -337,16 +338,20 @@ class TestLocalEstimate:
             return wrapped
 
         monkeypatch.setattr(
-            localcov_mod, "fit_local_batch", counting("fit", localcov_mod.fit_local_batch)
+            localcov_mod, "local_moments", counting("moments", localcov_mod.local_moments)
+        )
+        monkeypatch.setattr(
+            localcov_mod, "fit_local_moments", counting("newton", localcov_mod.fit_local_moments)
         )
         monkeypatch.setattr(localcov_mod, "nearest_pd", counting("repair", localcov_mod.nearest_pd))
-        monkeypatch.setattr(localcov_mod, "_BLOCK_PAIR_OBS", 10 * 6 * 24)
+        monkeypatch.setattr(localcov_mod, "_BLOCK_PAIR_OBS", 5 * 6 * 24)
+        monkeypatch.setattr(localcov_mod, "_BLOCK_PAIRS", 10 * 6)
         panel = small_panel(months=60, n_assets=4, seed=3)
         res = run_backtest(panel, BacktestConfig(window=24, strategies=specs("MINC-L")))
         # nearest_pd runs only on the dates that fail the stacked PD check.
         repaired = sum(diag["local_pd_repaired"] for diag in res.date_diagnostics)
         assert 0 < repaired < 36
-        assert calls == {"fit": 4, "repair": repaired}
+        assert calls == {"moments": 8, "newton": 4, "repair": repaired}
         for diag in res.date_diagnostics:
             assert set(diag) == {"date", "local_pd_repaired", "pair_fallbacks"}
             assert diag["pair_fallbacks"] == 0

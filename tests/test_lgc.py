@@ -1,9 +1,12 @@
 """Local Gaussian fit machinery: kernel, likelihood, score and estimator."""
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import dblquad
 from scipy.stats import multivariate_normal, norm
 
@@ -25,7 +28,16 @@ from lgcport.lgc import (
     penalty_integral,
     plugin_bandwidth,
 )
-from lgcport.lgc import _local_moments, _objective, _penalty_gradient
+import lgcport.lgc as lgc
+from lgcport.lgc import (
+    _ETA_CLIP,
+    _freeze_clipped,
+    _full_hessian,
+    _newton_direction,
+    _objective,
+    _penalty_gradient,
+    local_moments,
+)
 
 from conftest import gauss_pair, eta_score
 
@@ -287,6 +299,153 @@ class TestGlobalGaussianMle:
             global_gaussian_mle(np.column_stack([np.ones(10), np.arange(10.0)]))
 
 
+# The objective as the package computed it before the closed-form kernel:
+# generic (P, 2, 2) matrix forms whose second derivatives are (P, 5, 5, 2, 2)
+# arrays, on moments that keep a square root of the weighted covariance. It
+# is the reference the elementwise objective must reproduce.
+
+
+class RefMoments(NamedTuple):
+    center: np.ndarray  # (P, 2) kernel-weighted mean
+    root: np.ndarray  # (P, 2, 2) square root of the kernel-weighted covariance
+    r: np.ndarray  # (P, 2) grid point
+    kernel_cov: np.ndarray  # (P, 2, 2) diag(b1^2, b2^2)
+    wbar: np.ndarray  # (P,) mean kernel weight
+
+
+def ref_moments(xs, ys, r, b):
+    """RefMoments of (P, n) samples at grid points r with bandwidths b."""
+    w = np.array([gaussian_kernel_weight(np.column_stack(s), rr, bb) for *s, rr, bb in zip(xs, ys, r, b)])
+    p = w / w.sum(axis=1, keepdims=True)
+    dev = np.stack([xs, ys], axis=2)
+    center = np.einsum("pi,pic->pc", p, dev)
+    dev -= center[:, None, :]
+    lam, vec = np.linalg.eigh(np.einsum("pi,pic,pid->pcd", p, dev, dev))
+    root = vec * np.sqrt(np.clip(lam, 0.0, None))[:, None, :]
+    return RefMoments(center, root, r, b[:, :, None] ** 2 * np.eye(2), w.mean(axis=1))
+
+
+def ref_sigma_derivatives(eta):
+    """Sigma(eta) (P, 2, 2) with its first (P, 5, 2, 2) and second (P, 5, 5, 2, 2) derivatives."""
+    n = len(eta)
+    s1, s2, rho = np.exp(eta[:, 2]), np.exp(eta[:, 3]), np.tanh(eta[:, 4])
+    v11, v22, v12 = s1 * s1, s2 * s2, rho * s1 * s2
+    sigma = np.empty((n, 2, 2))
+    sigma[:, 0, 0], sigma[:, 1, 1] = v11, v22
+    sigma[:, 0, 1] = sigma[:, 1, 0] = v12
+    dv12_da = s1 * s2 / np.cosh(eta[:, 4]) ** 2
+    d1 = np.zeros((n, 5, 2, 2))
+    d1[:, 2, 0, 0] = 2.0 * v11
+    d1[:, 3, 1, 1] = 2.0 * v22
+    off = d1[:, :, 0, 1]
+    off[:, 2] = off[:, 3] = v12
+    off[:, 4] = dv12_da
+    d1[:, :, 1, 0] = off
+    d2 = np.zeros((n, 5, 5, 2, 2))
+    d2[:, 2, 2, 0, 0] = 4.0 * v11
+    d2[:, 3, 3, 1, 1] = 4.0 * v22
+    off = d2[:, :, :, 0, 1]
+    off[:, 2:4, 2:4] = v12[:, None, None]
+    off[:, 2:4, 4] = off[:, 4, 2:4] = dv12_da[:, None]
+    off[:, 4, 4] = -2.0 * rho * dv12_da
+    d2[:, :, :, 1, 0] = off
+    return sigma, d1, d2
+
+
+def ref_mean_shift(m):
+    """d D / d eta for a (2, m) deviation matrix whose first column is c - mu."""
+    out = np.zeros((5, 2, m))
+    out[0, 0, 0] = out[1, 1, 0] = -1.0
+    return out
+
+
+def ref_gaussian_form(v, dv, d2v, dev, shift):
+    """T = 0.5 log det V + 0.5 tr(D' V^-1 D) with its eta gradient and Hessian."""
+    det = v[:, 0, 0] * v[:, 1, 1] - v[:, 0, 1] * v[:, 1, 0]
+    inv = np.empty_like(v)
+    inv[:, 0, 0], inv[:, 1, 1] = v[:, 1, 1], v[:, 0, 0]
+    inv[:, 0, 1], inv[:, 1, 0] = -v[:, 0, 1], -v[:, 1, 0]
+    inv /= det[:, None, None]
+    e = inv @ dev
+    value = 0.5 * np.log(det) + 0.5 * np.einsum("pim,pim->p", dev, e)
+    inv_dv = inv[:, None] @ dv
+    dv_e = dv @ e[:, None]
+    grad = (
+        0.5 * np.einsum("pkii->pk", inv_dv)
+        + np.einsum("kim,pim->pk", shift, e)
+        - 0.5 * np.einsum("pim,pkim->pk", e, dv_e)
+    )
+    g = shift - dv_e
+    p, m = len(v), dev.shape[2]
+    curvature = (inv - e @ e.transpose(0, 2, 1)).reshape(p, 4, 1)
+    inv_dv_t = inv_dv.transpose(0, 1, 3, 2).reshape(p, 5, 4)
+    inv_g = inv[:, None] @ g
+    hess = (
+        0.5 * (d2v.reshape(p, 25, 4) @ curvature).reshape(p, 5, 5)
+        - 0.5 * inv_dv.reshape(p, 5, 4) @ inv_dv_t.transpose(0, 2, 1)
+        + g.reshape(p, 5, 2 * m) @ inv_g.reshape(p, 5, 2 * m).transpose(0, 2, 1)
+    )
+    return value, grad, hess
+
+
+def ref_objective(mom, eta):
+    """F(eta) = -local_loglik / wbar for (P, 5) eta: value, (P, 5) gradient, (P, 5, 5) Hessian."""
+    sigma, d1, d2 = ref_sigma_derivatives(eta)
+    mu = eta[:, :2]
+    data_dev = np.concatenate([(mom.center - mu)[:, :, None], mom.root], axis=2)
+    pen_dev = (mom.r - mu)[:, :, None]
+    data = ref_gaussian_form(sigma, d1, d2, data_dev, ref_mean_shift(3))
+    pen = ref_gaussian_form(sigma + mom.kernel_cov, d1, d2, pen_dev, ref_mean_shift(1))
+    penalty = np.exp(-math.log(2.0 * math.pi) - pen[0]) / mom.wbar
+    value = math.log(2.0 * math.pi) + data[0] + penalty
+    grad = data[1] - penalty[:, None] * pen[1]
+    outer = pen[1][:, :, None] * pen[1][:, None, :]
+    return value, grad, data[2] + penalty[:, None, None] * (outer - pen[2])
+
+
+def ref_freeze_clipped(eta, grad, hess):
+    """Zero the gradient and decouple the Hessian in coordinates at their clip."""
+    free = np.abs(eta) < _ETA_CLIP
+    grad = np.where(free, grad, 0.0)
+    hess = np.where(free[:, :, None] & free[:, None, :], hess, 0.0)
+    return grad, hess + np.eye(5) * ~free[:, None, :]
+
+
+def packed(hess):
+    """(P, 5, 5) symmetric matrices as the solver's (15, P) rows."""
+    rows, cols = np.triu_indices(5)
+    return np.ascontiguousarray(hess[:, rows, cols].T)
+
+
+def objective_draws(rng, kind, size=200):
+    """Samples, grid points, bandwidths and search points eta (P, 5) of one kind:
+    "typical"; "near_one" (|rho| from 0.987 to 1 - 3e-8); "scale" (one sigma
+    between exp(-100) and exp(-20) or exp(20) and exp(100)); "clip" (one of
+    log sigma1, log sigma2 and atanh rho at its clip)."""
+    n = 30
+    xs = rng.standard_normal((size, n)) * rng.uniform(0.3, 3.0, (size, 1))
+    ys = rng.uniform(-0.9, 0.9, (size, 1)) * xs + rng.standard_normal((size, n))
+    r = rng.uniform(-1.5, 1.5, (size, 2))
+    b = rng.uniform(0.3, 2.5, (size, 2))
+    eta = np.column_stack([
+        rng.uniform(-1, 1, size),
+        rng.uniform(-1, 1, size),
+        np.log(rng.uniform(0.3, 3.0, size)),
+        np.log(rng.uniform(0.3, 3.0, size)),
+        np.arctanh(rng.uniform(-0.95, 0.95, size)),
+    ])
+    sign = rng.choice([-1.0, 1.0], size)
+    which = rng.integers(2, 5, size)
+    rows = np.arange(size)
+    if kind == "near_one":
+        eta[:, 4] = sign * rng.uniform(2.5, 9.0, size)
+    elif kind == "scale":
+        eta[rows, which % 2 + 2] = sign * rng.uniform(20.0, 100.0, size)
+    elif kind == "clip":
+        eta[rows, which] = sign * _ETA_CLIP[which]
+    return xs, ys, r, b, eta
+
+
 class TestNewtonObjective:
     def test_hessian_matches_finite_differences_of_score(self):
         # Same draws and tolerance as acceptance criterion C07, in the
@@ -307,31 +466,124 @@ class TestNewtonObjective:
                     math.atanh(rng.uniform(-0.8, 0.8)),
                 ]
             )
-            w = gaussian_kernel_weight(sample, r, b)
-            moments = _local_moments(
-                sample[None, :, 0],
-                sample[None, :, 1],
-                (w / w.sum())[None],
-                r[None],
-                b[None],
-                np.array([w.mean()]),
-            )
-            value, grad, hess = _objective(moments, eta[None], hessian=True)
+            moments = local_moments(sample[None, :, 0], sample[None, :, 1], r[None], b[None])
+            value, grad, hess = _objective(moments, eta[:, None], hessian=True)
 
             theta = LocalParams(
                 eta[0], eta[1], math.exp(eta[2]), math.exp(eta[3]), math.tanh(eta[4])
             )
-            wbar = w.mean()
+            wbar = gaussian_kernel_weight(sample, r, b).mean()
             assert value[0] == pytest.approx(-local_loglik(sample, r, b, theta) / wbar, abs=1e-10)
-            assert np.max(np.abs(grad[0] - eta_score(sample, r, b, eta))) < 1e-10
+            assert np.max(np.abs(grad[:, 0] - eta_score(sample, r, b, eta))) < 1e-10
             fd = np.empty((5, 5))
             for k in range(5):
                 up, dn = eta.copy(), eta.copy()
                 up[k] += h
                 dn[k] -= h
                 fd[:, k] = (eta_score(sample, r, b, up) - eta_score(sample, r, b, dn)) / (2 * h)
-            worst = max(worst, float(np.max(np.abs(hess[0] - fd))))
+            worst = max(worst, float(np.max(np.abs(_full_hessian(hess)[0] - fd))))
         assert worst <= 1e-6
+
+    @pytest.mark.parametrize("kind", ["typical", "near_one", "scale", "clip"])
+    def test_matches_the_matrix_form_reference(self, kind):
+        # Errors are relative to the largest entry of the reference. Both
+        # evaluations round differently, and the rounding is amplified by
+        # kappa = 1 / (1 - rho^2) in the gradient and by kappa^2 in the
+        # Hessian, the conditioning of Sigma: at |rho| = 0.9999 the
+        # reference's own Hessian is off by 7e-10 from a 60-digit evaluation.
+        # So the 1e-12 bound is scaled by kappa and kappa^2; for |rho| <= 0.95
+        # it is at most 1e-11 for the gradient and 1e-10 for the Hessian.
+        rng = np.random.default_rng(["typical", "near_one", "scale", "clip"].index(kind))
+        xs, ys, r, b, eta = objective_draws(rng, kind)
+        ref = ref_objective(ref_moments(xs.copy(), ys.copy(), r, b), eta)
+        ref_grad, ref_hess = ref_freeze_clipped(eta, *ref[1:])
+        moments = local_moments(xs, ys, r, b)
+        value, grad, hess = _objective(moments, eta.T.copy(), hessian=True)
+        grad, hess = _freeze_clipped(eta.T, grad, hess)
+        kappa = np.cosh(eta[:, 4]) ** 2
+        assert np.all(np.isfinite(ref[0])) and np.all(np.isfinite(value))
+        assert np.max(np.abs(value - ref[0]) / np.abs(ref[0])) <= 1e-12
+        scale = np.max(np.abs(ref_grad), axis=1)
+        assert np.all(np.abs(grad.T - ref_grad).max(axis=1) <= 1e-12 * kappa * scale)
+        scale = np.max(np.abs(ref_hess), axis=(1, 2))
+        assert np.all(np.abs(_full_hessian(hess) - ref_hess).max(axis=(1, 2)) <= 1e-12 * kappa**2 * scale)
+        if kind == "clip":
+            # A coordinate at its clip is frozen: zero gradient, unit Hessian row.
+            at_clip = np.abs(eta) >= _ETA_CLIP
+            assert np.all(grad.T[at_clip] == 0.0)
+            assert np.array_equal(_full_hessian(hess)[at_clip], np.eye(5)[np.nonzero(at_clip)[1]])
+
+    def test_values_without_the_hessian_are_the_same(self):
+        rng = np.random.default_rng(7)
+        xs, ys, r, b, eta = objective_draws(rng, "typical", 50)
+        moments = local_moments(xs, ys, r, b)
+        value = _objective(moments, eta.T.copy())
+        assert np.array_equal(value, _objective(moments, eta.T.copy(), hessian=True)[0])
+
+
+def eigen_modified_step(g, h, floor=1e-8):
+    """-H'^-1 g with each eigenvalue l of H replaced by max(|l|, floor * max|l|)."""
+    lam, vec = np.linalg.eigh(h)
+    mag = np.abs(lam)
+    mag = np.maximum(mag, floor * mag.max())
+    return -vec @ ((vec.T @ g) / mag)
+
+
+def random_symmetric(rng, size, low, high):
+    """(size, 5, 5) symmetric matrices with eigenvalues of magnitude in [low, high]."""
+    q = np.linalg.qr(rng.standard_normal((size, 5, 5)))[0]
+    lam = np.exp(rng.uniform(np.log(low), np.log(high), (size, 5)))
+    h = (q * lam[:, None, :]) @ q.transpose(0, 2, 1)
+    return (h + h.transpose(0, 2, 1)) / 2.0, q, lam
+
+
+class TestNewtonDirection:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(1, 40),
+        log_scale=st.floats(-12.0, 6.0),
+        spread=st.floats(0.0, 4.0),
+    )
+    def test_positive_definite_hessians_take_the_newton_step(self, seed, size, log_scale, spread):
+        # Condition numbers up to 1e4; the eigenvalue scale covers 1e-12..1e6.
+        rng = np.random.default_rng(seed)
+        scale = 10.0**log_scale
+        h, _, _ = random_symmetric(rng, size, scale, scale * 10.0**spread)
+        g = rng.standard_normal((size, 5))
+        step = _newton_direction(np.ascontiguousarray(g.T), packed(h))
+        want = np.linalg.solve(h, -g[:, :, None])[:, :, 0]
+        err = np.abs(step.T - want).max(axis=1)
+        assert np.all(err <= 1e-10 * np.abs(want).max(axis=1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 40))
+    def test_indefinite_hessians_take_the_eigen_modified_step(self, seed, size):
+        # Every other member gets a negative eigenvalue, or one below the
+        # 1e-8 relative floor; those take the fallback, the others the
+        # factorization, and each gets the step of the eigen-modified Newton
+        # method.
+        rng = np.random.default_rng(seed)
+        h, q, lam = random_symmetric(rng, size, 0.1, 10.0)
+        bent = np.arange(size) % 2 == 1
+        lam[bent, rng.integers(0, 5)] *= rng.choice([-1.0, 1e-10], bent.sum())
+        h = (q * lam[:, None, :]) @ q.transpose(0, 2, 1)
+        h = (h + h.transpose(0, 2, 1)) / 2.0
+        g = rng.standard_normal((size, 5))
+        seen = []
+        real = lgc._eigen_direction
+
+        def spy(grad, hess):
+            seen.append(len(grad))
+            return real(grad, hess)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lgc, "_eigen_direction", spy)
+            step = _newton_direction(np.ascontiguousarray(g.T), packed(h))
+        assert sum(seen) == bent.sum()
+        for k in range(size):
+            want = eigen_modified_step(g[k], h[k])
+            assert np.max(np.abs(step[:, k] - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 class TestPluginBandwidth:

@@ -2,16 +2,18 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
 from lgcport.errors import DegenerateSampleError, InsufficientDataError, NonSymmetricError
+import lgcport.lgc as lgc
 from lgcport.lgc import (
     GRADIENT_TOL,
     LocalParams,
-    _local_moments,
+    _full_hessian,
     _objective,
     _to_eta,
     estimate_local_params,
@@ -20,6 +22,7 @@ from lgcport.lgc import (
     gaussian_mle_batch,
     global_gaussian_mle,
     local_loglik,
+    local_moments,
     plugin_bandwidth,
 )
 import lgcport.localcov as localcov
@@ -318,11 +321,12 @@ class TestNewtonOnPaperPanel:
                 worst = max(worst, float(np.max(np.abs(ref - theta.as_array()))))
         assert worst <= 2e-5
 
-    def test_indefinite_warm_start_converges(self):
+    def test_indefinite_warm_start_converges(self, monkeypatch):
         # At month index 224 the warm start of pair (1, 4) has an indefinite
         # Hessian: the only such start in the window-120 run, where a plain
-        # gradient-step fallback stalled. The modified Newton step converges,
-        # as do the other pairs of the chain.
+        # gradient-step fallback stalled. Its first step comes from the
+        # eigen-modified fallback of the LDL' step, and it converges, as do
+        # the other pairs of the chain.
         x = synth_panel().returns
         for _, fits in warm_chain(range(120, 224)):
             pass
@@ -330,16 +334,22 @@ class TestNewtonOnPaperPanel:
         window, grid = x[t - 120 : t], moving_grid(x, t)
         pair, r = window[:, [1, 4]], grid[[1, 4]]
         b = np.array(plugin_bandwidth(pair))
-        w = gaussian_kernel_weight(pair, r, b)
-        moments = _local_moments(
-            pair.T[:1], pair.T[1:], (w / w.sum())[None], r[None], b[None], w.mean()
-        )
+        moments = local_moments(pair.T[:1], pair.T[1:], r[None], b[None])
         start = _to_eta(fits[1, 4][0].as_array()[None])
-        hess = _objective(moments, start, hessian=True)[2][0]
+        hess = _full_hessian(_objective(moments, start.T, hessian=True)[2])[0]
         assert np.linalg.eigvalsh(hess)[0] < 0.0
+        fallbacks = []
+        real = lgc._eigen_direction
+
+        def spy(grad, hess):
+            fallbacks.append(hess.copy())
+            return real(grad, hess)
+
+        monkeypatch.setattr(lgc, "_eigen_direction", spy)
         _, diag = estimate_local_params(pair, r, b, fits[1, 4][0])
         assert diag.converged
         assert diag.gradient_norm <= GRADIENT_TOL
+        assert np.array_equal(fallbacks[0], hess[None])
 
 
 def c11_windows(window, n_dates):
@@ -350,28 +360,58 @@ def c11_windows(window, n_dates):
 
 
 class TestLocalCovarianceStack:
+    @staticmethod
+    def counted_stages(monkeypatch):
+        """Count the moment slices and Newton passes of local_covariance_stack."""
+        calls = {"moments": 0, "newton": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(localcov, "local_moments", counting("moments", localcov.local_moments))
+        monkeypatch.setattr(
+            localcov, "fit_local_moments", counting("newton", localcov.fit_local_moments)
+        )
+        return calls
+
     def test_a_date_does_not_depend_on_its_block(self, monkeypatch):
+        # 30 dates of 15 pairs x 120 months, in one Newton pass; the moment
+        # slices hold 1, 7 or 30 dates.
         windows, grids = c11_windows(120, 30)
-        real = localcov.fit_local_batch
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(len(args[0]))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(localcov, "fit_local_batch", counted)
+        calls = self.counted_stages(monkeypatch)
         runs = []
-        for dates_per_block, n_calls in ((1, 30), (7, 5), (30, 1)):
-            monkeypatch.setattr(localcov, "_BLOCK_PAIR_OBS", dates_per_block * 15 * 120)
-            calls.clear()
+        for dates_per_slice, n_slices in ((1, 30), (7, 5), (30, 1)):
+            monkeypatch.setattr(localcov, "_BLOCK_PAIR_OBS", dates_per_slice * 15 * 120)
+            calls.update(moments=0, newton=0)
             runs.append(local_covariance_stack(windows, grids))
-            assert len(calls) == n_calls
+            assert calls == {"moments": n_slices, "newton": 1}
         for run in runs[1:]:
             for name in ("matrices", "correlations", "pd_repaired", "n_fallbacks"):
                 assert np.array_equal(getattr(run, name), getattr(runs[0], name))
         for d in (0, 13, 29):
             alone = local_covariance_stack(windows[d : d + 1], grids[d : d + 1])
             assert np.array_equal(alone.matrices[0], runs[0].matrices[d])
+
+    def test_a_date_does_not_depend_on_its_newton_pass(self, monkeypatch):
+        # The same 30 dates in Newton passes of 1, 7 or all 30 dates, each
+        # pass reduced to moments in slices of 4 dates (its last slice holds
+        # the rest).
+        windows, grids = c11_windows(120, 30)
+        calls = self.counted_stages(monkeypatch)
+        monkeypatch.setattr(localcov, "_BLOCK_PAIR_OBS", 4 * 15 * 120)
+        runs = []
+        for dates_per_pass, n_passes, n_slices in ((1, 30, 30), (7, 5, 9), (30, 1, 8)):
+            monkeypatch.setattr(localcov, "_BLOCK_PAIRS", dates_per_pass * 15)
+            calls.update(moments=0, newton=0)
+            runs.append(local_covariance_stack(windows, grids))
+            assert calls == {"moments": n_slices, "newton": n_passes}
+        for run in runs[1:]:
+            for name in ("matrices", "correlations", "pd_repaired", "iterations", "fallback"):
+                assert np.array_equal(getattr(run, name), getattr(runs[0], name))
 
     def test_one_date_api_is_its_one_date_case(self):
         windows, grids = c11_windows(240, 4)
@@ -393,6 +433,31 @@ class TestLocalCovarianceStack:
             for (i, j), (theta, _) in fits.items():
                 worst = max(worst, abs(theta.rho - stack.correlations[d][i, j]))
         assert worst <= 2e-5
+
+    @pytest.mark.parametrize("case", ["paper", "clayton_tail"])
+    def test_working_memory_is_bounded(self, case):
+        # Traced peaks of the pass, stack result included: 2.4 MB (paper,
+        # 343 dates of 15 pairs) and 2.6 MB (clayton_tail, 40 dates of 276
+        # pairs x 240 months). One solve per 24,576 pair-observations, with
+        # the samples kept through the Newton iterations, peaked at 1.5 and
+        # 3.4 MB; one Newton pass over all the dates peaks at 5.6 and
+        # 11.8 MB. A bound of twice the former catches a block that grows
+        # with the number of dates or with the window.
+        if case == "paper":
+            windows, grids = c11_windows(120, 343)
+            bound = 3.0
+        else:
+            x = synth_panel(months=280, n_assets=24, model="clayton", seed=0).returns
+            windows = np.stack([x[t - 240 : t] for t in range(240, 280)])
+            grids = np.stack([percentile_grid(w, 0.05) for w in windows])
+            bound = 6.8
+        tracemalloc.start()
+        try:
+            local_covariance_stack(windows, grids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * 2**20
 
     @pytest.mark.parametrize("case", ["paper", "clayton_tail"])
     def test_every_date_is_a_valid_covariance(self, case):

@@ -11,13 +11,12 @@ So each pair's objective is a pair of 2 x 2 Gaussian forms in its five
 parameters, whose value, gradient and Hessian are written out elementwise
 over (P,) arrays of pairs; a Hessian is kept as its 15 distinct entries.
 
-fit_local_batch maximizes the objective for many pairs at once in two
-stages: local_moments reduces the samples to moments, a slice of pairs at a
-time, and fit_local_moments runs a damped Newton iteration on the moments
-alone. Its step comes from a vectorized 5 x 5 LDL' factorization, with an
-eigenvalue-modified step (a Gill-Murray-style modified Newton method) as the
-fallback where the Hessian is indefinite or nearly singular.
-estimate_local_params is the one-pair case.
+Many pairs are fitted at once in two stages: local_moments reduces their
+samples to moments, and fit_local_moments runs a damped Newton iteration on
+the moments alone. Its step comes from a vectorized 5 x 5 LDL'
+factorization, with an eigenvalue-modified step (a Gill-Murray-style
+modified Newton method) as the fallback where the Hessian is indefinite or
+nearly singular. estimate_local_params is the one-pair case.
 """
 
 from __future__ import annotations
@@ -249,23 +248,40 @@ def plugin_bandwidth(sample, scale: float = 1.1) -> Tuple[float, ...]:
     """Plug-in bandwidth: `scale` times each column's sample sd (n-1 denominator).
 
     `sample` is (n, 2) for one pair, giving (b1, b2), or (n, k) for k assets
-    at once, giving one bandwidth per asset.
+    at once, giving one bandwidth per asset. This is the one-window case of
+    _plugin_bandwidths.
     """
     s = np.asarray(sample, dtype=float)
     if s.ndim != 2 or s.shape[1] < 1:
         raise ValueError("sample must have shape (n, k), got %r" % (s.shape,))
     if s.shape[0] < 2:
         raise ValueError("bandwidth needs at least 2 observations")
-    if not np.all(np.isfinite(s)):
+    bandwidths, errors = _plugin_bandwidths(s[None], scale)
+    if errors:
+        raise errors[0]
+    return tuple(float(v) for v in bandwidths[0])
+
+
+def _plugin_bandwidths(windows: np.ndarray, scale: float):
+    """Plug-in bandwidths of each (n, k) window of a (D, n, k) stack, n >= 2.
+
+    Returns the (D, k) bandwidths, `scale` times each column's sample sd
+    (n-1 denominator), and {d: DegenerateSampleError} for the windows with a
+    zero-variance column. A non-finite window or a non-positive scale raises
+    ValueError for the whole stack.
+    """
+    if not np.all(np.isfinite(windows)):
         raise ValueError("sample contains non-finite values")
     if scale <= 0.0:
         raise ValueError("scale must be positive, got %g" % scale)
-    sd = s.std(axis=0, ddof=1)
-    if np.any(sd <= 0.0):
-        raise DegenerateSampleError(
-            "sample standard deviation is zero in a coordinate, sd=%r" % (sd,)
+    sd = windows.std(axis=1, ddof=1)
+    errors = {
+        int(d): DegenerateSampleError(
+            "sample standard deviation is zero in a coordinate, sd=%r" % (sd[d],)
         )
-    return tuple(float(scale * v) for v in sd)
+        for d in np.flatnonzero(np.any(sd <= 0.0, axis=1))
+    }
+    return scale * sd, errors
 
 
 def gaussian_mle_batch(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -312,11 +328,6 @@ _EIGEN_FLOOR = 1e-8
 
 # Upper clip of |eta| per coordinate of (mu1, mu2, log s1, log s2, atanh rho).
 _ETA_CLIP = np.array([np.inf, np.inf, _LOG_SIGMA_CLIP, _LOG_SIGMA_CLIP, _ATANH_CLIP])
-
-# Pair-observations (pairs x window length) per slice of kernel weights and
-# moments. A slice's (pairs, window) arrays take 192 kB each, and the Newton
-# iterations after it keep only the moments of each pair (12 floats).
-_BLOCK_PAIR_OBS = 3 * 2**13
 
 # A symmetric 5 x 5 matrix per pair is stored as its 15 distinct entries, one
 # (P,) row each, in np.triu_indices(5) order; entry (i, j) is row _PACKED[i][j].
@@ -604,8 +615,7 @@ def _line_search(mom, eta, value, grad, step):
 
 @dataclass
 class BatchFit:
-    """Per-pair results of fit_local_moments (and fit_local_batch), each with a
-    leading (P,) axis."""
+    """Per-pair results of fit_local_moments, each with a leading (P,) axis."""
 
     params: np.ndarray  # (P, 5) mu1, mu2, sigma1, sigma2, rho
     converged: np.ndarray
@@ -621,30 +631,6 @@ class BatchFit:
             gradient_norm=float(self.gradient_norm[i]),
             effective_weight=float(self.effective_weight[i]),
         )
-
-
-def fit_local_batch(
-    xs: np.ndarray,
-    ys: np.ndarray,
-    r: np.ndarray,
-    b: np.ndarray,
-    theta0: np.ndarray,
-    *,
-    max_iterations: int = MAX_ITERATIONS,
-) -> BatchFit:
-    """Maximize the local log-likelihood of P pairs at once by damped Newton.
-
-    `xs`, `ys` are (P, n) samples, `r` and `b` (P, 2) grid points and
-    bandwidths, `theta0` (P, 5) starting parameters. Inputs must already be
-    validated: finite samples, positive bandwidths, valid starts.
-
-    The samples are reduced to local_moments in slices of at most
-    _BLOCK_PAIR_OBS pair-observations, and fit_local_moments fits them.
-    """
-    per_slice = max(1, _BLOCK_PAIR_OBS // xs.shape[1])
-    slices = [slice(lo, lo + per_slice) for lo in range(0, len(xs), per_slice)]
-    moments = np.concatenate([local_moments(xs[k], ys[k], r[k], b[k]) for k in slices], axis=1)
-    return fit_local_moments(moments, theta0, max_iterations=max_iterations)
 
 
 def fit_local_moments(
@@ -743,12 +729,12 @@ def estimate_local_params(
 
     Notes
     -----
-    This is the single-pair case of fit_local_batch: a damped Newton
-    iteration in (mu1, mu2, log sigma1, log sigma2, atanh rho) with an
-    analytic Hessian, eigenvalue-modified where it is not positive definite,
-    and an Armijo line search. The objective is normalized by the mean kernel
-    weight so the 1e-6 gradient tolerance means the same thing at every grid
-    point and bandwidth. `iterations` counts Newton steps.
+    This is the single-pair case of local_moments and fit_local_moments: a
+    damped Newton iteration in (mu1, mu2, log sigma1, log sigma2, atanh rho)
+    with an analytic Hessian, eigenvalue-modified where it is not positive
+    definite, and an Armijo line search. The objective is normalized by the
+    mean kernel weight so the 1e-6 gradient tolerance means the same thing at
+    every grid point and bandwidth. `iterations` counts Newton steps.
     """
     s = _as_sample(sample)
     if s.shape[0] < 2:
@@ -757,14 +743,10 @@ def estimate_local_params(
     r1, r2 = _check_point(r)
     theta0 = init if init is not None else global_gaussian_mle(s)
 
-    fit = fit_local_batch(
-        s[None, :, 0],
-        s[None, :, 1],
-        np.array([[r1, r2]]),
-        np.array([[b1, b2]]),
-        theta0.as_array()[None],
-        max_iterations=max_iterations,
+    moments = local_moments(
+        s[None, :, 0], s[None, :, 1], np.array([[r1, r2]]), np.array([[b1, b2]])
     )
+    fit = fit_local_moments(moments, theta0.as_array()[None], max_iterations=max_iterations)
     if fit.local_mass[0] < WEIGHT_FLOOR:
         raise InsufficientLocalDataError(
             "no effective observations near grid point (%g, %g): local mass %.3e"

@@ -17,25 +17,30 @@ from .errors import (
 # estimate_local_params is unused here but stays importable from this module:
 # external code (e.g. the span tracer in perfbench/) looks it up here.
 from .lgc import (  # noqa: F401
-    _BLOCK_PAIR_OBS,
     FitDiagnostics,
+    _plugin_bandwidths,
     estimate_local_params,
     fit_local_moments,
     gaussian_mle_batch,
     local_moments,
-    plugin_bandwidth,
 )
 from .panel import ReturnPanel
 
 # Relative eigenvalue floor below which a matrix counts as not positive definite.
 PD_TOL = 1e-10
 
-# _BLOCK_PAIR_OBS (from lgc) bounds the pair-observations (pairs x window
-# length) that local_covariance_stack gathers and reduces to moments at a
-# time: a few (pairs, window) arrays of 192 kB each. global_covariance_stack's
-# blocks hold as many observations (assets x window length): its centred copy
-# of a block is 192 kB.
-#
+# The alternating projections of the PD repair stop once a matrix's iterate
+# moves less than _CHANGE_TOL (Frobenius norm), or after
+# _PROJECTION_ITERATIONS.
+_CHANGE_TOL = 1e-9
+_PROJECTION_ITERATIONS = 100
+
+# Pair-observations (pairs x window length) that local_covariance_stack
+# gathers and reduces to moments at a time: a few (pairs, window) arrays of
+# 192 kB each. The blocks of global_covariance_stack and of the bandwidths
+# hold as many observations (assets x window length): 192 kB per copy.
+_BLOCK_PAIR_OBS = 3 * 2**13
+
 # Pairs per Newton pass of local_covariance_stack, in whole dates (or one date
 # if a date alone holds more). A pass keeps 12 moments, 5 parameters and
 # 15 Hessian entries per pair, however long the window; this bound keeps its
@@ -73,69 +78,87 @@ def _as_matrix(panel) -> np.ndarray:
     return m
 
 
-def nearest_correlation(
-    corr: np.ndarray, change_tol: float = 1e-9, max_iterations: int = 100
-) -> np.ndarray:
-    """Nearest correlation matrix by alternating projections (Higham 2002).
+def _nearest_correlations(corr: np.ndarray) -> np.ndarray:
+    """Nearest correlation matrix of each matrix of a (k, N, N) stack, by
+    alternating projections (Higham 2002).
 
     Projects onto the PSD cone and the unit-diagonal subspace in turn, with
-    Dykstra's correction on the cone step, until the Frobenius change of the
-    iterate drops below `change_tol`.
+    Dykstra's correction on the cone step. The matrices run in lockstep, one
+    stacked eigh per iteration over those still moving; each stops once the
+    Frobenius change of its iterate drops below _CHANGE_TOL, or after
+    _PROJECTION_ITERATIONS. A matrix's result does not depend on its stack.
     """
     y = np.array(corr, dtype=float)
-    n = y.shape[0]
+    diag = np.arange(y.shape[-1])
     ds = np.zeros_like(y)
-    for _ in range(max_iterations):
-        r = y - ds
-        vals, vecs = np.linalg.eigh((r + r.T) / 2.0)
-        x = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
-        ds = x - r
-        y_next = x.copy()
-        y_next[np.diag_indices(n)] = 1.0
-        if np.linalg.norm(y_next - y, "fro") < change_tol:
-            y = y_next
+    live = np.arange(len(y))
+    for _ in range(_PROJECTION_ITERATIONS):
+        if not live.size:
             break
-        y = y_next
-    return (y + y.T) / 2.0
+        r = y[live] - ds[live]
+        vals, vecs = np.linalg.eigh((r + r.transpose(0, 2, 1)) / 2.0)
+        x = (vecs * np.clip(vals, 0.0, None)[:, None, :]) @ vecs.transpose(0, 2, 1)
+        ds[live] = x - r
+        x[:, diag, diag] = 1.0
+        change = (x - y[live]).reshape(len(live), -1)
+        y[live] = x
+        # One dot product per matrix, as np.linalg.norm(., "fro") takes it.
+        moved = np.sqrt((change[:, None, :] @ change[:, :, None])[:, 0, 0])
+        live = live[~(moved < _CHANGE_TOL)]
+    return (y + y.transpose(0, 2, 1)) / 2.0
 
 
-def nearest_pd(matrix, tol: float = PD_TOL) -> Tuple[np.ndarray, bool]:
-    """Repair a symmetric matrix to positive definiteness, if needed.
+def nearest_correlation(corr: np.ndarray) -> np.ndarray:
+    """Nearest correlation matrix by alternating projections (Higham 2002):
+    the one-matrix case of the stacked projection."""
+    return _nearest_correlations(np.asarray(corr, dtype=float)[None])[0]
 
-    A matrix whose smallest eigenvalue is at least `tol` times its largest
-    is returned unchanged. Otherwise the matrix is rescaled to correlation
-    form, pushed to the nearest correlation matrix by alternating
-    projections, rescaled back, and its spectrum floored at `tol` times the
-    largest eigenvalue. Returns (matrix, repaired_flag).
+
+def _repair(cov: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Repair each matrix of a symmetric (k, N, N) stack to positive
+    definiteness, if needed. Returns the (k, N, N) matrices and (k,) flags of
+    those repaired.
+
+    A matrix whose smallest eigenvalue is at least PD_TOL times its largest
+    is kept as it is. The others are rescaled to correlation form where their
+    diagonal is positive, pushed to the nearest correlation matrix, and
+    rescaled back; then their spectrum is floored at PD_TOL times the largest
+    eigenvalue. A matrix's result does not depend on its stack.
     """
+    vals = np.linalg.eigvalsh(cov)
+    top = vals[:, -1]
+    repaired = ~((top > 0.0) & (vals[:, 0] >= PD_TOL * top))
+    bad = np.flatnonzero(repaired)
+    if not bad.size:
+        return cov, repaired
+    m = cov[bad]
+    diag = np.diagonal(m, axis1=1, axis2=2)
+    # A matrix with a non-positive variance has no correlation form; only its
+    # spectrum is floored.
+    scalable = np.all(diag > 0.0, axis=1)
+    d = np.sqrt(diag[scalable])
+    outer = d[:, :, None] * d[:, None, :]
+    m[scalable] = _nearest_correlations(m[scalable] / outer) * outer
+    vals, vecs = np.linalg.eigh(m)
+    top = vals[:, -1]
+    floor = np.where(top > 0.0, PD_TOL * top, PD_TOL)
+    m = (vecs * np.clip(vals, floor[:, None], None)[:, None, :]) @ vecs.transpose(0, 2, 1)
+    out = cov.copy()
+    out[bad] = (m + m.transpose(0, 2, 1)) / 2.0
+    return out, repaired
+
+
+def nearest_pd(matrix) -> Tuple[np.ndarray, bool]:
+    """Repair a symmetric matrix to positive definiteness, if needed: the
+    one-matrix case of _repair. Returns (matrix, repaired_flag)."""
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square, got shape %r" % (m.shape,))
     scale = float(np.max(np.abs(m))) if m.size else 0.0
     if not np.allclose(m, m.T, rtol=0.0, atol=1e-12 * max(scale, 1.0)):
         raise NonSymmetricError("matrix is not symmetric")
-    m = (m + m.T) / 2.0
-
-    vals = np.linalg.eigvalsh(m)
-    top = float(vals[-1])
-    if top > 0.0 and float(vals[0]) >= tol * top:
-        return m, False
-
-    diag = np.diag(m)
-    if np.all(diag > 0.0):
-        d = np.sqrt(diag)
-        corr = m / np.outer(d, d)
-        corr = nearest_correlation(corr)
-        out = corr * np.outer(d, d)
-    else:
-        # No correlation form exists; fall back to flooring the spectrum.
-        out = m
-
-    vals, vecs = np.linalg.eigh(out)
-    top = max(float(vals[-1]), 0.0)
-    floor = tol * top if top > 0.0 else tol
-    out = (vecs * np.clip(vals, floor, None)) @ vecs.T
-    return (out + out.T) / 2.0, True
+    out, repaired = _repair(((m + m.T) / 2.0)[None])
+    return out[0], bool(repaired[0])
 
 
 @dataclass
@@ -197,15 +220,10 @@ def _as_windows(windows) -> np.ndarray:
 
 
 def _write_repaired(out: CovStack, idx, cov) -> None:
-    """Write the covariances `cov` of the dates `idx` into `out`, symmetrized;
-    one stacked eigenvalue check finds the dates nearest_pd would repair, and
-    only those go through it."""
+    """Write the covariances `cov` of the dates `idx` into `out`, symmetrized
+    and repaired to positive definiteness where needed."""
     cov = (cov + cov.transpose(0, 2, 1)) / 2.0
-    vals = np.linalg.eigvalsh(cov)
-    top = vals[:, -1]
-    out.matrices[idx] = cov
-    for k in np.flatnonzero(~((top > 0.0) & (vals[:, 0] >= PD_TOL * top))):
-        out.matrices[idx[k]], out.pd_repaired[idx[k]] = nearest_pd(cov[k])
+    out.matrices[idx], out.pd_repaired[idx] = _repair(cov)
 
 
 def global_covariance_stack(windows) -> CovStack:
@@ -290,13 +308,12 @@ def local_covariance_stack(windows, grids, bandwidth_scale: float = 1.1) -> Loca
 
     out = LocalCovStack.empty(n_dates, n_assets, **pair_fields)
     bandwidths = np.zeros((n_dates, n_assets))
-    for d in range(n_dates):
-        try:
-            bandwidths[d] = plugin_bandwidth(w[d], bandwidth_scale)
-        except LgcportError as err:
-            out.errors[d] = err
-
-    ok = np.array([d for d in range(n_dates) if d not in out.errors], dtype=int)
+    per_block = max(1, _BLOCK_PAIR_OBS // (n * n_assets))
+    for lo in range(0, n_dates, per_block):
+        block, errors = _plugin_bandwidths(w[lo : lo + per_block], bandwidth_scale)
+        bandwidths[lo : lo + per_block] = block
+        out.errors.update({lo + d: err for d, err in errors.items()})
+    ok = np.flatnonzero(~np.isin(np.arange(n_dates), list(out.errors)))
     per_block = max(1, _BLOCK_PAIRS // n_pairs)
     for lo in range(0, ok.size, per_block):
         _fit_block(out, ok[lo : lo + per_block], w, g, bandwidths)

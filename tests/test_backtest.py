@@ -343,15 +343,26 @@ class TestLocalEstimate:
         monkeypatch.setattr(
             localcov_mod, "fit_local_moments", counting("newton", localcov_mod.fit_local_moments)
         )
-        monkeypatch.setattr(localcov_mod, "nearest_pd", counting("repair", localcov_mod.nearest_pd))
+        panel = small_panel(months=60, n_assets=4, seed=3)
+        flags = []
+        real_repair = localcov_mod._repair
+
+        def repair(cov):
+            calls["repair"] += 1
+            matrices, repaired = real_repair(cov)
+            flags.extend(repaired.tolist())
+            return matrices, repaired
+
+        monkeypatch.setattr(localcov_mod, "_repair", repair)
         monkeypatch.setattr(localcov_mod, "_BLOCK_PAIR_OBS", 5 * 6 * 24)
         monkeypatch.setattr(localcov_mod, "_BLOCK_PAIRS", 10 * 6)
-        panel = small_panel(months=60, n_assets=4, seed=3)
         res = run_backtest(panel, BacktestConfig(window=24, strategies=specs("MINC-L")))
-        # nearest_pd runs only on the dates that fail the stacked PD check.
-        repaired = sum(diag["local_pd_repaired"] for diag in res.date_diagnostics)
-        assert 0 < repaired < 36
-        assert calls == {"moments": 8, "newton": 4, "repair": repaired}
+        # One stacked repair per Newton pass sees every date once, and
+        # repairs only the dates that fail its PD check.
+        repaired = [diag["local_pd_repaired"] for diag in res.date_diagnostics]
+        assert 0 < sum(repaired) < 36
+        assert calls == {"moments": 8, "newton": 4, "repair": 4}
+        assert flags == repaired
         for diag in res.date_diagnostics:
             assert set(diag) == {"date", "local_pd_repaired", "pair_fallbacks"}
             assert diag["pair_fallbacks"] == 0

@@ -32,12 +32,14 @@ import lgcport.lgc as lgc
 from lgcport.lgc import (
     _ETA_CLIP,
     _freeze_clipped,
+    _plugin_bandwidths,
     _full_hessian,
     _newton_direction,
     _objective,
     _penalty_gradient,
     local_moments,
 )
+from lgcport.synth import synth_panel
 
 from conftest import gauss_pair, eta_score
 
@@ -615,6 +617,27 @@ class TestPluginBandwidth:
         wide = plugin_bandwidth(x)
         assert len(wide) == 4
         assert wide[1:3] == pytest.approx(plugin_bandwidth(x[:, 1:3]), rel=1e-14)
+
+    def test_stack_is_per_window_bandwidths(self):
+        x = synth_panel(months=200, n_assets=5, model="clayton", seed=1).returns
+        windows = np.stack([x[t - 120 : t] for t in range(120, 200)])
+        windows[7][:, 3] = 0.25
+        bandwidths, errors = _plugin_bandwidths(windows, 1.3)
+        assert list(errors) == [7]
+        with pytest.raises(DegenerateSampleError) as alone:
+            plugin_bandwidth(windows[7], 1.3)
+        assert str(errors[7]) == str(alone.value)
+        for d in range(len(windows)):
+            if d != 7:
+                assert tuple(bandwidths[d]) == plugin_bandwidth(windows[d], 1.3)
+
+    def test_stack_rejects_non_finite_windows_and_bad_scale(self, rng):
+        windows = rng.standard_normal((4, 30, 3))
+        with pytest.raises(ValueError):
+            _plugin_bandwidths(windows, 0.0)
+        windows[2, 5, 1] = np.nan
+        with pytest.raises(ValueError):
+            _plugin_bandwidths(windows, 1.1)
 
 
 class TestEstimateLocalParams:

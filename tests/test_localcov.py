@@ -17,7 +17,7 @@ from lgcport.lgc import (
     _objective,
     _to_eta,
     estimate_local_params,
-    fit_local_batch,
+    fit_local_moments,
     gaussian_kernel_weight,
     gaussian_mle_batch,
     global_gaussian_mle,
@@ -237,13 +237,13 @@ class TestPairwiseLocalCovariance:
             grid = percentile_grid(window, 0.1)
             b = np.array(plugin_bandwidth(window))
             xs, ys = window.T[first], window.T[second]
-            fit = fit_local_batch(
+            moments = local_moments(
                 xs,
                 ys,
                 np.column_stack([grid[first], grid[second]]),
                 np.column_stack([b[first], b[second]]),
-                gaussian_mle_batch(xs, ys) if warm is None else warm,
             )
+            fit = fit_local_moments(moments, gaussian_mle_batch(xs, ys) if warm is None else warm)
             steps = set()
             for k, (i, j) in enumerate(zip(first, second)):
                 pair = window[:, [i, j]]

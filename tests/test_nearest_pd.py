@@ -1,14 +1,70 @@
-"""Properties of nearest_pd on random symmetric matrices (hypothesis)."""
+"""The PD repair: properties of nearest_pd on random symmetric matrices
+(hypothesis), and the stacked repair against a one-matrix reference."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lgcport.localcov import PD_TOL, nearest_pd
+from lgcport.localcov import PD_TOL, _repair, nearest_correlation, nearest_pd
+
+
+def ref_nearest_correlation(corr, change_tol=1e-9, max_iterations=100):
+    """One matrix at a time, by alternating projections (Higham 2002) with
+    Dykstra's correction: (matrix, iterations), iterations None at the cap."""
+    y = np.array(corr, dtype=float)
+    n = y.shape[0]
+    ds = np.zeros_like(y)
+    for it in range(1, max_iterations + 1):
+        r = y - ds
+        vals, vecs = np.linalg.eigh((r + r.T) / 2.0)
+        x = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
+        ds = x - r
+        y_next = x.copy()
+        y_next[np.diag_indices(n)] = 1.0
+        if np.linalg.norm(y_next - y, "fro") < change_tol:
+            return (y_next + y_next.T) / 2.0, it
+        y = y_next
+    return (y + y.T) / 2.0, None
+
+
+def ref_nearest_pd(m, tol=PD_TOL):
+    """One symmetric matrix: (matrix, repaired, iterations of the correlation
+    stage, None if it has none or stops at the cap)."""
+    vals = np.linalg.eigvalsh(m)
+    top = float(vals[-1])
+    if top > 0.0 and float(vals[0]) >= tol * top:
+        return m, False, None
+    diag = np.diag(m)
+    iterations = None
+    if np.all(diag > 0.0):
+        d = np.sqrt(diag)
+        corr, iterations = ref_nearest_correlation(m / np.outer(d, d))
+        out = corr * np.outer(d, d)
+    else:
+        out = m
+    vals, vecs = np.linalg.eigh(out)
+    top = max(float(vals[-1]), 0.0)
+    floor = tol * top if top > 0.0 else tol
+    out = (vecs * np.clip(vals, floor, None)) @ vecs.T
+    return (out + out.T) / 2.0, True, iterations
+
+
+def low_rank_correlation(seed, n, rank, noise=0.05):
+    """A rank-`rank` correlation matrix with uniform noise on the
+    off-diagonals: indefinite, and slow for the alternating projections."""
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal((n, rank))
+    c = f @ f.T
+    d = np.sqrt(np.diag(c))
+    c = c / np.outer(d, d)
+    e = rng.uniform(-noise, noise, (n, n))
+    c = np.clip(c + np.triu(e, 1) + np.triu(e, 1).T, -1.0, 1.0)
+    np.fill_diagonal(c, 1.0)
+    return c
 
 
 @st.composite
-def symmetric_matrices(draw, kind=None):
+def symmetric_matrices(draw, kind=None, n=None):
     """Exactly symmetric matrices of one of four shapes, at scales 1e-8..1e8.
 
     "pd": well-conditioned positive definite; "low_rank": PSD and singular;
@@ -16,7 +72,7 @@ def symmetric_matrices(draw, kind=None):
     positive variances (usually indefinite); "any": uniform entries, so the
     diagonal may be negative and no correlation form exists.
     """
-    n = draw(st.integers(1, 8))
+    n = n or draw(st.integers(1, 8))
     kind = kind or draw(st.sampled_from(["pd", "low_rank", "correlation", "any"]))
     scale = 10.0 ** draw(st.integers(-8, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -73,3 +129,64 @@ def test_idempotent_up_to_rounding(m):
     twice, _ = nearest_pd(once)
     assert np.max(np.abs(twice - once)) <= 1e-13 * np.max(np.abs(once))
     assert np.linalg.eigvalsh(twice)[0] > 0.0
+
+
+def mixed_stack():
+    """16 x 16 covariances: a PD date, repaired dates whose correlation stage
+    stops after different numbers of iterations, one stopped at the
+    100-iteration cap, and one with a negative variance (no correlation
+    form, so only its spectrum is floored)."""
+    rng = np.random.default_rng(3)
+    n = 16
+    a = rng.standard_normal((n, n))
+    dates = [a @ a.T + n * np.eye(n)]
+    for seed in (0, 2, 4, 9):
+        sd = rng.uniform(0.1, 10.0, size=n)
+        dates.append(low_rank_correlation(seed, n, rank=1) * np.outer(sd, sd))
+    off = rng.uniform(-1.0, 1.0, size=(n, n))
+    dates.append(np.triu(off, 1) + np.triu(off, 1).T + np.diag(rng.uniform(-1.0, 1.0, size=n)))
+    dates[-1][0, 0] = -0.5
+    return np.stack([(m + m.T) / 2.0 for m in dates])
+
+
+def test_stacked_repair_matches_the_one_matrix_reference():
+    stack = mixed_stack()
+    refs = [ref_nearest_pd(m) for m in stack]
+    assert [r[1] for r in refs] == [False, True, True, True, True, True]
+    iterations = [r[2] for r in refs[1:5]]
+    assert None in iterations and len(set(iterations)) == 4
+    assert np.diag(stack[-1]).min() < 0.0
+    out, repaired = _repair(stack)
+    assert repaired.tolist() == [r[1] for r in refs]
+    for d, (want, _, _) in enumerate(refs):
+        assert np.array_equal(out[d], want)
+        alone, flag = _repair(stack[d : d + 1])
+        assert np.array_equal(alone[0], out[d]) and flag[0] == repaired[d]
+    # Reversed, the dates share their lockstep iterations with other dates.
+    backwards, _ = _repair(stack[::-1].copy())
+    assert np.array_equal(backwards[::-1], out)
+
+
+@st.composite
+def symmetric_stacks(draw):
+    n = draw(st.integers(1, 8))
+    return np.stack(draw(st.lists(symmetric_matrices(n=n), min_size=1, max_size=6)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_stacks())
+def test_stacked_repair_is_per_matrix_reference_on_random_stacks(stack):
+    out, repaired = _repair(stack)
+    for d, m in enumerate(stack):
+        want, flag, _ = ref_nearest_pd(m)
+        assert repaired[d] == flag
+        assert np.array_equal(out[d], want)
+        assert np.array_equal(nearest_pd(m)[0], want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(symmetric_matrices(kind="correlation"))
+def test_nearest_correlation_is_the_reference(m):
+    d = np.sqrt(np.diag(m))
+    corr = m / np.outer(d, d)
+    assert np.array_equal(nearest_correlation(corr), ref_nearest_correlation(corr)[0])

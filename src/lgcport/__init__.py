@@ -58,6 +58,7 @@ from .metrics import (
     ceq,
     ceq_from_moments,
     descriptive_stats,
+    drawdowns,
     es_sharpe,
     historical_es,
     historical_var,

@@ -74,6 +74,10 @@ class BacktestConfig:
             raise ConfigError("grid lookback exceeds the estimation window")
         if not 0.0 < self.grid_quantile < 1.0:
             raise ConfigError("grid quantile must lie in (0, 1)")
+        if self.grid_method == "percentile" and self.window * min(
+            self.grid_quantile, 1.0 - self.grid_quantile
+        ) < 1.0:
+            raise ConfigError("window too short for grid quantile %g" % self.grid_quantile)
         if not 0.0 < self.bandwidth_scale < math.inf:
             raise ConfigError("bandwidth scale must be positive and finite")
 
@@ -105,19 +109,25 @@ class BacktestResult:
 
 
 def drifted_weights(previous: np.ndarray, realized_pct: np.ndarray) -> np.ndarray:
-    """Weights after one month of price drift, renormalized to sum to one."""
+    """Weights after one month of price drift, renormalized to sum to one.
+
+    Works on the last axis: each row of a (T, N) stack drifts on its own,
+    and a wipeout reports the first row whose value is not positive.
+    """
     w = np.asarray(previous, dtype=float)
     growth = 1.0 + np.asarray(realized_pct, dtype=float) / 100.0
     value = w * growth
-    total = float(value.sum())
-    if total <= 0.0:
-        raise PortfolioWipeoutError("portfolio value dropped to %g" % total)
+    total = value.sum(axis=-1, keepdims=True)
+    wiped = total[total <= 0.0]
+    if wiped.size:
+        raise PortfolioWipeoutError("portfolio value dropped to %g" % wiped[0])
     return value / total
 
 
-def turnover(target: np.ndarray, drifted: np.ndarray) -> float:
-    """Sum of absolute weight changes traded at a rebalance."""
-    return float(np.abs(np.asarray(target) - np.asarray(drifted)).sum())
+def turnover(target: np.ndarray, drifted: np.ndarray):
+    """Sum of absolute weight changes traded at a rebalance, over the last
+    axis: a float for one rebalance, an array for a stack of them."""
+    return np.abs(np.asarray(target) - np.asarray(drifted)).sum(axis=-1)
 
 
 def apply_transaction_costs(gross_pct, turnover_path, tcost_bp: float) -> np.ndarray:
@@ -146,12 +156,10 @@ def max_adjustments(target_path, drifted_path) -> Tuple[float, float]:
 def wealth_path(returns_pct) -> np.ndarray:
     """Cumulative wealth from percent returns, starting at 1."""
     r = np.asarray(returns_pct, dtype=float)
-    out = np.empty(r.shape[0] + 1)
-    out[0] = 1.0
-    for i, ret in enumerate(r):
-        out[i + 1] = out[i] * (1.0 + ret / 100.0)
-        if out[i + 1] <= 0.0:
-            raise PortfolioWipeoutError("wealth hit %g at step %d" % (out[i + 1], i))
+    out = np.concatenate([[1.0], np.cumprod(1.0 + r / 100.0)])
+    wiped = np.flatnonzero(out <= 0.0)
+    if wiped.size:
+        raise PortfolioWipeoutError("wealth hit %g at step %d" % (out[wiped[0]], wiped[0] - 1))
     return out
 
 
@@ -169,9 +177,9 @@ def _estimate(x, config: BacktestConfig, sources):
         stacks["global"] = global_covariance_stack(windows)
     if "local" in sources:
         if config.grid_method == "moving":
-            grids = [moving_grid(x, t, config.grid_lookback) for t in range(m, n)]
+            grids = moving_grid(x, np.arange(m, n), config.grid_lookback)
         else:
-            grids = [percentile_grid(w, config.grid_quantile) for w in windows]
+            grids = percentile_grid(windows, config.grid_quantile)
         stacks["local"] = local_covariance_stack(windows, grids, config.bandwidth_scale)
     for stack in stacks.values():
         stack.matrices /= 1e4
@@ -221,9 +229,9 @@ def run_backtest(panel: ReturnPanel, config: BacktestConfig) -> BacktestResult:
     Three passes: estimate the mean and covariances of every date (one stack
     per covariance source, shared by its strategies), then per strategy solve
     the weights of all dates in one batched call (targets depend only on the
-    date's estimates) and account drift, turnover and costs month by month.
-    Strategies are independent: adding or removing one never changes the
-    numbers of another.
+    date's estimates) and account drift, turnover and costs over the whole
+    window at once. Strategies are independent: adding or removing one never
+    changes the numbers of another.
 
     A date whose covariance or solve fails keeps the previous month's target
     for the strategies concerned, recorded in their `fallbacks`; a failure at
@@ -236,39 +244,33 @@ def run_backtest(panel: ReturnPanel, config: BacktestConfig) -> BacktestResult:
         raise ConfigError(
             "panel has %d months; window %d needs at least %d" % (n, m, m + 2)
         )
-    if config.grid_method == "percentile" and m * min(
-        config.grid_quantile, 1.0 - config.grid_quantile
-    ) < 1.0:
-        raise ConfigError("window too short for grid quantile %g" % config.grid_quantile)
 
-    n_oos = n - m
     dates = [panel.dates[t] for t in range(m, n)]
     sources = {s.covariance_source for s in config.strategies if s.kind != "EW"}
     means, stacks = _estimate(x, config, sources)
     strategies: Dict[str, StrategyResult] = {}
     for spec in config.strategies:
-        # EW has no targets: it buys equal weights and then holds.
-        targets, failures = None, {}
-        if spec.kind != "EW":
-            targets, failures = _solve_targets(spec, means, stacks[spec.covariance_source])
+        failures = {}
+        if spec.kind == "EW":
+            # EW has no targets: it buys equal weights and then holds, so each
+            # month's target is the previous month's weights after drift.
+            held = np.empty((n - m, n_assets))
+            held[0] = equal_weights(n_assets)
+            for step in range(1, n - m):
+                held[step] = drifted_weights(held[step - 1], x[m + step - 1])
+        else:
+            held, failures = _solve_targets(spec, means, stacks[spec.covariance_source])
         if 0 in failures:
             err = failures[0]
             raise type(err)("%s at inception %s for %s" % (err, dates[0], spec.label)) from err
-        held, drifted = np.zeros((n_oos, n_assets)), np.zeros((n_oos, n_assets))
-        gross, turn = np.zeros(n_oos), np.zeros(n_oos)
-        for step, t in enumerate(range(m, n)):
-            if step == 0:
-                target = equal_weights(n_assets) if targets is None else targets[0]
-                drifted[0] = 0.0 if config.charge_initial_allocation else target
-            else:
-                drifted[step] = drifted_weights(held[step - 1], x[t - 1])
-                if targets is None:
-                    target = drifted[step]
-                else:
-                    target = held[step - 1] if step in failures else targets[step]
-            held[step] = target
-            turn[step] = turnover(target, drifted[step])
-            gross[step] = float(target @ x[t])
+        for step in sorted(failures):
+            held[step] = held[step - 1]
+        drifted = np.empty_like(held)
+        drifted[0] = 0.0 if config.charge_initial_allocation else held[0]
+        drifted[1:] = drifted_weights(held[:-1], x[m : n - 1])
+        turn = turnover(held, drifted)
+        # A stacked matmul makes the same dot call per row as `held[step] @ x[t]`.
+        gross = (held[:, None, :] @ x[m:n, :, None])[:, 0, 0]
 
         fallbacks = [(dates[step], str(failures[step])) for step in sorted(failures)]
         net = apply_transaction_costs(gross, turn, config.tcost_bp)

@@ -633,9 +633,7 @@ class BatchFit:
         )
 
 
-def fit_local_moments(
-    moments: np.ndarray, theta0: np.ndarray, *, max_iterations: int = MAX_ITERATIONS
-) -> BatchFit:
+def fit_local_moments(moments: np.ndarray, theta0: np.ndarray) -> BatchFit:
     """Maximize the local log-likelihood of P pairs given their (12, P)
     local_moments, from (P, 5) starting parameters `theta0`.
 
@@ -646,7 +644,7 @@ def fit_local_moments(
     Armijo line search in (mu1, mu2, log sigma1, log sigma2, atanh rho), and
     leave the active set once the max-norm of the wbar-normalized gradient is
     at most GRADIENT_TOL. A pair whose gradient is not finite, whose line
-    search fails, or that reaches `max_iterations` stops unconverged. Each
+    search fails, or that reaches MAX_ITERATIONS stops unconverged. Each
     pair's result depends only on its own moments and start.
     """
     effective_weight, mass = moments[10], moments[11]
@@ -672,7 +670,7 @@ def fit_local_moments(
     # their moments, one column each.
     live = np.arange(len(fitted))
     mom = moments[:10, fitted]
-    for it in range(max_iterations + 1):
+    for it in range(MAX_ITERATIONS + 1):
         point = eta[:, live]
         value, grad, hess = _objective(mom, point, hessian=True)
         grad, hess = _freeze_clipped(point, grad, hess)
@@ -681,7 +679,7 @@ def fit_local_moments(
         done = gnorm <= GRADIENT_TOL
         fit.converged[fitted[live[done]]] = True
         go = ~done & np.isfinite(gnorm)
-        if it == max_iterations or not go.any():
+        if it == MAX_ITERATIONS or not go.any():
             break
         live, mom, point, value, grad = live[go], mom[:, go], point[:, go], value[go], grad[:, go]
         step = _newton_direction(grad, hess[:, go])
@@ -701,8 +699,6 @@ def estimate_local_params(
     r,
     b,
     init: Optional[LocalParams] = None,
-    *,
-    max_iterations: int = MAX_ITERATIONS,
 ) -> Tuple[LocalParams, FitDiagnostics]:
     """Maximize the local log-likelihood at grid point r.
 
@@ -746,7 +742,7 @@ def estimate_local_params(
     moments = local_moments(
         s[None, :, 0], s[None, :, 1], np.array([[r1, r2]]), np.array([[b1, b2]])
     )
-    fit = fit_local_moments(moments, theta0.as_array()[None], max_iterations=max_iterations)
+    fit = fit_local_moments(moments, theta0.as_array()[None])
     if fit.local_mass[0] < WEIGHT_FLOOR:
         raise InsufficientLocalDataError(
             "no effective observations near grid point (%g, %g): local mass %.3e"

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DegenerateSampleError,
@@ -394,26 +395,28 @@ def pairwise_local_covariance(panel, grid, bandwidth_scale: float = 1.1) -> Loca
     return _only_date(stack, pair_diagnostics=stack.pair_diagnostics(0))
 
 
-def moving_grid(panel, t: int, lookback: int = 3) -> np.ndarray:
-    """Grid point for month index t: per-asset mean of the `lookback` prior months."""
+def moving_grid(panel, t, lookback: int = 3) -> np.ndarray:
+    """Grid point for month index t: per-asset mean of the `lookback` prior
+    months. `t` may be an array of month indices, one grid row each."""
     x = _as_matrix(panel)
     if lookback < 1:
         raise ValueError("lookback must be at least 1")
-    if t < lookback or t > x.shape[0]:
-        raise IndexError(
-            "month index %d outside [%d, %d]" % (t, lookback, x.shape[0])
-        )
-    return x[t - lookback : t].mean(axis=0)
+    t = np.asarray(t)
+    outside = t[(t < lookback) | (t > x.shape[0])]
+    if outside.size:
+        raise IndexError("month index %d outside [%d, %d]" % (outside[0], lookback, x.shape[0]))
+    return sliding_window_view(x, lookback, axis=0)[t - lookback].mean(axis=-1)
 
 
 def percentile_grid(panel, q: float) -> np.ndarray:
-    """Per-asset empirical quantile grid (linear interpolation)."""
-    x = _as_matrix(panel)
+    """Per-asset empirical quantile grid (linear interpolation) of an (n, N)
+    panel, or of each window of a (D, n, N) stack."""
+    x = _as_windows(panel) if np.ndim(panel) == 3 else _as_matrix(panel)
     if not 0.0 < q < 1.0:
         raise ValueError("quantile must lie in (0, 1), got %g" % q)
     tail = min(q, 1.0 - q)
-    if x.shape[0] * tail < 1.0:
+    if x.shape[-2] * tail < 1.0:
         raise InsufficientDataError(
             "need at least %d observations for quantile %g" % (math.ceil(1.0 / tail), q)
         )
-    return np.quantile(x, q, axis=0)
+    return np.quantile(x, q, axis=-2)

@@ -188,16 +188,21 @@ def omega(returns, threshold: float = 0.0) -> float:
     return gains / losses
 
 
-def max_drawdown(returns) -> float:
-    """Largest peak-to-trough wealth loss, in percent.
+def drawdowns(returns) -> np.ndarray:
+    """Drawdown of the wealth path, in percent: n + 1 entries, the first for
+    the initial level.
 
     Wealth compounds from 1, and the initial level counts as a peak, so a
     first-month loss is already a drawdown.
     """
     r = _as_series(returns)
-    wealth = np.cumprod(1.0 + r / 100.0)
-    peaks = np.maximum.accumulate(np.concatenate([[1.0], wealth]))[1:]
-    return float(np.max(1.0 - wealth / peaks) * 100.0)
+    wealth = np.concatenate([[1.0], np.cumprod(1.0 + r / 100.0)])
+    return (1.0 - wealth / np.maximum.accumulate(wealth)) * 100.0
+
+
+def max_drawdown(returns) -> float:
+    """Largest peak-to-trough wealth loss, in percent: the max of drawdowns."""
+    return float(drawdowns(returns).max())
 
 
 def performance_report(

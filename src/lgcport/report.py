@@ -27,7 +27,7 @@ from .backtest import (
 )
 from .errors import ConfigError
 from .localcov import global_covariance, pairwise_local_covariance, percentile_grid
-from .metrics import descriptive_stats, max_drawdown, performance_report, sharpe
+from .metrics import descriptive_stats, drawdowns, max_drawdown, performance_report, sharpe
 from .optimizer import StrategySpec
 from .panel import ReturnPanel, load_panel
 
@@ -234,20 +234,11 @@ def performance_table(
     return list(PERFORMANCE_HEADER), rows
 
 
-def _drawdowns(wealth) -> List[float]:
-    peak = 1.0
-    out = []
-    for w in wealth:
-        peak = max(peak, w)
-        out.append(100.0 * (1.0 - w / peak))
-    return out
-
-
 def wealth_table(result: BacktestResult, label: str):
     sr = result.strategies[label]
     dates = [result.inception_date] + list(result.dates)
-    dd_g = _drawdowns(sr.wealth_gross)
-    dd_n = _drawdowns(sr.wealth_net)
+    dd_g = drawdowns(sr.gross_returns)
+    dd_n = drawdowns(sr.net_returns)
     rows = [
         [dates[i], sr.wealth_gross[i], dd_g[i], sr.wealth_net[i], dd_n[i]]
         for i in range(len(dates))

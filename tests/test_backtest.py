@@ -57,6 +57,80 @@ def weights_and_returns(draw):
     return raw / raw.sum(), returns
 
 
+def ref_drifted_weights(previous, realized_pct):
+    """One month's drift of one weight vector."""
+    value = previous * (1.0 + realized_pct / 100.0)
+    total = float(value.sum())
+    if total <= 0.0:
+        raise PortfolioWipeoutError("portfolio value dropped to %g" % total)
+    return value / total
+
+
+def ref_wealth_path(returns_pct):
+    """Wealth from 1, compounded one month at a time."""
+    out = np.empty(len(returns_pct) + 1)
+    out[0] = 1.0
+    for i, ret in enumerate(returns_pct):
+        out[i + 1] = out[i] * (1.0 + ret / 100.0)
+        if out[i + 1] <= 0.0:
+            raise PortfolioWipeoutError("wealth hit %g at step %d" % (out[i + 1], i))
+    return out
+
+
+def ref_account(x, m, targets, failures, tcost_bp, charge_initial=False):
+    """One strategy's accounting, month by month: (target_weights,
+    drifted_weights, turnover, gross, net, wealth_gross, wealth_net).
+    `targets` is None for EW, which buys equal weights and then holds; a date
+    in `failures` keeps the previous month's target."""
+    n, n_assets = x.shape
+    held, drifted = np.zeros((n - m, n_assets)), np.zeros((n - m, n_assets))
+    gross, turn = np.zeros(n - m), np.zeros(n - m)
+    for step, t in enumerate(range(m, n)):
+        if step == 0:
+            target = np.full(n_assets, 1.0 / n_assets) if targets is None else targets[0]
+            drifted[0] = 0.0 if charge_initial else target
+        else:
+            drifted[step] = ref_drifted_weights(held[step - 1], x[t - 1])
+            if targets is None:
+                target = drifted[step]
+            else:
+                target = held[step - 1] if step in failures else targets[step]
+        held[step] = target
+        turn[step] = float(np.abs(target - drifted[step]).sum())
+        gross[step] = float(target @ x[t])
+    net = gross - turn * tcost_bp * 0.01
+    return held, drifted, turn, gross, net, ref_wealth_path(gross), ref_wealth_path(net)
+
+
+def record_targets(monkeypatch):
+    """Record each strategy's solved (targets, failures) as run_backtest sees
+    them, before the account pass fills in the failed dates."""
+    solved = {}
+    real = backtest_mod._solve_targets
+
+    def recording(spec, means, stack):
+        targets, failures = real(spec, means, stack)
+        solved[spec.label] = (targets.copy(), dict(failures))
+        return targets, failures
+
+    monkeypatch.setattr(backtest_mod, "_solve_targets", recording)
+    return solved
+
+
+def fail_rows(monkeypatch, rows):
+    """Make every batched solve fail at the dates `rows`."""
+    real = backtest_mod.solve_batch
+
+    def flaky(spec, sigma, mu=None):
+        weights, failures = real(spec, sigma, mu)
+        for row in rows:
+            weights[row] = np.nan
+            failures[row] = SolverError("synthetic failure")
+        return weights, failures
+
+    monkeypatch.setattr(backtest_mod, "solve_batch", flaky)
+
+
 class TestDriftedWeights:
     def test_hand_case(self):
         out = drifted_weights(np.array([0.5, 0.5]), np.array([10.0, 0.0]))
@@ -81,6 +155,19 @@ class TestDriftedWeights:
         with pytest.raises(PortfolioWipeoutError):
             drifted_weights(np.array([1.0]), np.array([-100.0]))
 
+    def test_rows_match_one_row_calls(self, rng):
+        w = rng.dirichlet(np.ones(7), size=30)
+        r = rng.uniform(-30.0, 30.0, size=(30, 7))
+        got = drifted_weights(w, r)
+        want = np.stack([drifted_weights(a, b) for a, b in zip(w, r)])
+        assert got.tobytes() == want.tobytes()
+
+    def test_stack_wipeout_reports_first_row(self):
+        w = np.full((4, 2), 0.5)
+        r = np.array([[1.0, 2.0], [-150.0, -150.0], [0.0, 0.0], [-300.0, -300.0]])
+        with pytest.raises(PortfolioWipeoutError, match=r"dropped to -0\.5$"):
+            drifted_weights(w, r)
+
 
 class TestTurnoverAndCosts:
     def test_turnover_hand_case(self):
@@ -94,6 +181,13 @@ class TestTurnoverAndCosts:
         assert turnover(a, b) == pytest.approx(want, rel=1e-13, abs=1e-300)
         assert turnover(a, b) == turnover(b, a)
         assert turnover(a, a) == 0.0
+
+    def test_rows_match_one_row_calls(self, rng):
+        a = rng.dirichlet(np.ones(9), size=25)
+        b = rng.dirichlet(np.ones(9), size=25)
+        got = turnover(a, b)
+        want = np.array([turnover(x, y) for x, y in zip(a, b)])
+        assert got.tobytes() == want.tobytes()
 
     def test_cost_hand_case(self):
         # 10 bp on turnover 0.5: 0.5 * 10 * 0.01 = 0.05 percent.
@@ -313,15 +407,66 @@ class TestBacktestMechanics:
         assert len(res.strategies["MINC-L"].gross_returns) == 16
 
     def test_percentile_window_too_short(self):
-        panel = small_panel(months=20)
+        with pytest.raises(ConfigError, match="window too short"):
+            BacktestConfig(
+                window=8,
+                strategies=specs("MINC-L"),
+                grid_method="percentile",
+                grid_quantile=0.05,
+            )
+
+
+ACCOUNT_CASES = {
+    "base": dict(tcost_bp=0.0),
+    "cost": dict(tcost_bp=25.0),
+    "charge_initial": dict(tcost_bp=25.0, charge_initial_allocation=True),
+    "two_failures": dict(tcost_bp=10.0),
+}
+
+
+class TestAccountReference:
+    @pytest.mark.parametrize("case", sorted(ACCOUNT_CASES))
+    def test_matches_month_by_month_reference(self, monkeypatch, case):
+        panel = small_panel(months=44, n_assets=4, seed=19)
+        m = 24
+        solved = record_targets(monkeypatch)
+        if case == "two_failures":
+            fail_rows(monkeypatch, [5, 6])
         cfg = BacktestConfig(
-            window=8,
-            strategies=specs("MINC-L"),
-            grid_method="percentile",
-            grid_quantile=0.05,
+            window=m, strategies=specs("EW", "MVSC", "MINC-L"), **ACCOUNT_CASES[case]
         )
-        with pytest.raises(ConfigError):
-            run_backtest(panel, cfg)
+        res = run_backtest(panel, cfg)
+        for label, sr in res.strategies.items():
+            targets, failures = solved.get(label, (None, {}))
+            if case == "two_failures" and label != "EW":
+                assert sorted(failures) == [5, 6]
+            want = ref_account(
+                panel.returns, m, targets, failures, cfg.tcost_bp, cfg.charge_initial_allocation
+            )
+            got = (
+                sr.target_weights,
+                sr.drifted_weights,
+                sr.turnover,
+                sr.gross_returns,
+                sr.net_returns,
+                sr.wealth_gross,
+                sr.wealth_net,
+            )
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.tobytes() == w.tobytes(), label
+
+    def test_wipeout_raises_the_reference_message(self, monkeypatch):
+        panel = small_panel(months=44, n_assets=4, seed=19)
+        m = 24
+        panel.returns[m + 5] = -150.0
+        panel.returns[m + 8] = -300.0
+        solved = record_targets(monkeypatch)
+        with pytest.raises(PortfolioWipeoutError) as got:
+            run_backtest(panel, BacktestConfig(window=m, strategies=specs("MVSC")))
+        targets, failures = solved["MVSC"]
+        with pytest.raises(PortfolioWipeoutError) as want:
+            ref_account(panel.returns, m, targets, failures, 1.0)
+        assert str(got.value) == str(want.value)
 
 
 class TestLocalEstimate:
@@ -393,15 +538,7 @@ class TestGlobalEstimate:
 class TestSolverFallback:
     def test_midstream_failure_reuses_previous_target(self, monkeypatch):
         panel = small_panel(months=30, n_assets=3, seed=13)
-        real = backtest_mod.solve_batch
-
-        def flaky(spec, sigma, mu=None):
-            weights, failures = real(spec, sigma, mu)
-            weights[3] = np.nan
-            failures[3] = SolverError("synthetic failure")
-            return weights, failures
-
-        monkeypatch.setattr(backtest_mod, "solve_batch", flaky)
+        fail_rows(monkeypatch, [3])
         res = run_backtest(panel, BacktestConfig(window=20, strategies=specs("MVSC")))
         s = res.strategies["MVSC"]
         assert len(s.fallbacks) == 1

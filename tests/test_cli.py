@@ -232,6 +232,18 @@ class TestErrorHandling:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
 
+    def test_short_percentile_window_fails_before_loading(self, tmp_path, capsys):
+        code = run_cli(
+            "run",
+            "--input", str(tmp_path / "missing.csv"),
+            "--out", str(tmp_path / "o"),
+            "--grid", "percentile",
+            "--windows", "10",
+        )
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ConfigError", "message": "window too short for grid quantile 0.05"}
+
     @pytest.mark.parametrize("option", ["--windows", "--tcost"])
     def test_non_numeric_list_reports_json(self, panel_file, tmp_path, capsys, option):
         code = run_cli(

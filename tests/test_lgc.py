@@ -661,13 +661,12 @@ class TestEstimateLocalParams:
         with pytest.raises(InsufficientLocalDataError):
             estimate_local_params(sample, (50.0, 50.0), b)
 
-    def test_nonconvergence_carries_diagnostics(self, rng):
+    def test_nonconvergence_carries_diagnostics(self, rng, monkeypatch):
         sample = gauss_pair(rng, 400, 0.6)
         start = LocalParams(3.0, -3.0, 0.1, 9.0, -0.8)
+        monkeypatch.setattr(lgc, "MAX_ITERATIONS", 1)
         with pytest.raises(NonConvergenceError) as err:
-            estimate_local_params(
-                sample, (0.0, 0.0), plugin_bandwidth(sample), start, max_iterations=1
-            )
+            estimate_local_params(sample, (0.0, 0.0), plugin_bandwidth(sample), start)
         assert isinstance(err.value.diagnostics, FitDiagnostics)
         assert not err.value.diagnostics.converged
 

@@ -151,6 +151,17 @@ class TestMovingGrid:
         x = np.array([[1.0], [3.0], [100.0]])
         assert moving_grid(x, 2, lookback=2) == pytest.approx([2.0])
 
+    @pytest.mark.parametrize("lookback", [1, 3, 5, 12])
+    def test_index_array_matches_per_date_means(self, lookback):
+        for x in (synth_panel().returns, synth_panel(140, 12, model="clayton", seed=5).returns):
+            ts = np.arange(lookback, len(x) + 1)
+            want = np.stack([x[t - lookback : t].mean(axis=0) for t in ts])
+            assert moving_grid(x, ts, lookback).tobytes() == want.tobytes()
+
+    def test_index_array_out_of_range_raises(self):
+        with pytest.raises(IndexError, match="month index 11"):
+            moving_grid(np.zeros((10, 2)), np.array([3, 11, 1]))
+
 
 class TestPercentileGrid:
     def test_median_of_odd_sample(self):
@@ -170,6 +181,16 @@ class TestPercentileGrid:
     def test_too_few_tail_observations(self):
         with pytest.raises(InsufficientDataError):
             percentile_grid(np.random.default_rng(0).standard_normal((10, 2)), 0.05)
+        with pytest.raises(InsufficientDataError):
+            percentile_grid(np.zeros((3, 10, 2)), 0.05)
+
+    @pytest.mark.parametrize("window", [24, 120])
+    @pytest.mark.parametrize("q", [0.05, 0.1, 0.5, 0.95])
+    def test_stack_matches_per_date_quantiles(self, window, q):
+        x = synth_panel(140, 12, model="clayton", seed=5).returns
+        windows = np.stack([x[t - window : t] for t in range(window, len(x))])
+        want = np.stack([np.quantile(w, q, axis=0) for w in windows])
+        assert percentile_grid(windows, q).tobytes() == want.tobytes()
 
 
 class TestPairwiseLocalCovariance:

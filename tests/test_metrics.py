@@ -11,6 +11,7 @@ from lgcport.metrics import (
     ceq,
     ceq_from_moments,
     descriptive_stats,
+    drawdowns,
     es_sharpe,
     historical_es,
     historical_var,
@@ -216,6 +217,29 @@ class TestMaxDrawdown:
             peak = max(peak, wealth)
             worst = max(worst, 1.0 - wealth / peak)
         assert max_drawdown(r) == pytest.approx(worst * 100.0, rel=1e-12)
+
+
+def ref_drawdowns(returns):
+    """Drawdown per row of the wealth path, the initial level first."""
+    wealth, peak, out = 1.0, 1.0, [0.0]
+    for v in returns:
+        wealth *= 1.0 + v / 100.0
+        peak = max(peak, wealth)
+        out.append(100.0 * (1.0 - wealth / peak))
+    return out
+
+
+class TestDrawdowns:
+    def test_hand_case(self):
+        # Wealth: 1, 0.95, 0.969; the initial level is the peak.
+        assert drawdowns([-5.0, 2.0]) == pytest.approx([0.0, 5.0, 3.1], rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_loop_oracle_and_max(self, seed):
+        r = np.random.default_rng(seed).uniform(-8.0, 8.0, size=150)
+        got = drawdowns(r)
+        assert got.tolist() == ref_drawdowns(r)
+        assert max_drawdown(r) == got.max()
 
 
 class TestPerformanceReport:

@@ -166,8 +166,9 @@ def wealth_path(returns_pct) -> np.ndarray:
 def _estimate(x, config: BacktestConfig, sources):
     """(means, stacks) of every date, in decimal units: means is (n_dates, N),
     and `stacks` maps each source in `sources` ("global", "local") to its
-    CovStack over all dates. A date whose estimate failed has its LgcportError
-    in the stack's `errors`; no date's estimate depends on another's."""
+    CovStack over all dates, without its `correlations`. A date whose estimate
+    failed has its LgcportError in the stack's `errors`; no date's estimate
+    depends on another's."""
     n = x.shape[0]
     m = config.window
     # windows[step] is x[t - m : t] with t = m + step, as a view.
@@ -183,6 +184,9 @@ def _estimate(x, config: BacktestConfig, sources):
         stacks["local"] = local_covariance_stack(windows, grids, config.bandwidth_scale)
     for stack in stacks.values():
         stack.matrices /= 1e4
+        # Nothing here reads the pre-repair correlations: free them before
+        # the solves.
+        stack.correlations = None
     return windows.mean(axis=1) / 100.0, stacks
 
 

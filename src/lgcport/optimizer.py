@@ -25,10 +25,11 @@ DEFAULT_LOWER_BOUND = {"MVS": -0.5, "MIN": -0.5, "MVSC": 0.0, "MINC": 0.0, "EW":
 
 KKT_TOL = 1e-8
 _RIDGE = 1e-12
-# Most problems solve_batch hands to one lockstep run: bounds its working
-# memory to a few (_CHUNK, n + 1, n + 1) arrays, however many dates a
-# window has.
-_CHUNK = 64
+# Elements per working array of one lockstep run of solve_batch, at
+# (n + 1)^2 per problem (one KKT system): the run's few (problems, n + 1,
+# n + 1) arrays stay near 2 MB each, however many dates a window has. A
+# window of 343 dates is one lockstep up to n = 26.
+_BLOCK_KKT = 2**18
 
 
 @dataclass(frozen=True)
@@ -115,20 +116,31 @@ def _solve_stack(kkt, rhs):
 def _ratio_test(w, step, free, lb):
     """Per row, the step length in [0, 1] and the first bound that blocks (or -1).
 
-    Assets are scanned in index order and a later asset blocks only when its
-    ratio is below the current step by more than 1e-15, so ties go to the
-    lowest index.
+    The rule is a scan in index order in which a later asset blocks only when
+    its ratio is below the current step by more than 1e-15, so ties go to the
+    lowest index. Where the smallest ratio is nonnegative and no other lies
+    within 1e-15 of it, the scan ends at the first argmin, so only the other
+    rows are scanned.
     """
-    alpha = np.ones(len(w))
-    block = np.full(len(w), -1)
     falling = free & (step < 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = (lb - w) / step
-    for i in np.flatnonzero(falling.any(axis=0)):
-        r = ratio[:, i]
-        take = falling[:, i] & (r < alpha - 1e-15)
-        alpha = np.where(take, np.where(r < 0.0, 0.0, r), alpha)
-        block[take] = i
+        ratio = np.where(falling, (lb - w) / step, np.inf)
+    block = np.argmin(ratio, axis=1)
+    least = ratio[np.arange(len(w)), block]
+    hit = least < 1.0 - 1e-15
+    alpha = np.where(hit, least, 1.0)
+    block[~hit] = -1
+    near = (falling & (ratio - 1e-15 <= least[:, None])).sum(axis=1)
+    rows = np.flatnonzero(~(least >= 0.0) | (near > 1))
+    if rows.size:
+        scanned, a, b = ratio[rows], np.ones(rows.size), np.full(rows.size, -1)
+        # Assets that do not fall have ratio inf and never block.
+        for i in range(ratio.shape[1]):
+            r = scanned[:, i]
+            take = r < a - 1e-15
+            a = np.where(take, np.where(r < 0.0, 0.0, r), a)
+            b[take] = i
+        alpha[rows], block[rows] = a, b
     return alpha, block
 
 
@@ -261,9 +273,11 @@ def solve_batch(spec: StrategySpec, sigma, mu=None):
     w = np.empty(c.shape)
     failures = {}
     ridge = _RIDGE * np.eye(n)
-    for lo in range(0, len(s), _CHUNK):
-        part = slice(lo, lo + _CHUNK)
-        q = scale * s[part] + ridge
+    per_run = max(1, _BLOCK_KKT // (n + 1) ** 2)
+    for lo in range(0, len(s), per_run):
+        part = slice(lo, lo + per_run)
+        q = scale * s[part]
+        q += ridge
         w[part], lam, pi, _, failed = _active_set_qp(q, c[part], spec.lower_bound)
         _verify_kkt(w[part], lam, pi, q, c[part], spec.lower_bound, failed)
         failures.update((lo + i, err) for i, err in failed.items())

@@ -157,16 +157,20 @@ def test_batch_of_p_equals_p_batches_of_one(problem):
 @settings(max_examples=200, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    rows=st.integers(1, 5),
+    rows=st.integers(1, 8),
     n=st.integers(1, 8),
     lb=st.sampled_from([-0.5, 0.0]),
 )
 def test_ratio_test_matches_scalar_scan(seed, rows, n, lb):
     # Ratios a few ulps apart, weights at or just below the floor, and rising
-    # or pinned assets exercise the 1e-15 tie rule and the clamp at 0.
+    # or pinned assets exercise the 1e-15 tie rule and the clamp at 0: rows
+    # with near-ties or negative ratios take the scan. Rows whose ratios are
+    # spread out take the argmin, and one call mixes both kinds.
     rng = np.random.default_rng(seed)
     ulps = rng.integers(-8, 9, (rows, n))
-    ratio = rng.uniform(0.05, 1.5) * (1.0 + np.finfo(float).eps * ulps)
+    ratio = rng.uniform(0.05, 1.5, (rows, 1)) * (1.0 + np.finfo(float).eps * ulps)
+    spread = rng.random(rows) < 0.5
+    ratio[spread] = rng.uniform(0.05, 1.5, (spread.sum(), n))
     w = lb + rng.choice([0.0, -1e-17, 0.3], size=(rows, n)) * rng.uniform(0.5, 1.0, (rows, n))
     step = np.where(w > lb, (lb - w) / ratio, -rng.uniform(0.1, 1.0, (rows, n)))
     step *= rng.choice([1.0, 1.0, -1.0], size=(rows, n))
@@ -174,6 +178,36 @@ def test_ratio_test_matches_scalar_scan(seed, rows, n, lb):
     alpha, block = _ratio_test(w, step, free, lb)
     for r in range(rows):
         want_alpha, want_block = reference_ratio_test(w[r], step[r], free[r], lb)
+        assert block[r] == want_block
+        assert np.array_equal(alpha[r], want_alpha)
+
+
+def test_ratio_test_scans_rows_where_argmin_differs():
+    # With lb = 0 and step = -1 every falling asset's ratio is its weight.
+    # Rows 1-3 are those where the first argmin is not the scan's answer: a
+    # negative minimum, a ratio 5e-16 above the minimum ahead of it, and an
+    # exact tie. The others take the argmin: a plain minimum, a minimum above
+    # 1 - 1e-15, no falling asset, and a negative ratio on a pinned asset.
+    w = np.array([
+        [0.5, 0.3, 0.7],
+        [-2e-3, -1e-3, 0.5],
+        [0.3 + 5e-16, 0.3, 0.9],
+        [0.4, 0.4, 0.1],
+        [1.5, 1.0 - 1e-16, 2.0],
+        [0.2, 0.1, 0.3],
+        [-0.2, 0.6, 0.4],
+    ])
+    step = np.full(w.shape, -1.0)
+    step[5] = 1.0
+    free = np.ones(w.shape, dtype=bool)
+    free[3, 2] = free[6, 0] = False
+    alpha, block = _ratio_test(w, step, free, 0.0)
+    assert block.tolist() == [1, 1, 0, 0, -1, -1, 2]
+    assert alpha.tolist() == [0.3, 0.0, 0.3 + 5e-16, 0.4, 1.0, 1.0, 0.4]
+    first = np.argmin(np.where(free & (step < 0.0), w, np.inf), axis=1)
+    assert first[1:3].tolist() == [0, 1]
+    for r in range(len(w)):
+        want_alpha, want_block = reference_ratio_test(w[r], step[r], free[r], 0.0)
         assert block[r] == want_block
         assert np.array_equal(alpha[r], want_alpha)
 
@@ -197,7 +231,18 @@ def test_tiny_scale_paths_match_reference(kind, lb):
 
 
 def test_batch_across_chunks_matches_single_solves(rng, monkeypatch):
-    p, n = 2 * optimizer._CHUNK + 5, 5
+    # A budget of 32 problems (and a remainder) of (n + 1)^2 elements: the
+    # batch runs as three locksteps, the last of them one problem.
+    p, n = 65, 5
+    monkeypatch.setattr(optimizer, "_BLOCK_KKT", 32 * (n + 1) ** 2 + 35)
+    runs = []
+    lockstep = optimizer._active_set_qp
+
+    def recorded(q, c, lb):
+        runs.append(len(c))
+        return lockstep(q, c, lb)
+
+    monkeypatch.setattr(optimizer, "_active_set_qp", recorded)
     a = rng.standard_normal((p, n, n))
     sigma = a @ a.transpose(0, 2, 1) + 0.1 * np.eye(n)
     mu = 0.3 * rng.standard_normal((p, n))
@@ -205,7 +250,9 @@ def test_batch_across_chunks_matches_single_solves(rng, monkeypatch):
     singles = np.concatenate(
         [solve_batch(spec, sigma[i : i + 1], mu[i : i + 1])[0] for i in range(p)]
     )
+    runs.clear()
     w, failures = solve_batch(spec, sigma, mu)
+    assert runs == [32, 32, 1]
     assert not failures
     assert np.array_equal(w, singles)
 
@@ -224,6 +271,27 @@ def test_batch_across_chunks_matches_single_solves(rng, monkeypatch):
     assert sorted(failures) == np.flatnonzero(rejected).tolist()
     assert np.all(np.isnan(w[rejected]))
     assert np.array_equal(w[~rejected], singles[~rejected])
+
+
+@pytest.mark.parametrize("kind", ["MVSC", "MIN"])
+def test_window_of_wide_problems_matches_reference(kind):
+    # A strategy-window of the global_wide benchmark: 343 dates of 24 Clayton
+    # assets, window 120, solved as one lockstep.
+    n_dates, n = 343, 24
+    assert optimizer._BLOCK_KKT // (n + 1) ** 2 >= n_dates
+    x = synth_panel(months=n_dates + 120, n_assets=n, model="clayton", seed=3).returns
+    windows = np.lib.stride_tricks.sliding_window_view(x, 120, axis=0)[:n_dates]
+    windows = windows.transpose(0, 2, 1)
+    centred = windows - windows.mean(axis=1, keepdims=True)
+    sigma = (centred.transpose(0, 2, 1) @ centred) / 119.0 / 1e4
+    mu = windows.mean(axis=1) / 100.0
+    spec = StrategySpec(kind)
+    w, failures = solve_batch(spec, sigma, mu)
+    assert not failures
+    q, c = objective_terms(spec, sigma, mu)
+    for i in range(n_dates):
+        w_ref = reference_active_set_qp(q[i], c[i], spec.lower_bound)[0]
+        assert np.array_equal(w[i], w_ref)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,14 +1,20 @@
 """Synthetic panel generators: determinism, dependence shape, validation."""
 
 import hashlib
+import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
+import lgcport
 from lgcport.synth import (
     DEFAULT_NAMES,
     clayton_normal_sample,
+    ndtri,
     sample_clayton_uniforms,
     synth_panel,
 )
@@ -166,6 +172,39 @@ class TestClaytonModel:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
             sample_clayton_uniforms(rng, 10, 2, 0.0)
+
+    def test_ndtri_matches_scipy_bit_for_bit(self):
+        # The branch points exp(-2), 1 - exp(-2) and exp(-32) with their
+        # neighbours, both tails down to the smallest subnormal, the ends 0
+        # and 1, and uniform draws.
+        edges = [math.exp(-2.0), 1.0 - math.exp(-2.0), math.exp(-32.0), 0.5]
+        near = [np.nextafter(v, d) for v in edges for d in (0.0, 1.0)]
+        u = np.concatenate([
+            edges, near, [0.0, 1.0, 5e-324, 2.0**-53, 1.0 - 2.0**-53],
+            np.logspace(-323, -0.3, 4001),
+            1.0 - np.logspace(-16, -0.3, 2001),
+            np.linspace(0.0, 1.0, 10_001),
+            np.random.default_rng(13).random(200_000),
+        ])
+        got, want = ndtri(u), special.ndtri(u)
+        assert got.shape == u.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert ndtri(0.0) == -np.inf and ndtri(1.0) == np.inf
+        assert np.all(np.isnan(ndtri(np.array([-0.1, 1.1, np.nan]))))
+
+    def test_clayton_panel_leaves_scipy_unimported(self):
+        code = (
+            "import sys; from lgcport.synth import synth_panel; "
+            "synth_panel(months=30, n_assets=3, model='clayton', seed=1); "
+            "print('scipy' in sys.modules, 'scipy.special' in sys.modules)"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(lgcport.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "False"]
 
 
 class TestValidation:

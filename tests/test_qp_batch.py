@@ -2,19 +2,30 @@
 
 `reference_active_set_qp` is the sequential solver the package used before
 the batched one, kept as the oracle (it also returns its final active set,
-and its ratio test is split out): the batched solver must follow each
-problem's exact iterate path.
+and its ratio test is split out). It starts every problem at equal weights:
+the batched solver must follow that exact iterate path wherever it does not
+restart a problem at its best vertex, and reach the same active set where it
+does. `enumerated_optimum` is an oracle that shares no code with either.
 """
+
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lgcport.backtest import BacktestConfig, run_backtest
+from lgcport.backtest import BacktestConfig, _estimate, run_backtest
 from lgcport.errors import InfeasibleError, SolverError
 import lgcport.optimizer as optimizer
-from lgcport.optimizer import StrategySpec, _active_set_qp, _ratio_test, solve_batch
+from lgcport.optimizer import (
+    KKT_TOL,
+    StrategySpec,
+    _active_set_qp,
+    _ratio_test,
+    _vertex_starts,
+    solve_batch,
+)
 from lgcport.synth import synth_panel
 
 
@@ -276,7 +287,10 @@ def test_batch_across_chunks_matches_single_solves(rng, monkeypatch):
 @pytest.mark.parametrize("kind", ["MVSC", "MIN"])
 def test_window_of_wide_problems_matches_reference(kind):
     # A strategy-window of the global_wide benchmark: 343 dates of 24 Clayton
-    # assets, window 120, solved as one lockstep.
+    # assets, window 120, solved as one lockstep. MVSC's budget-only optimum
+    # breaks most bounds, so every date restarts at its best vertex: the same
+    # active set by a shorter path, with weights that agree within 1e-14.
+    # MIN binds no bound and keeps the reference's path bit for bit.
     n_dates, n = 343, 24
     assert optimizer._BLOCK_KKT // (n + 1) ** 2 >= n_dates
     x = synth_panel(months=n_dates + 120, n_assets=n, model="clayton", seed=3).returns
@@ -289,9 +303,162 @@ def test_window_of_wide_problems_matches_reference(kind):
     w, failures = solve_batch(spec, sigma, mu)
     assert not failures
     q, c = objective_terms(spec, sigma, mu)
+    active = _active_set_qp(q, c, spec.lower_bound)[3]
+    tol = 0.0 if kind == "MIN" else 1e-14
     for i in range(n_dates):
-        w_ref = reference_active_set_qp(q[i], c[i], spec.lower_bound)[0]
-        assert np.array_equal(w[i], w_ref)
+        w_ref, _, _, active_ref = reference_active_set_qp(q[i], c[i], spec.lower_bound)
+        assert np.array_equal(active[i], active_ref)
+        assert np.max(np.abs(w[i] - w_ref)) <= tol
+
+
+def enumerated_optimum(q, c, lb):
+    """Every (w, active set) whose KKT point is feasible with multipliers >= 0.
+
+    Each active set A pins w_A at lb; the free weights and the budget
+    multiplier solve the equality-constrained KKT system on the rest. Where Q
+    is positive definite the optimum is unique, so every point kept is it (a
+    degenerate optimum, a weight at lb with a zero multiplier, is kept under
+    more than one set).
+    """
+    n = len(c)
+    kept = []
+    for n_active in range(n):
+        for pinned in itertools.combinations(range(n), n_active):
+            active = np.zeros(n, dtype=bool)
+            active[list(pinned)] = True
+            free = ~active
+            k = int(free.sum())
+            kkt = np.zeros((k + 1, k + 1))
+            kkt[:k, :k] = q[np.ix_(free, free)]
+            kkt[:k, k] = -1.0
+            kkt[k, :k] = 1.0
+            rhs = np.append(-c[free] - lb * q[np.ix_(free, active)].sum(axis=1), 1.0 - lb * n_active)
+            sol = np.linalg.solve(kkt, rhs)
+            w = np.full(n, lb)
+            w[free] = sol[:k]
+            mult = (q @ w + c - sol[k])[active]
+            if np.all(w[free] >= lb - 1e-12) and np.all(mult >= -1e-12):
+                kept.append((w, active))
+    return kept
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 7),
+    p=st.integers(1, 4),
+    floor=st.sampled_from(["short", "long", "random"]),
+    kind=st.sampled_from(["MVS", "MVSC", "MIN", "MINC"]),
+    data=st.data(),
+)
+def test_matches_active_set_enumeration(n, p, floor, kind, data):
+    # Well-conditioned problems only (smallest eigenvalue of Q far above
+    # KKT_TOL), where the optimum and, away from degeneracy, its active set
+    # are unique. Means up to 10x the covariance's scale push the budget-only
+    # optimum across many bounds, so many problems restart.
+    if floor == "random":
+        lb = data.draw(st.floats(-1.0, 1.0 / n, allow_nan=False, exclude_max=True))
+    else:
+        lb = -0.5 if floor == "short" else 0.0
+    scale = 10.0 ** data.draw(st.integers(-4, 2))
+    ridge = data.draw(st.floats(0.05, 1.0))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    # Factors of unequal size make minimum-variance weights go short.
+    a = rng.standard_normal((p, n, n)) * 10.0 ** rng.uniform(-1.0, 1.0, (p, 1, n))
+    sigma = scale * ((a @ a.transpose(0, 2, 1)) / n + ridge * np.eye(n))
+    mu = scale * rng.standard_normal((p, n)) * data.draw(st.floats(0.0, 10.0))
+    spec = StrategySpec(kind, gamma=data.draw(st.floats(0.5, 4.0)), lower_bound=lb)
+    q, c = objective_terms(spec, sigma, mu)
+    assert np.all(np.linalg.eigvalsh(q)[:, 0] >= KKT_TOL)
+    w, failures = solve_batch(spec, sigma, mu)
+    assert not failures
+    active = _active_set_qp(q, c, lb)[3]
+    for i in range(p):
+        kept = enumerated_optimum(q[i], c[i], lb)
+        assert kept
+        assert np.max(np.abs(w[i] - kept[0][0])) <= 1e-10
+        assert any(np.array_equal(active[i], want) for _, want in kept)
+
+
+def budget_only_optimum(q, c):
+    """Each problem's minimizer under the budget constraint alone."""
+    p, n = c.shape
+    kkt = np.zeros((p, n + 1, n + 1))
+    kkt[:, :n, :n] = q
+    kkt[:, :n, n] = -1.0
+    kkt[:, n, :n] = 1.0
+    rhs = np.append(-c, np.ones((p, 1)), axis=1)
+    return np.linalg.solve(kkt, rhs[:, :, None])[:, :n, 0]
+
+
+@pytest.mark.parametrize(
+    "kind, v",
+    [
+        # Two copies of one asset: the budget-only optimum breaks 1 of 3 bounds,
+        # so the n/3 rule alone keeps it from the vertex start.
+        ("MVS", [2.37e-5, 2.37e-5, 4.48e-5]),
+        # This one breaks 2 of 4, and only the curvature guard keeps it from
+        # the vertex (1, 0, 0, 0). That point's KKT residual also passes
+        # KKT_TOL: the two differ in the 1e-12 ridge term alone, so the weights
+        # would move by 0.5.
+        ("MVSC", [1e-6, 1e-6, 1.156e-5, 1.681e-5]),
+    ],
+)
+def test_rank_one_covariance_keeps_reference_path(kind, v):
+    # Sigma = v v' exactly (v is the square root of its diagonal), so the
+    # smallest eigenvalue of Q is the 1e-12 ridge.
+    root = np.sqrt(np.array(v))
+    sigma = np.outer(root, root)[None]
+    mu = np.zeros((1, len(v)))
+    spec = StrategySpec(kind, gamma=1.0)
+    q, c = objective_terms(spec, sigma, mu)
+    assert np.linalg.eigvalsh(q[0])[0] < KKT_TOL
+    broken = (budget_only_optimum(q, c) < spec.lower_bound).sum()
+    assert broken == (1 if kind == "MVS" else 2)
+    w, failures = solve_batch(spec, sigma, mu)
+    assert not failures
+    assert np.array_equal(w[0], reference_active_set_qp(q[0], c[0], spec.lower_bound)[0])
+
+
+def test_repaired_tail_stack_keeps_reference_path():
+    # The local stack of the tail_wide benchmark at panel seed 5: 12 Clayton
+    # assets, window 120, a 5% percentile grid. Every date is PD-repaired to a
+    # smallest eigenvalue near 1e-12, under KKT_TOL, so no problem restarts.
+    panel = synth_panel(months=140, n_assets=12, model="clayton", seed=5)
+    specs = [StrategySpec.from_label(label) for label in ("MIN-L", "MVS-L")]
+    config = BacktestConfig(window=120, strategies=specs, grid_method="percentile")
+    means, stacks = _estimate(panel.returns, config, {"local"})
+    sigma = stacks["local"].matrices
+    assert not stacks["local"].errors and stacks["local"].pd_repaired.all()
+    for spec in specs:
+        w, failures = solve_batch(spec, sigma, means)
+        assert not failures
+        q, c = objective_terms(spec, sigma, means)
+        for i in range(len(sigma)):
+            assert np.array_equal(w[i], reference_active_set_qp(q[i], c[i], spec.lower_bound)[0])
+
+
+def test_mixed_stack_solves_each_problem_as_alone(rng):
+    # Long-only mean-variance problems whose budget-only optimum breaks most
+    # bounds: the full-rank half restarts at its best vertex, the rank-two
+    # half (smallest eigenvalue the 1e-12 ridge) keeps the reference path.
+    p, n = 12, 8
+    full = np.arange(p) % 2 == 0
+    a = rng.standard_normal((p, n, n))
+    a[~full, :, 2:] = 0.0
+    sigma = 1e-3 * (a @ a.transpose(0, 2, 1)) / n
+    sigma[full] += 1e-4 * np.eye(n)
+    mu = 3e-3 * rng.standard_normal((p, n))
+    spec = StrategySpec("MVSC")
+    q, c = objective_terms(spec, sigma, mu)
+    restarted, _ = _vertex_starts(q, c, spec.lower_bound, budget_only_optimum(q, c))
+    assert restarted.tolist() == list(range(0, p, 2))
+    assert np.all(3 * (budget_only_optimum(q, c) < 0.0).sum(axis=1) > n)
+    w, failures = solve_batch(spec, sigma, mu)
+    assert not failures
+    for i in range(p):
+        assert np.array_equal(w[i], solve_batch(spec, sigma[i : i + 1], mu[i : i + 1])[0][0])
+        if i % 2:
+            assert np.array_equal(w[i], reference_active_set_qp(q[i], c[i], 0.0)[0])
 
 
 @settings(max_examples=100, deadline=None)

@@ -49,6 +49,11 @@ _BLOCK_PAIR_OBS = 3 * 2**13
 # that numpy's per-call overhead does not dominate.
 _BLOCK_PAIRS = 2048
 
+# Matrix elements (dates x N x N) that the PD repair of a covariance stack
+# takes at a time: 512 kB per (dates, N, N) copy, or 1,820 dates at N = 6,
+# 113 at N = 24 and 28 at N = 48, whatever the blocks of the estimate.
+_BLOCK_REPAIR = 2**16
+
 # The per-pair fields of a LocalCovStack (FitDiagnostics' fields) and their dtypes.
 _PAIR_FIELDS = (
     ("converged", bool), ("iterations", int), ("gradient_norm", float),
@@ -116,7 +121,7 @@ def nearest_correlation(corr: np.ndarray) -> np.ndarray:
 
 
 def _repair(cov: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Repair each matrix of a symmetric (k, N, N) stack to positive
+    """Symmetrize each matrix of a (k, N, N) stack and repair it to positive
     definiteness, if needed. Returns the (k, N, N) matrices and (k,) flags of
     those repaired.
 
@@ -126,6 +131,9 @@ def _repair(cov: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     rescaled back; then their spectrum is floored at PD_TOL times the largest
     eigenvalue. A matrix's result does not depend on its stack.
     """
+    # Halved in place: one (k, N, N) temporary, not two.
+    cov = cov + cov.transpose(0, 2, 1)
+    cov /= 2.0
     vals = np.linalg.eigvalsh(cov)
     top = vals[:, -1]
     repaired = ~((top > 0.0) & (vals[:, 0] >= PD_TOL * top))
@@ -155,10 +163,12 @@ def nearest_pd(matrix) -> Tuple[np.ndarray, bool]:
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square, got shape %r" % (m.shape,))
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix contains non-finite values")
     scale = float(np.max(np.abs(m))) if m.size else 0.0
     if not np.allclose(m, m.T, rtol=0.0, atol=1e-12 * max(scale, 1.0)):
         raise NonSymmetricError("matrix is not symmetric")
-    out, repaired = _repair(((m + m.T) / 2.0)[None])
+    out, repaired = _repair(m[None])
     return out[0], bool(repaired[0])
 
 
@@ -220,11 +230,18 @@ def _as_windows(windows) -> np.ndarray:
     return w
 
 
-def _write_repaired(out: CovStack, idx, cov) -> None:
-    """Write the covariances `cov` of the dates `idx` into `out`, symmetrized
-    and repaired to positive definiteness where needed."""
-    cov = (cov + cov.transpose(0, 2, 1)) / 2.0
-    out.matrices[idx], out.pd_repaired[idx] = _repair(cov)
+def _ok_dates(out: CovStack) -> np.ndarray:
+    """The dates of `out` without an error."""
+    return np.flatnonzero(~np.isin(np.arange(len(out.matrices)), list(out.errors)))
+
+
+def _repair_dates(out: CovStack, ok) -> None:
+    """Repair the assembled covariances of the dates `ok` of `out` in place,
+    in blocks of at most _BLOCK_REPAIR matrix elements (see _repair)."""
+    per_block = max(1, _BLOCK_REPAIR // out.matrices.shape[1] ** 2)
+    for lo in range(0, ok.size, per_block):
+        idx = ok[lo : lo + per_block]
+        out.matrices[idx], out.pd_repaired[idx] = _repair(out.matrices[idx])
 
 
 def global_covariance_stack(windows) -> CovStack:
@@ -232,9 +249,11 @@ def global_covariance_stack(windows) -> CovStack:
     (D, n, N) stack, PD-repaired if needed.
 
     A date with a zero-variance column gets a DegenerateSampleError in
-    `errors`, and n < 2 fails every date. The dates are done in blocks of at
-    most 24,576 observations (n x N per date), or of one date; a date's
-    result does not depend on its block.
+    `errors`, and n < 2 fails every date; a non-finite window raises
+    ValueError for the whole stack. The covariances are assembled in blocks
+    of at most 24,576 observations (n x N per date), or of one date, and then
+    repaired in blocks of at most 65,536 matrix elements (N x N per date);
+    a date's result does not depend on its blocks.
     """
     w = _as_windows(windows)
     n_dates, n, n_assets = w.shape
@@ -246,6 +265,8 @@ def global_covariance_stack(windows) -> CovStack:
     per_block = max(1, _BLOCK_PAIR_OBS // (n * n_assets))
     for lo in range(0, n_dates, per_block):
         block = w[lo : lo + per_block]
+        if not np.all(np.isfinite(block)):
+            raise ValueError("sample contains non-finite values")
         centred = block - block.mean(axis=1, keepdims=True)
         cov = centred.transpose(0, 2, 1) @ centred
         cov *= 1.0 / (n - 1)
@@ -255,7 +276,8 @@ def global_covariance_stack(windows) -> CovStack:
             out.errors[int(lo + d)] = DegenerateSampleError("a column has zero variance")
         ok, sd = np.flatnonzero(~flat), np.sqrt(var[~flat])
         out.correlations[lo + ok] = cov[ok] / (sd[:, :, None] * sd[:, None, :])
-        _write_repaired(out, lo + ok, cov[ok])
+        out.matrices[lo + ok] = cov[ok]
+    _repair_dates(out, _ok_dates(out))
     return out
 
 
@@ -294,8 +316,10 @@ def local_covariance_stack(windows, grids, bandwidth_scale: float = 1.1) -> Loca
     blocks of consecutive dates, one Newton pass per block of at most 2,048
     pairs (or one date if a date alone holds more). A block's samples are
     reduced to kernel-weighted moments a slice of at most 24,576
-    pair-observations (pairs x n) at a time. A date's result does not depend
-    on the block or slice it lands in.
+    pair-observations (pairs x n) at a time. Once every date is assembled,
+    the dates are repaired in blocks of their own, of at most 65,536 matrix
+    elements (N x N per date). A date's result does not depend on the block,
+    slice or repair block it lands in.
     """
     w = _as_windows(windows)
     n_dates, n, n_assets = w.shape
@@ -314,10 +338,11 @@ def local_covariance_stack(windows, grids, bandwidth_scale: float = 1.1) -> Loca
         block, errors = _plugin_bandwidths(w[lo : lo + per_block], bandwidth_scale)
         bandwidths[lo : lo + per_block] = block
         out.errors.update({lo + d: err for d, err in errors.items()})
-    ok = np.flatnonzero(~np.isin(np.arange(n_dates), list(out.errors)))
+    ok = _ok_dates(out)
     per_block = max(1, _BLOCK_PAIRS // n_pairs)
     for lo in range(0, ok.size, per_block):
         _fit_block(out, ok[lo : lo + per_block], w, g, bandwidths)
+    _repair_dates(out, ok)
     return out
 
 
@@ -348,7 +373,8 @@ def _block_moments(idx, windows, grids, bandwidths):
 
 def _fit_block(out: LocalCovStack, idx, windows, grids, bandwidths) -> None:
     """Fit every pair of the dates `idx` in one Newton pass and write the
-    dates' estimates into `out` (see local_covariance_stack)."""
+    dates' estimates into `out`, their covariances before repair (see
+    local_covariance_stack)."""
     n_dates, n, n_assets = len(idx), windows.shape[1], windows.shape[2]
     first, second = np.triu_indices(n_assets, 1)
     moments, mle = _block_moments(idx, windows, grids, bandwidths)
@@ -374,7 +400,7 @@ def _fit_block(out: LocalCovStack, idx, windows, grids, bandwidths) -> None:
     cov[:, assets, assets] = sd * sd
     cov *= n / (n - 1)
 
-    _write_repaired(out, idx, cov)
+    out.matrices[idx] = cov
     out.correlations[idx] = corr
     out.fallback[idx] = fallback.reshape(n_dates, -1)
     for name in ("converged", "iterations", "gradient_norm", "effective_weight"):

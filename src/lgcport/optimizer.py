@@ -109,19 +109,25 @@ def _check_inputs(sigma, mu, lower_bound):
     return s, mu, n
 
 
-def _solve_stack(kkt, rhs):
-    """np.linalg.solve over a stack; singular members come back as NaN, flagged."""
+def _stacked(lapack, *stacks):
+    """`lapack` (np.linalg.solve, say) over stacks of problems, and the (P,)
+    flags of the problems it fails on.
+
+    If the stacked call raises LinAlgError, it is repeated one problem at a
+    time: a failed problem is flagged and its result is NaN, in an array of
+    the last stack's shape.
+    """
+    failed = np.zeros(len(stacks[0]), dtype=bool)
     try:
-        return np.linalg.solve(kkt, rhs), np.zeros(len(kkt), dtype=bool)
+        return lapack(*stacks), failed
     except np.linalg.LinAlgError:
-        out = np.full(rhs.shape, np.nan)
-        singular = np.zeros(len(kkt), dtype=bool)
-        for i in range(len(kkt)):
+        out = np.full(stacks[-1].shape, np.nan)
+        for i, problem in enumerate(zip(*stacks)):
             try:
-                out[i] = np.linalg.solve(kkt[i], rhs[i])
+                out[i] = lapack(*problem)
             except np.linalg.LinAlgError:
-                singular[i] = True
-        return out, singular
+                failed[i] = True
+        return out, failed
 
 
 def _ratio_test(w, step, free, lb):
@@ -159,23 +165,15 @@ def _curved(q, rows):
     """The `rows` of the stack `q` whose smallest eigenvalue is at least KKT_TOL.
 
     The test is a Cholesky of Q - KKT_TOL*I, stacked over blocks of
-    _BLOCK_GUARD elements and repeated one problem at a time in a block where
-    it fails.
+    _BLOCK_GUARD elements (see _stacked).
     """
     n = q.shape[1]
     shift = KKT_TOL * np.eye(n)
     per_block = max(1, _BLOCK_GUARD // (n * n))
     keep = np.ones(rows.size, dtype=bool)
     for lo in range(0, rows.size, per_block):
-        shifted = q[rows[lo : lo + per_block]] - shift
-        try:
-            np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            for r, one in enumerate(shifted, lo):
-                try:
-                    np.linalg.cholesky(one)
-                except np.linalg.LinAlgError:
-                    keep[r] = False
+        _, failed = _stacked(np.linalg.cholesky, q[rows[lo : lo + per_block]] - shift)
+        keep[lo : lo + per_block] = ~failed
     return rows[keep]
 
 
@@ -251,7 +249,7 @@ def _active_set_qp(q, c, lb):
             rhs = np.empty((rows.size, size + 1, 1))
             rhs[:, :size, 0] = -c[idx[:, None], fi] - (q_fa @ w[idx[:, None], ai, None])[:, :, 0]
             rhs[:, size, 0] = 1.0 - lb * float(n - size)
-            sol, singular[rows] = _solve_stack(kkt, rhs)
+            sol, singular[rows] = _stacked(np.linalg.solve, kkt, rhs)
             step[rows[:, None], fi] = sol[:, :size, 0] - w[idx[:, None], fi]
             lam[idx] = sol[:, size, 0]
         for i in live[singular]:

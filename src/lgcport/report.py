@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -109,12 +110,16 @@ def _bp_tag(bp: float) -> str:
     return ("%g" % bp) + "bp"
 
 
+def _write_rows(fh, header: Sequence[str], rows, lineterminator: str = "\r\n") -> None:
+    writer = csv.writer(fh, lineterminator=lineterminator)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_fmt(v) for v in row])
+
+
 def _write_csv(path, header: Sequence[str], rows) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        _write_rows(fh, header, rows)
 
 
 def _sha256(path) -> str:
@@ -366,8 +371,6 @@ def _write_file(outdir, name, header, rows, files: List[str]) -> None:
 
 def describe_text(panel: ReturnPanel, quantile: float, bandwidth_scale: float) -> str:
     """The asset overview table as CSV text (the `describe` command body)."""
-    header, rows = asset_table(panel, quantile, bandwidth_scale)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+    text = io.StringIO()
+    _write_rows(text, *asset_table(panel, quantile, bandwidth_scale), lineterminator="\n")
+    return text.getvalue()

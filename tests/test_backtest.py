@@ -472,7 +472,8 @@ class TestAccountReference:
 class TestLocalEstimate:
     def test_one_fit_call_per_block_and_one_repair_per_date(self, monkeypatch):
         # 36 dates of 6 pairs x 24 months: Newton passes of 10 dates (4
-        # passes), each reduced to moments in slices of 5 dates (8 slices).
+        # passes), each reduced to moments in slices of 5 dates (8 slices),
+        # and then one repair block of all 36 dates.
         calls = {"moments": 0, "newton": 0, "repair": 0}
 
         def counting(name, fn):
@@ -502,11 +503,11 @@ class TestLocalEstimate:
         monkeypatch.setattr(localcov_mod, "_BLOCK_PAIR_OBS", 5 * 6 * 24)
         monkeypatch.setattr(localcov_mod, "_BLOCK_PAIRS", 10 * 6)
         res = run_backtest(panel, BacktestConfig(window=24, strategies=specs("MINC-L")))
-        # One stacked repair per Newton pass sees every date once, and
-        # repairs only the dates that fail its PD check.
+        # One stacked repair, whatever the Newton passes, sees every date
+        # once, and repairs only the dates that fail its PD check.
         repaired = [diag["local_pd_repaired"] for diag in res.date_diagnostics]
         assert 0 < sum(repaired) < 36
-        assert calls == {"moments": 8, "newton": 4, "repair": 4}
+        assert calls == {"moments": 8, "newton": 4, "repair": 1}
         assert flags == repaired
         for diag in res.date_diagnostics:
             assert set(diag) == {"date", "local_pd_repaired", "pair_fallbacks"}

@@ -1,5 +1,7 @@
 """Command line interface and report files: schema, determinism, errors."""
 
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -7,12 +9,14 @@ import sys
 import pytest
 
 from lgcport.cli import main
+from lgcport.panel import ReturnPanel, write_panel
 from lgcport.report import (
     PERFORMANCE_HEADER,
     REPORT_SCHEMA_VERSION,
     STRATEGY_STATS_HEADER,
     WEALTH_HEADER,
 )
+from lgcport.synth import synth_panel
 
 
 def run_cli(*argv):
@@ -190,6 +194,16 @@ class TestDescribeCommand:
         code = run_cli("describe", "--input", str(panel_file), "--out", str(target))
         assert code == 0
         assert target.read_text().startswith("section,row,")
+
+    def test_names_with_commas_and_quotes_round_trip(self, tmp_path, capsys):
+        names = ["Stocks, large", 'Bonds "10y"', "Cash"]
+        path = tmp_path / "panel.csv"
+        panel = synth_panel(months=48, n_assets=3, seed=7)
+        write_panel(ReturnPanel(names, panel.dates, panel.returns), path)
+        assert run_cli("describe", "--input", str(path)) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert rows[0] == ["section", "row"] + names
+        assert all(len(row) == len(rows[0]) for row in rows)
 
 
 class TestErrorHandling:

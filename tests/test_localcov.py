@@ -86,6 +86,12 @@ class TestNearestPd:
         with pytest.raises(NonSymmetricError):
             nearest_pd(np.array([[1.0, 0.5], [0.2, 1.0]]))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            nearest_pd(np.array([[1.0, 0.5], [0.5, bad]]))
+
     def test_correlation_stage_beats_clipping(self, rng):
         for n in (3, 5, 8):
             for _ in range(10):
@@ -434,6 +440,31 @@ class TestLocalCovarianceStack:
             for name in ("matrices", "correlations", "pd_repaired", "iterations", "fallback"):
                 assert np.array_equal(getattr(run, name), getattr(runs[0], name))
 
+    def test_a_date_does_not_depend_on_its_repair_block(self, monkeypatch):
+        # 30 dates of the paper's run, two of them (104 and 105) repaired,
+        # one date per Newton pass; the repair blocks hold 1, 7 or 30 dates.
+        windows, grids = c11_windows(120, 120)
+        windows, grids = windows[90:], grids[90:]
+        monkeypatch.setattr(localcov, "_BLOCK_PAIRS", 15)
+        sizes = []
+        real_repair = localcov._repair
+
+        def repair(cov):
+            sizes.append(len(cov))
+            return real_repair(cov)
+
+        monkeypatch.setattr(localcov, "_repair", repair)
+        runs = []
+        for dates_per_block, blocks in ((1, [1] * 30), (7, [7] * 4 + [2]), (30, [30])):
+            monkeypatch.setattr(localcov, "_BLOCK_REPAIR", dates_per_block * 36)
+            sizes.clear()
+            runs.append(local_covariance_stack(windows, grids))
+            assert sizes == blocks
+        assert np.flatnonzero(runs[0].pd_repaired).tolist() == [14, 15]
+        for run in runs[1:]:
+            for name in ("matrices", "correlations", "pd_repaired"):
+                assert np.array_equal(getattr(run, name), getattr(runs[0], name))
+
     def test_one_date_api_is_its_one_date_case(self):
         windows, grids = c11_windows(240, 4)
         stack = local_covariance_stack(windows, grids)
@@ -546,6 +577,25 @@ class TestLocalCovarianceStack:
             local_covariance_stack(windows, np.full((3, 2), np.nan))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_sample_fails_every_estimate(bad, rng, monkeypatch):
+    # The bad value is in the last of 3 dates, in the second block of
+    # windows that each stack checks.
+    windows = rng.standard_normal((3, 20, 2))
+    windows[2, 5, 1] = bad
+    monkeypatch.setattr(localcov, "_BLOCK_PAIR_OBS", 2 * 20 * 2)
+    estimates = (
+        lambda: global_covariance_stack(windows),
+        lambda: local_covariance_stack(windows, np.zeros((3, 2))),
+        lambda: global_covariance(windows[2]),
+        lambda: pairwise_local_covariance(windows[2], np.zeros(2)),
+    )
+    for estimate in estimates:
+        with pytest.raises(ValueError, match="sample contains non-finite values"):
+            estimate()
+
+
 def clayton_windows(window):
     """Windows of a 463x24 Clayton panel whose asset 23 equals asset 0 in the
     first 250 months, so the dates whose window ends by then are singular."""
@@ -570,11 +620,15 @@ class TestGlobalCovarianceStack:
             assert np.array_equal(stack.correlations[d], cov / np.outer(sd, sd))
 
     def test_a_date_does_not_depend_on_its_block(self, monkeypatch):
+        # The first 11 of these 30 dates are singular and repaired. The
+        # assembly blocks and the repair blocks hold 1, 7 or 30 dates.
         windows = clayton_windows(240)[:30]
         runs = []
-        for dates_per_block in (1, 7, 30):
+        for dates_per_block, dates_per_repair in ((1, 30), (7, 7), (30, 1)):
             monkeypatch.setattr(localcov, "_BLOCK_PAIR_OBS", dates_per_block * 240 * 24)
+            monkeypatch.setattr(localcov, "_BLOCK_REPAIR", dates_per_repair * 24 * 24)
             runs.append(global_covariance_stack(windows))
+        assert runs[0].pd_repaired.any() and not runs[0].pd_repaired.all()
         for run in runs[1:]:
             for name in ("matrices", "correlations", "pd_repaired"):
                 assert np.array_equal(getattr(run, name), getattr(runs[0], name))

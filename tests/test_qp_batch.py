@@ -223,6 +223,21 @@ def test_ratio_test_scans_rows_where_argmin_differs():
         assert np.array_equal(alpha[r], want_alpha)
 
 
+def test_failed_stacked_call_is_repeated_one_problem_at_a_time():
+    # A singular middle system makes the stacked solve and Cholesky raise;
+    # the others get what they would get alone, and it gets NaN.
+    kkt = np.stack([2.0 * np.eye(2), np.zeros((2, 2)), [[2.0, 1.0], [1.0, 3.0]]])
+    rhs = np.ones((3, 2, 1))
+    for lapack, args in ((np.linalg.solve, (kkt, rhs)), (np.linalg.cholesky, (kkt,))):
+        out, failed = optimizer._stacked(lapack, *args)
+        assert failed.tolist() == [False, True, False]
+        assert np.isnan(out[1]).all()
+        for i in (0, 2):
+            assert np.array_equal(out[i], lapack(*(a[i] for a in args)))
+    out, failed = optimizer._stacked(np.linalg.solve, kkt[::2], rhs[::2])
+    assert not failed.any() and np.array_equal(out, np.linalg.solve(kkt[::2], rhs[::2]))
+
+
 @pytest.mark.parametrize("kind, lb", [("MVS", -0.5), ("MVSC", 0.0), ("MINC", 0.0)])
 def test_tiny_scale_paths_match_reference(kind, lb):
     # At covariance scale 1e-10 the bound multipliers are O(1e-10), so the

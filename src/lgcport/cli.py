@@ -6,6 +6,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .errors import ConfigError, LgcportError
 from .panel import load_panel, write_panel
 from .report import ALL_STRATEGY_LABELS, RunConfig, describe_text, execute_run
@@ -124,7 +126,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {"run": _cmd_run, "synth": _cmd_synth, "describe": _cmd_describe}
     try:
-        return handlers[args.command](args)
+        # Extreme input makes numpy warn on its way to a recorded fallback or
+        # an error; the command's outcome is its output or one JSON line.
+        with np.errstate(all="ignore"):
+            return handlers[args.command](args)
     except (LgcportError, OSError) as err:
         report = {"error": type(err).__name__, "message": str(err)}
         print(json.dumps(report), file=sys.stderr)

@@ -262,24 +262,37 @@ def plugin_bandwidth(sample, scale: float = 1.1) -> Tuple[float, ...]:
     return tuple(float(v) for v in bandwidths[0])
 
 
+def _flat_columns(sd, mean, n: int) -> np.ndarray:
+    """Where a column of n observations has no usable spread: its computed
+    standard deviation `sd` is not finite, or at most n * eps * |mean|.
+
+    A constant column's mean is rarely exact, so its computed sd is rounding
+    of order eps * |mean|, not zero: below 0.25 * n * eps * |mean| in 6,000
+    random draws with n <= 600, by the std and the centred X'X paths alike.
+    """
+    return ~(np.isfinite(sd) & (sd > n * np.finfo(float).eps * np.abs(mean)))
+
+
 def _plugin_bandwidths(windows: np.ndarray, scale: float):
     """Plug-in bandwidths of each (n, k) window of a (D, n, k) stack, n >= 2.
 
     Returns the (D, k) bandwidths, `scale` times each column's sample sd
     (n-1 denominator), and {d: DegenerateSampleError} for the windows with a
-    zero-variance column. A non-finite window or a non-positive scale raises
-    ValueError for the whole stack.
+    flat column (see _flat_columns). A non-finite window or a non-positive
+    scale raises ValueError for the whole stack.
     """
     if not np.all(np.isfinite(windows)):
         raise ValueError("sample contains non-finite values")
     if scale <= 0.0:
         raise ValueError("scale must be positive, got %g" % scale)
     sd = windows.std(axis=1, ddof=1)
+    flat = _flat_columns(sd, windows.mean(axis=1), windows.shape[1])
     errors = {
         int(d): DegenerateSampleError(
-            "sample standard deviation is zero in a coordinate, sd=%r" % (sd[d],)
+            "sample standard deviation is %s in a coordinate, sd=%r"
+            % ("zero" if np.all(np.isfinite(sd[d])) else "not finite", sd[d])
         )
-        for d in np.flatnonzero(np.any(sd <= 0.0, axis=1))
+        for d in np.flatnonzero(np.any(flat, axis=1))
     }
     return scale * sd, errors
 
@@ -288,8 +301,9 @@ def gaussian_mle_batch(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Unweighted Gaussian MLEs of P bivariate samples at once, correlation capped below 1.
 
     `xs`, `ys` are validated (P, n) samples with n >= 2. Returns (P, 5)
-    parameters (mu1, mu2, sigma1, sigma2, rho); a constant column gives sigma
-    0 and rho nan. Each row depends only on its own sample.
+    parameters (mu1, mu2, sigma1, sigma2, rho); a constant column gives a
+    sigma of rounding size (see _flat_columns) and a meaningless rho. Each
+    row depends only on its own sample.
     """
     n = xs.shape[1]
     mu1 = xs.mean(axis=1)
@@ -314,8 +328,10 @@ def global_gaussian_mle(sample) -> LocalParams:
         raise ValueError("MLE needs at least 2 observations")
     columns = np.ascontiguousarray(s.T)
     theta = gaussian_mle_batch(columns[:1], columns[1:])[0]
-    if theta[2] <= 0.0 or theta[3] <= 0.0:
-        raise DegenerateSampleError("constant column, Gaussian MLE undefined")
+    if np.any(_flat_columns(theta[2:4], theta[:2], s.shape[0])):
+        if np.all(np.isfinite(theta[2:4])):
+            raise DegenerateSampleError("constant column, Gaussian MLE undefined")
+        raise DegenerateSampleError("column variance is not finite, Gaussian MLE undefined")
     return LocalParams.from_array(theta)
 
 

@@ -19,6 +19,7 @@ from .errors import (
 # external code (e.g. the span tracer in perfbench/) looks it up here.
 from .lgc import (  # noqa: F401
     FitDiagnostics,
+    _flat_columns,
     _plugin_bandwidths,
     estimate_local_params,
     fit_local_moments,
@@ -125,18 +126,22 @@ def _repair(cov: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     definiteness, if needed. Returns the (k, N, N) matrices and (k,) flags of
     those repaired.
 
-    A matrix whose smallest eigenvalue is at least PD_TOL times its largest
-    is kept as it is. The others are rescaled to correlation form where their
-    diagonal is positive, pushed to the nearest correlation matrix, and
-    rescaled back; then their spectrum is floored at PD_TOL times the largest
-    eigenvalue. A matrix's result does not depend on its stack.
+    A matrix whose smallest eigenvalue is at least PD_TOL times its largest,
+    less a rounding margin of N * eps times its largest, is kept as it is.
+    The others are rescaled to correlation form where their diagonal is
+    positive, pushed to the nearest correlation matrix, and rescaled back;
+    then their spectrum is floored at PD_TOL times the largest eigenvalue.
+    Rebuilding a matrix from the floored spectrum moves its smallest
+    eigenvalue by less than the margin, so a repaired matrix passes the test
+    as it is. A matrix's result does not depend on its stack.
     """
     # Halved in place: one (k, N, N) temporary, not two.
     cov = cov + cov.transpose(0, 2, 1)
     cov /= 2.0
     vals = np.linalg.eigvalsh(cov)
     top = vals[:, -1]
-    repaired = ~((top > 0.0) & (vals[:, 0] >= PD_TOL * top))
+    least = (PD_TOL - cov.shape[-1] * np.finfo(float).eps) * top
+    repaired = ~((top > 0.0) & (vals[:, 0] >= least))
     bad = np.flatnonzero(repaired)
     if not bad.size:
         return cov, repaired
@@ -248,7 +253,8 @@ def global_covariance_stack(windows) -> CovStack:
     """Sample covariance (n-1 denominator) of each (n, N) window of the
     (D, n, N) stack, PD-repaired if needed.
 
-    A date with a zero-variance column gets a DegenerateSampleError in
+    A date with a flat column (see lgc._flat_columns: no spread beyond
+    rounding, or a variance that overflows) gets a DegenerateSampleError in
     `errors`, and n < 2 fails every date; a non-finite window raises
     ValueError for the whole stack. The covariances are assembled in blocks
     of at most 24,576 observations (n x N per date), or of one date, and then
@@ -267,14 +273,19 @@ def global_covariance_stack(windows) -> CovStack:
         block = w[lo : lo + per_block]
         if not np.all(np.isfinite(block)):
             raise ValueError("sample contains non-finite values")
-        centred = block - block.mean(axis=1, keepdims=True)
+        mean = block.mean(axis=1, keepdims=True)
+        centred = block - mean
         cov = centred.transpose(0, 2, 1) @ centred
         cov *= 1.0 / (n - 1)
-        var = np.diagonal(cov, axis1=1, axis2=2)
-        flat = np.any(var <= 0.0, axis=1)
+        sd = np.sqrt(np.diagonal(cov, axis1=1, axis2=2))
+        flat = np.any(_flat_columns(sd, mean[:, 0], n), axis=1)
         for d in np.flatnonzero(flat):
-            out.errors[int(lo + d)] = DegenerateSampleError("a column has zero variance")
-        ok, sd = np.flatnonzero(~flat), np.sqrt(var[~flat])
+            if np.all(np.isfinite(sd[d])):
+                message = "a column has zero variance"
+            else:
+                message = "a column's variance is not finite"
+            out.errors[int(lo + d)] = DegenerateSampleError(message)
+        ok, sd = np.flatnonzero(~flat), sd[~flat]
         out.correlations[lo + ok] = cov[ok] / (sd[:, :, None] * sd[:, None, :])
         out.matrices[lo + ok] = cov[ok]
     _repair_dates(out, _ok_dates(out))

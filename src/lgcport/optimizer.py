@@ -303,7 +303,8 @@ def _active_set_qp(q, c, lb):
 
 
 def _verify_kkt(w, lam, pi, q, c, lb, failures):
-    """Record a SolverError in `failures` for each KKT residual above KKT_TOL."""
+    """Record a SolverError in `failures` for each KKT residual that is not
+    at most KKT_TOL, NaN included."""
     station = (q @ w[:, :, None])[:, :, 0] + c - lam[:, None] - pi
     terms = (
         np.max(np.abs(station), axis=1),
@@ -315,7 +316,7 @@ def _verify_kkt(w, lam, pi, q, c, lb, failures):
     for term in terms[1:]:
         # The running maximum of Python's max(): a NaN first term stays NaN.
         residual = np.where(term > residual, term, residual)
-    for i in np.flatnonzero(residual > KKT_TOL):
+    for i in np.flatnonzero(~(residual <= KKT_TOL)):
         failures.setdefault(
             int(i), SolverError("KKT residual %.3e exceeds %.0e" % (residual[i], KKT_TOL))
         )

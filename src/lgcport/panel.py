@@ -16,17 +16,17 @@ class PanelGapWarning(UserWarning):
     """Dates skip more than one month somewhere in the file."""
 
 
-def _month_ordinal(label: str, row: int) -> int:
-    """Parse 'yyyy-mm' to a month count; raise with row context otherwise."""
+def _month_ordinal(label: str) -> int:
+    """Parse 'yyyy-mm' to a month count; raise PanelParseError otherwise."""
     parts = label.split("-")
     if len(parts) != 2 or len(parts[0]) != 4 or len(parts[1]) != 2:
-        raise PanelParseError("row %d: bad date %r, expected yyyy-mm" % (row, label))
+        raise PanelParseError("bad date %r, expected yyyy-mm" % (label,))
     try:
         year, month = int(parts[0]), int(parts[1])
     except ValueError:
-        raise PanelParseError("row %d: bad date %r, expected yyyy-mm" % (row, label))
+        raise PanelParseError("bad date %r, expected yyyy-mm" % (label,)) from None
     if not 1 <= month <= 12:
-        raise PanelParseError("row %d: month out of range in %r" % (row, label))
+        raise PanelParseError("month out of range in %r" % (label,))
     return year * 12 + (month - 1)
 
 
@@ -39,34 +39,41 @@ class ReturnPanel:
     """Aligned monthly percent returns for a set of assets.
 
     `returns[t, i]` is the percent return of asset i in month `dates[t]`.
+    Every panel rule is checked here: names, dates and shape that disagree
+    raise PanelAlignmentError, any other broken rule PanelParseError.
     """
 
     asset_names: List[str]
     dates: List[str]
     returns: np.ndarray = field(repr=False)
+    # Month count of each date (see _month_ordinal), set by the checks.
+    _months: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.returns = np.asarray(self.returns, dtype=float)
         if self.returns.ndim != 2:
-            raise ValueError("returns must be 2-d, got %r" % (self.returns.shape,))
+            raise PanelAlignmentError("returns must be 2-d, got %r" % (self.returns.shape,))
         n, k = self.returns.shape
-        if n < 2:
-            raise ValueError("panel needs at least 2 months, got %d" % n)
-        if k < 1:
-            raise ValueError("panel needs at least 1 asset")
-        if len(self.asset_names) != k:
-            raise ValueError(
-                "%d asset names for %d columns" % (len(self.asset_names), k)
+        if len(self.asset_names) != k or len(self.dates) != n:
+            raise PanelAlignmentError(
+                "%d asset names and %d dates for %d columns and %d rows"
+                % (len(self.asset_names), len(self.dates), k, n)
             )
+        if n < 2 or k < 1:
+            raise PanelParseError("panel needs at least 2 months and 1 asset, got %dx%d" % (n, k))
         if len(set(self.asset_names)) != k:
-            raise ValueError("asset names must be unique")
-        if len(self.dates) != n:
-            raise ValueError("%d dates for %d rows" % (len(self.dates), n))
-        if not np.all(np.isfinite(self.returns)):
-            raise ValueError("returns contain non-finite values")
-        ords = [_month_ordinal(d, i) for i, d in enumerate(self.dates)]
-        if any(b <= a for a, b in zip(ords, ords[1:])):
-            raise ValueError("dates must be strictly increasing")
+            raise PanelParseError("asset names must be unique, got %r" % (self.asset_names,))
+        self._months = np.array([_month_ordinal(d) for d in self.dates])
+        late = np.flatnonzero(np.diff(self._months) <= 0)
+        if late.size:
+            pair = (self.dates[late[0] + 1], self.dates[late[0]])
+            raise PanelParseError("dates must be strictly increasing: %s follows %s" % pair)
+        bad = np.argwhere(~np.isfinite(self.returns))
+        if bad.size:
+            t, i = bad[0]
+            raise PanelParseError(
+                "non-finite return on %s for %s" % (self.dates[t], self.asset_names[i])
+            )
 
     @property
     def n_months(self) -> int:
@@ -78,18 +85,22 @@ class ReturnPanel:
 
 
 def load_panel(path, mode: str = "returns") -> ReturnPanel:
-    """Read a delimited panel file.
+    """Read a delimited UTF-8 panel file.
 
     Layout: header `date,NAME1,...`; one row per month, ISO yyyy-mm dates,
     strictly increasing. `mode="returns"` takes cells as percent returns;
-    `mode="prices"` takes them as price levels and converts to simple
-    percent returns 100 * (P_t / P_{t-1} - 1), dropping the first month.
-    Gaps larger than one month are flagged with PanelGapWarning.
+    `mode="prices"` takes them as positive, finite price levels and converts
+    to simple percent returns 100 * (P_t / P_{t-1} - 1), dropping the first
+    month. The file's rows, and the returns of a price file, must make a
+    ReturnPanel. Gaps larger than one month are flagged with PanelGapWarning.
     """
     if mode not in ("returns", "prices"):
         raise ValueError("mode must be 'returns' or 'prices', got %r" % mode)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as err:
+        raise PanelParseError("cannot read %s: %s" % (path, err)) from None
     if not rows:
         raise PanelParseError("empty file %s" % path)
     header = rows[0]
@@ -99,45 +110,34 @@ def load_panel(path, mode: str = "returns") -> ReturnPanel:
     if any(not n for n in names):
         raise PanelParseError("blank asset name in header")
 
-    dates: List[str] = []
-    ordinals: List[int] = []
-    values: List[List[float]] = []
+    dates, values = [], []
     for idx, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             raise PanelAlignmentError(
                 "row %d has %d cells, header has %d" % (idx, len(row), len(header))
             )
-        label = row[0].strip()
-        ordinals.append(_month_ordinal(label, idx))
-        dates.append(label)
+        dates.append(row[0].strip())
         parsed = []
         for col, cell in enumerate(row[1:], start=2):
             try:
-                v = float(cell)
+                parsed.append(float(cell))
             except ValueError:
                 raise PanelParseError(
                     "row %d column %d: cannot parse %r as a number" % (idx, col, cell)
-                )
-            if not np.isfinite(v):
-                raise PanelParseError("row %d column %d: non-finite value" % (idx, col))
-            parsed.append(v)
+                ) from None
         values.append(parsed)
 
-    if len(values) < 2:
-        raise PanelParseError("need at least 2 data rows, got %d" % len(values))
-    for prev, cur, row in zip(ordinals, ordinals[1:], range(3, len(ordinals) + 2)):
-        if cur <= prev:
-            raise PanelParseError("row %d: dates not strictly increasing" % row)
-    if any(b - a > 1 for a, b in zip(ordinals, ordinals[1:])):
+    data = np.array(values, dtype=float).reshape(len(values), len(names))
+    if mode == "prices" and not np.all((data > 0.0) & (data < np.inf)):
+        raise PanelParseError("price mode requires strictly positive, finite prices")
+    panel = ReturnPanel(asset_names=names, dates=dates, returns=data)
+    if np.any(np.diff(panel._months) > 1):
         warnings.warn("panel has month gaps larger than one period", PanelGapWarning)
-
-    data = np.array(values, dtype=float)
     if mode == "prices":
-        if np.any(data <= 0.0):
-            raise PanelParseError("price mode requires strictly positive prices")
-        data = 100.0 * (data[1:] / data[:-1] - 1.0)
-        dates = dates[1:]
-    return ReturnPanel(asset_names=names, dates=dates, returns=data)
+        with np.errstate(over="ignore"):  # the panel rejects an overflowing return
+            returns = 100.0 * (data[1:] / data[:-1] - 1.0)
+        panel = ReturnPanel(names, dates[1:], returns)
+    return panel
 
 
 def write_panel(panel: ReturnPanel, path) -> None:

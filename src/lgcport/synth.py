@@ -216,6 +216,6 @@ def synth_panel(
         data[~in_bear] = mu + sd * calm_rows
         data[in_bear] = (mu - 1.2 * sd) + 1.5 * sd * bear_rows
 
-    first = _month_ordinal(start, 0)
+    first = _month_ordinal(start)
     dates = [month_label(first + i) for i in range(months)]
     return ReturnPanel(asset_names=list(names), dates=dates, returns=data)

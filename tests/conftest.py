@@ -31,3 +31,27 @@ def eta_score(sample, r, b, eta):
     chain = np.array([1.0, 1.0, theta.sigma1, theta.sigma2, 1.0 - theta.rho**2])
     wbar = gaussian_kernel_weight(sample, r, b).mean()
     return -local_score(sample, r, b, theta) * chain / wbar
+
+
+def tensor_gauss_legendre(f, lo1, hi1, lo2, hi2, panels, nodes=10):
+    """Integral of f over the box [lo1, hi1] x [lo2, hi2] by a fixed tensor
+    rule: each side is cut into `panels` equal panels of `nodes`
+    Gauss-Legendre nodes.
+
+    f(x, y) takes a column of x and a row of y and broadcasts; it is
+    evaluated one panel of x at a time, so its arrays stay small.
+    """
+    z, w = np.polynomial.legendre.leggauss(nodes)
+
+    def axis(lo, hi):
+        half = (hi - lo) / (2 * panels)
+        mid = lo + half * (2 * np.arange(panels) + 1)
+        return (mid[:, None] + half * z).ravel(), np.tile(half * w, panels)
+
+    (x, wx), (y, wy) = axis(lo1, hi1), axis(lo2, hi2)
+    return float(
+        sum(
+            wx[i : i + nodes] @ f(x[i : i + nodes, None], y[None, :]) @ wy
+            for i in range(0, x.size, nodes)
+        )
+    )

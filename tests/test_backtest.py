@@ -592,6 +592,16 @@ class TestDegenerateWindows:
             assert ("local_error" in diag) == flat
             assert ("pair_fallbacks" in diag) != flat
 
+    @pytest.mark.parametrize("value", [0.5, 0.1])
+    @pytest.mark.parametrize("label", ["MIN", "MIN-L"])
+    def test_constant_column_raises_at_inception(self, value, label):
+        # The computed sd of a constant 0.1 is rounding (about 1e-17), not 0;
+        # it is as flat as a constant 0.5, whose sd is exactly 0.
+        panel = synth_panel(months=200, n_assets=3, model="bear", seed=1)
+        panel.returns[:, 2] = value
+        with pytest.raises(DegenerateSampleError, match="at inception .* for %s$" % label):
+            run_backtest(panel, BacktestConfig(window=120, strategies=specs(label)))
+
     def test_flat_window_at_inception_raises(self):
         panel = flat_panel(40, slice(0, 24))
         with pytest.raises(DegenerateSampleError, match="at inception .* for MINC"):

@@ -315,6 +315,49 @@ class TestErrorHandling:
         assert not out.exists()
 
 
+# One row per month from 2020-01, with header `date,A,B`.
+def _panel_text(cells):
+    rows = ["%d-%02d,%s" % (2020 + t // 12, t % 12 + 1, row) for t, row in enumerate(cells)]
+    return "\n".join(["date,A,B"] + rows) + "\n"
+
+
+MALFORMED = {
+    "duplicate_names": (b"date,A,A\n2020-01,1,2\n2020-02,3,4\n2020-03,5,6\n", "returns"),
+    "two_price_rows": (_panel_text(["100,50", "110,55"]).encode(), "prices"),
+    "not_utf8": (_panel_text(["1,2", "3,\xff"]).encode("latin-1"), "returns"),
+    "nan_cell": (_panel_text(["1,2", "nan,4", "5,6"]).encode(), "returns"),
+    "inf_price": (_panel_text(["100,50", "inf,55", "120,60"]).encode(), "prices"),
+    "decreasing_dates": (b"date,A,B\n2020-02,1,2\n2020-01,3,4\n2020-03,5,6\n", "returns"),
+    "one_data_row": (_panel_text(["1,2"]).encode(), "returns"),
+    "column_of_1e200": (
+        _panel_text(["%r,%de200" % (0.5 * (t % 7) - 1.0, 1 + t % 5) for t in range(24)]).encode(),
+        "returns",
+    ),
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("command", ["run", "describe"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_one_json_line_and_exit_1(self, tmp_path, capsys, recwarn, command, case):
+        content, mode = MALFORMED[case]
+        path = tmp_path / "panel.csv"
+        path.write_bytes(content)
+        argv = [command, "--input", str(path), "--mode", mode]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "o"), "--windows", "12"]
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, captured.err
+        err = json.loads(lines[0])
+        want = "DegenerateSampleError" if case == "column_of_1e200" else "PanelParseError"
+        assert err["error"] == want
+        assert captured.out == ""
+        # Nothing would print between the command and its one line either.
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 class TestConsoleEntry:
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "m.csv"

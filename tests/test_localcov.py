@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from lgcport.errors import DegenerateSampleError, InsufficientDataError, NonSymmetricError
@@ -672,3 +674,49 @@ class TestGlobalCovarianceStack:
             assert np.array_equal(one.matrix, stack.matrices[d])
             assert np.array_equal(one.correlations, stack.correlations[d])
             assert one.pd_repaired == stack.pd_repaired[d]
+
+
+class TestFlatColumns:
+    """One spread rule (lgc._flat_columns) in both stacks and the Gaussian MLE."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        c=st.floats(1e-6, 1e6),
+        sign=st.sampled_from([-1.0, 1.0]),
+        n=st.integers(2, 600),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_constant_column_is_flat_in_both_stacks(self, c, sign, n, seed):
+        windows = np.random.default_rng(seed).standard_normal((1, n, 3))
+        windows[0, :, 2] = sign * c
+        grids = windows.mean(axis=1)
+        assert str(global_covariance_stack(windows).errors[0]) == "a column has zero variance"
+        local = local_covariance_stack(windows, grids).errors
+        assert "standard deviation is zero" in str(local[0])
+        with pytest.raises(DegenerateSampleError, match="constant column"):
+            global_gaussian_mle(windows[0, :, 1:])
+
+    @pytest.mark.parametrize("c", [0.1, 0.5, 2.3, -1e6, 1e-6])
+    def test_one_entry_moved_by_1e_9_relative_is_not_flat(self, c, rng):
+        windows = rng.standard_normal((1, 120, 3))
+        windows[0, :, 2] = c
+        windows[0, 7, 2] = c * (1.0 + 1e-9)
+        assert not global_covariance_stack(windows).errors
+        assert not local_covariance_stack(windows, windows.mean(axis=1)).errors
+        global_gaussian_mle(windows[0, :, 1:])
+
+    def test_overflowing_variance_is_an_error_of_its_date(self):
+        windows, grids = c11_windows(120, 4)
+        windows[1][:, 2] = 1e200 * (1.0 + np.arange(120) % 5)
+        rest = [0, 2, 3]
+        with np.errstate(over="ignore"):
+            glob = global_covariance_stack(windows)
+            local = local_covariance_stack(windows, grids)
+            with pytest.raises(DegenerateSampleError, match="not finite"):
+                global_gaussian_mle(windows[1][:, 1:3])
+        assert list(glob.errors) == [1] and list(local.errors) == [1]
+        assert str(glob.errors[1]) == "a column's variance is not finite"
+        assert "standard deviation is not finite" in str(local.errors[1])
+        assert np.array_equal(glob.matrices[rest], global_covariance_stack(windows[rest]).matrices)
+        clean = local_covariance_stack(windows[rest], grids[rest])
+        assert np.array_equal(local.matrices[rest], clean.matrices)

@@ -32,7 +32,8 @@ def ref_nearest_pd(m, tol=PD_TOL):
     stage, None if it has none or stops at the cap)."""
     vals = np.linalg.eigvalsh(m)
     top = float(vals[-1])
-    if top > 0.0 and float(vals[0]) >= tol * top:
+    # Accepted with a rounding margin of n * eps * top below the floor.
+    if top > 0.0 and float(vals[0]) >= (tol - len(m) * np.finfo(float).eps) * top:
         return m, False, None
     diag = np.diag(m)
     iterations = None
@@ -120,15 +121,13 @@ def test_positive_definite_input_is_returned_bit_for_bit(m):
 
 @settings(max_examples=300, deadline=None)
 @given(symmetric_matrices())
-def test_idempotent_up_to_rounding(m):
-    # A repaired matrix sits exactly at the PD_TOL floor, so rounding in the
-    # rebuild can put its smallest eigenvalue a few ulps below the threshold
-    # and a second call then repairs it again; that second repair must move
-    # no entry by more than rounding.
+def test_idempotent(m):
+    # A repaired matrix sits at the PD_TOL floor, up to the rounding of its
+    # rebuild, which the acceptance margin covers: a second call keeps it.
     once, _ = nearest_pd(m)
-    twice, _ = nearest_pd(once)
-    assert np.max(np.abs(twice - once)) <= 1e-13 * np.max(np.abs(once))
-    assert np.linalg.eigvalsh(twice)[0] > 0.0
+    twice, repaired = nearest_pd(once)
+    assert not repaired
+    assert np.array_equal(twice, once)
 
 
 def mixed_stack():

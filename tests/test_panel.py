@@ -33,26 +33,38 @@ class TestReturnPanelValidation:
         assert p.n_assets == 1
 
     def test_too_few_months(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(PanelParseError, match="at least 2 months"):
             ReturnPanel(["A"], ["2020-01"], [[1.0]])
 
     def test_duplicate_names(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(PanelParseError, match="unique"):
             ReturnPanel(["A", "A"], ["2020-01", "2020-02"], [[1.0, 2.0], [3.0, 4.0]])
 
     def test_nonincreasing_dates(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(PanelParseError, match="2020-01 follows 2020-02"):
             ReturnPanel(["A"], ["2020-02", "2020-01"], [[1.0], [2.0]])
 
     def test_nan_rejected(self):
-        with pytest.raises(ValueError):
-            ReturnPanel(["A"], ["2020-01", "2020-02"], [[1.0], [float("nan")]])
+        with pytest.raises(PanelParseError, match="on 2020-02 for B"):
+            ReturnPanel(["A", "B"], ["2020-01", "2020-02"], [[1.0, 0.0], [2.0, float("nan")]])
 
     def test_bad_date_format(self):
-        with pytest.raises(PanelParseError):
+        with pytest.raises(PanelParseError, match="'2020-1'"):
             ReturnPanel(["A"], ["2020-1", "2020-02"], [[1.0], [2.0]])
-        with pytest.raises(PanelParseError):
+        with pytest.raises(PanelParseError, match="'2020-13'"):
             ReturnPanel(["A"], ["2020-13", "2021-01"], [[1.0], [2.0]])
+
+    @pytest.mark.parametrize(
+        "names, dates, returns",
+        [
+            (["A", "B"], ["2020-01", "2020-02"], [[1.0], [2.0]]),
+            (["A"], ["2020-01", "2020-02", "2020-03"], [[1.0], [2.0]]),
+            (["A"], ["2020-01", "2020-02"], [1.0, 2.0]),
+        ],
+    )
+    def test_shape_mismatch(self, names, dates, returns):
+        with pytest.raises(PanelAlignmentError):
+            ReturnPanel(names, dates, returns)
 
 
 class TestMonthLabel:
@@ -155,6 +167,28 @@ class TestLoadReturns:
         with pytest.raises(PanelParseError):
             load_panel(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("date,A,A\n2020-01,1,2\n2020-02,3,4\n", "unique"),
+            ("date,A\n2020-01,1\n2020-02,nan\n", "on 2020-02 for A"),
+            ("date,A\n2020-01,1\n2020-02,-1e400\n", "on 2020-02 for A"),
+            ("date,A\n2020-02,1\n2020-01,2\n", "2020-01 follows 2020-02"),
+            ("date,A\n2020-01,1\n2020/02,2\n", "'2020/02'"),
+            ("date,A\n", "at least 2 months"),
+        ],
+    )
+    def test_panel_rules_apply_to_the_file(self, tmp_path, text, message):
+        path = write_text(tmp_path / "r.csv", text)
+        with pytest.raises(PanelParseError, match=message):
+            load_panel(path)
+
+    def test_bytes_that_are_not_utf8(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_bytes(b"date,A\n2020-01,1\n2020-02,\xff\n")
+        with pytest.raises(PanelParseError, match="utf-8"):
+            load_panel(path)
+
 
 class TestLoadPrices:
     def test_simple_return_conversion(self, tmp_path):
@@ -185,6 +219,35 @@ class TestLoadPrices:
         )
         with pytest.raises(PanelParseError, match="positive"):
             load_panel(path, mode="prices")
+
+    @pytest.mark.parametrize("price", ["inf", "nan"])
+    def test_nonfinite_price_rejected(self, tmp_path, price):
+        # 100 * (100 / inf - 1) would be a finite -100 % return.
+        path = write_text(
+            tmp_path / "p.csv", "date,A\n2020-01,100\n2020-02,%s\n2020-03,50\n" % price
+        )
+        with pytest.raises(PanelParseError, match="finite"):
+            load_panel(path, mode="prices")
+
+    def test_overflowing_return_rejected(self, tmp_path):
+        path = write_text(
+            tmp_path / "p.csv", "date,A\n2020-01,1e-300\n2020-02,1e300\n2020-03,1\n"
+        )
+        with pytest.raises(PanelParseError, match="non-finite return on 2020-02 for A"):
+            load_panel(path, mode="prices")
+
+    def test_two_price_rows_make_too_short_a_panel(self, tmp_path):
+        path = write_text(tmp_path / "p.csv", "date,A\n2020-01,100\n2020-02,110\n")
+        with pytest.raises(PanelParseError, match="at least 2 months"):
+            load_panel(path, mode="prices")
+
+    def test_dropped_first_month_is_still_checked(self, tmp_path):
+        bad = write_text(tmp_path / "p.csv", "date,A\n2020-13,100\n2020-02,110\n2020-03,99\n")
+        with pytest.raises(PanelParseError, match="'2020-13'"):
+            load_panel(bad, mode="prices")
+        gap = write_text(tmp_path / "g.csv", "date,A\n2019-11,100\n2020-02,110\n2020-03,99\n")
+        with pytest.warns(PanelGapWarning):
+            load_panel(gap, mode="prices")
 
     def test_unknown_mode(self, tmp_path):
         path = write_text(tmp_path / "p.csv", "date,A\n2020-01,1\n2020-02,2\n")

@@ -500,6 +500,18 @@ def test_solutions_satisfy_kkt(problem):
             assert np.all(grad[~free] - lam >= -tol)
 
 
+def test_nan_kkt_residual_fails_the_problem():
+    # The input is finite, but 2 * Sigma overflows, so the stationarity
+    # residual is NaN; only the well-scaled problem beside it is solved.
+    sigma = np.array([[[1.0, 1.7e308], [1.7e308, 1e308]], [[2.0, 0.5], [0.5, 1.0]]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        w, failures = solve_batch(StrategySpec("MIN"), sigma)
+    assert list(failures) == [0] and isinstance(failures[0], SolverError)
+    assert "nan" in str(failures[0])
+    assert np.isnan(w[0]).all()
+    assert np.array_equal(w[1], solve_batch(StrategySpec("MIN"), sigma[1:])[0][0])
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     seed=st.integers(0, 10_000),

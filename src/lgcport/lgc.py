@@ -11,12 +11,15 @@ So each pair's objective is a pair of 2 x 2 Gaussian forms in its five
 parameters, whose value, gradient and Hessian are written out elementwise
 over (P,) arrays of pairs; a Hessian is kept as its 15 distinct entries.
 
-Many pairs are fitted at once in two stages: local_moments reduces their
-samples to moments, and fit_local_moments runs a damped Newton iteration on
-the moments alone. Its step comes from a vectorized 5 x 5 LDL'
-factorization, with an eigenvalue-modified step (a Gill-Murray-style
-modified Newton method) as the fallback where the Hessian is indefinite or
-nearly singular. estimate_local_params is the one-pair case.
+Many pairs are fitted at once in two stages. local_moments_stack reduces
+each window of assets to the moments of all its pairs: the kernel weight of
+pair (i, j) is the product of one factor per asset, so every kernel-weighted
+sum over the window is an entry of a few matrix products per date. Then
+fit_local_moments runs a damped Newton iteration on the moments alone. Its
+step comes from a vectorized 5 x 5 LDL' factorization, with an
+eigenvalue-modified step (a Gill-Murray-style modified Newton method) as the
+fallback where the Hessian is indefinite or nearly singular.
+estimate_local_params is the one-pair case: a two-asset window.
 """
 
 from __future__ import annotations
@@ -268,25 +271,31 @@ def _flat_columns(sd, mean, n: int) -> np.ndarray:
 
     A constant column's mean is rarely exact, so its computed sd is rounding
     of order eps * |mean|, not zero: below 0.25 * n * eps * |mean| in 6,000
-    random draws with n <= 600, by the std and the centred X'X paths alike.
+    random draws with n <= 600, by the std and the centred X'X paths alike,
+    and below 0.27 times that with the mean taken as a matrix product
+    (_centred_cross).
     """
     return ~(np.isfinite(sd) & (sd > n * np.finfo(float).eps * np.abs(mean)))
 
 
-def _plugin_bandwidths(windows: np.ndarray, scale: float):
-    """Plug-in bandwidths of each (n, k) window of a (D, n, k) stack, n >= 2.
+def _centred_cross(windows: np.ndarray):
+    """Column means (D, N) and centred cross-products X_c' X_c (D, N, N) of
+    each (n, N) window of a (D, n, N) stack, one matrix product per window."""
+    mean = np.ones(windows.shape[1]) @ windows / windows.shape[1]
+    centred = windows - mean[:, None, :]
+    return mean, centred.transpose(0, 2, 1) @ centred
 
-    Returns the (D, k) bandwidths, `scale` times each column's sample sd
+
+def _bandwidths(mean, cross, n: int, scale: float):
+    """Plug-in bandwidths of a stack of windows of n >= 2 observations, from
+    their _centred_cross.
+
+    Returns the (D, N) bandwidths, `scale` times each column's sample sd
     (n-1 denominator), and {d: DegenerateSampleError} for the windows with a
-    flat column (see _flat_columns). A non-finite window or a non-positive
-    scale raises ValueError for the whole stack.
+    flat column (see _flat_columns).
     """
-    if not np.all(np.isfinite(windows)):
-        raise ValueError("sample contains non-finite values")
-    if scale <= 0.0:
-        raise ValueError("scale must be positive, got %g" % scale)
-    sd = windows.std(axis=1, ddof=1)
-    flat = _flat_columns(sd, windows.mean(axis=1), windows.shape[1])
+    sd = np.sqrt(np.diagonal(cross, axis1=1, axis2=2) * (1.0 / (n - 1)))
+    flat = _flat_columns(sd, mean, n)
     errors = {
         int(d): DegenerateSampleError(
             "sample standard deviation is %s in a coordinate, sd=%r"
@@ -297,25 +306,45 @@ def _plugin_bandwidths(windows: np.ndarray, scale: float):
     return scale * sd, errors
 
 
+def _plugin_bandwidths(windows: np.ndarray, scale: float):
+    """Plug-in bandwidths of each (n, k) window of a (D, n, k) stack, n >= 2:
+    see _bandwidths. A non-finite window or a non-positive scale raises
+    ValueError for the whole stack.
+    """
+    if not np.all(np.isfinite(windows)):
+        raise ValueError("sample contains non-finite values")
+    if scale <= 0.0:
+        raise ValueError("scale must be positive, got %g" % scale)
+    return _bandwidths(*_centred_cross(windows), windows.shape[1], scale)
+
+
+def _mle_starts(mean, cross, n: int) -> np.ndarray:
+    """Unweighted Gaussian MLEs of every pair of each window of a stack of
+    windows of n >= 2 observations, from their _centred_cross, correlation
+    capped below 1.
+
+    Returns (D, P, 5) parameters (mu1, mu2, sigma1, sigma2, rho), pairs in
+    np.triu_indices order; a constant column gives a sigma of rounding size
+    (see _flat_columns) and a meaningless rho.
+    """
+    first, second = np.triu_indices(mean.shape[1], 1)
+    var = np.diagonal(cross, axis1=1, axis2=2) / n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = cross[:, first, second] / n / np.sqrt(var[:, first] * var[:, second])
+    rho = np.clip(rho, -_RHO_CAP, _RHO_CAP)
+    sd = np.sqrt(var)
+    return np.stack([mean[:, first], mean[:, second], sd[:, first], sd[:, second], rho], axis=-1)
+
+
 def gaussian_mle_batch(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Unweighted Gaussian MLEs of P bivariate samples at once, correlation capped below 1.
 
     `xs`, `ys` are validated (P, n) samples with n >= 2. Returns (P, 5)
-    parameters (mu1, mu2, sigma1, sigma2, rho); a constant column gives a
-    sigma of rounding size (see _flat_columns) and a meaningless rho. Each
-    row depends only on its own sample.
+    parameters (mu1, mu2, sigma1, sigma2, rho): each pair is a two-asset
+    window of _mle_starts, so each row depends only on its own sample.
     """
-    n = xs.shape[1]
-    mu1 = xs.mean(axis=1)
-    mu2 = ys.mean(axis=1)
-    dx = xs - mu1[:, None]
-    dy = ys - mu2[:, None]
-    v1 = (dx * dx).sum(axis=1) / n
-    v2 = (dy * dy).sum(axis=1) / n
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rho = (dx * dy).sum(axis=1) / n / np.sqrt(v1 * v2)
-    rho = np.clip(rho, -_RHO_CAP, _RHO_CAP)
-    return np.column_stack([mu1, mu2, np.sqrt(v1), np.sqrt(v2), rho])
+    windows = np.stack([xs, ys], axis=2)
+    return _mle_starts(*_centred_cross(windows), xs.shape[1])[:, 0]
 
 
 def global_gaussian_mle(sample) -> LocalParams:
@@ -375,11 +404,62 @@ def _full_hessian(packed: np.ndarray) -> np.ndarray:
     return np.moveaxis(packed[np.array(_PACKED)], -1, 0)
 
 
-def local_moments(xs: np.ndarray, ys: np.ndarray, r: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kernel-weighted moments of P pairs: the sample statistics of their fits.
+def _pair_moments(windows, grids, bandwidths, centres=None):
+    """Kernel mass, weighted means and weighted covariances of every pair of
+    each window: six (D, P) arrays (mass, c1, c2, s11, s22, s12), pairs in
+    np.triu_indices order.
 
-    `xs`, `ys` are validated (P, n) samples, `r` and `b` (P, 2) grid points
-    and positive bandwidths. Returns a (12, P) array whose rows are
+    The kernel factor of asset i is k_i = exp(-z^2 / 2), z = (x_i - r_i) / b_i,
+    for the (D, N) `grids` r and `bandwidths` b; pair (i, j) weighs its
+    observations by k_i k_j, and its mass is their sum. With X~ = X - m for
+    the (D, N) `centres` m (the grid points if None) and K the (n, N)
+    factors of a window, each sum is an entry of K'K, (K o X~)'K,
+    (K o X~^2)'K or (K o X~)'(K o X~): pair (i, j) reads entries [i, j] and
+    [j, i]. The covariance is the second moment about m less the outer
+    product of c - m, so it carries a rounding error of about eps |c - m|^2.
+    """
+    first, second = np.triu_indices(windows.shape[2], 1)
+    shifted = windows - grids[:, None, :]
+    # K, K o X~ and K o X~^2, so that one broadcast product takes the sums.
+    factors = np.empty((3,) + shifted.shape)
+    k, kx = factors[0], factors[1]
+    np.divide(shifted, bandwidths[:, None, :], out=k)
+    k *= k
+    k *= -0.5
+    np.exp(k, out=k)
+    if centres is None:
+        centres = grids
+    else:
+        shifted = windows - centres[:, None, :]
+    np.multiply(k, shifted, out=kx)
+    np.multiply(kx, shifted, out=factors[2])
+    del shifted
+    mass, lin, sq = factors.transpose(0, 1, 3, 2) @ k
+    mass = mass[:, first, second]
+    # A pair without local mass has no moments: they are not finite.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mean1 = lin[:, first, second] / mass
+        mean2 = lin[:, second, first] / mass
+        s11 = sq[:, first, second] / mass - mean1 * mean1
+        s22 = sq[:, second, first] / mass - mean2 * mean2
+        s12 = (kx.transpose(0, 2, 1) @ kx)[:, first, second] / mass - mean1 * mean2
+    return mass, mean1 + centres[:, first], mean2 + centres[:, second], s11, s22, s12
+
+
+# A pair whose local variance is below 1 / _RESUM_RATIO of its squared
+# distance from the grid point to the local mean is summed again (see
+# local_moments_stack). Over every fit of c11, tail_wide and a 48-asset
+# panel that ratio is at most 3.3.
+_RESUM_RATIO = 1e3
+
+
+def local_moments_stack(windows: np.ndarray, grids: np.ndarray, bandwidths: np.ndarray):
+    """Kernel-weighted moments of every pair of each window: the sample
+    statistics of their local fits.
+
+    `windows` is a validated (D, n, N) stack, `grids` and `bandwidths` (D, N)
+    grid points and positive bandwidths, one per asset. Returns a (12, D, P)
+    array, pairs (i, j) in np.triu_indices order, whose rows are
         0-1  kernel-weighted mean (c1, c2)
         2-4  kernel-weighted covariance (s11, s22, s12)
         5-6  grid point (r1, r2)
@@ -389,37 +469,53 @@ def local_moments(xs: np.ndarray, ys: np.ndarray, r: np.ndarray, b: np.ndarray) 
         11   scale-free local mass, the mean kernel value without its
              normalizing constant
     The local likelihood depends on the sample only through rows 0-9, so
-    every objective evaluation costs O(1) per pair instead of O(n). Each
-    column depends only on its own pair.
+    every objective evaluation costs O(1) per pair instead of O(n).
+
+    The moments are summed about the grid point, for all pairs at once (see
+    _pair_moments). Where the local variance of a pair with local mass (row
+    11 at least WEIGHT_FLOOR) is small beside |c - r|^2, that subtraction
+    has lost digits, and the pair is summed again, as a two-asset window,
+    about its observation of largest kernel weight: so a window whose mass
+    sits on one observation has its variance to rounding, as a two-pass sum
+    would. A variance that still rounds below 0 is 0. Each pair's moments
+    depend only on its own window.
     """
-    n = xs.shape[1]
-    norm = 2.0 * np.pi * b[:, 0] * b[:, 1]
-    # Kernel weights exp(-0.5 (z1^2 + z2^2)) / norm, built in place.
-    w = (xs - r[:, :1]) / b[:, :1]
-    z2 = (ys - r[:, 1:]) / b[:, 1:]
-    w *= w
-    z2 *= z2
-    w += z2
-    del z2
-    w *= -0.5
-    np.exp(w, out=w)
-    w /= norm[:, None]
-    effective_weight = w.sum(axis=1)
-    # A pair without local mass has no moments (its column is not finite)
-    # and is not fitted.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w /= effective_weight[:, None]
-    c1 = (w * xs).sum(axis=1)
-    c2 = (w * ys).sum(axis=1)
-    dx = xs - c1[:, None]
-    dy = ys - c2[:, None]
-    s22 = (w * dy * dy).sum(axis=1)
-    w *= dx  # the weighted x deviations, for s11 and s12
+    n, n_assets = windows.shape[1:]
+    first, second = np.triu_indices(n_assets, 1)
+    r, b = grids, bandwidths
+    mass, c1, c2, s11, s22, s12 = _pair_moments(windows, r, b)
+    shift1, shift2 = c1 - r[:, first], c2 - r[:, second]
+    d, p = np.nonzero(
+        (mass / n >= WEIGHT_FLOOR)
+        & ((_RESUM_RATIO * s11 < shift1 * shift1) | (_RESUM_RATIO * s22 < shift2 * shift2))
+    )
+    if d.size:
+        i, j = first[p], second[p]
+        pairs = np.stack([windows[d, :, i], windows[d, :, j]], axis=2)
+        pair_r, pair_b = np.column_stack([r[d, i], r[d, j]]), np.column_stack([b[d, i], b[d, j]])
+        # The observation of largest kernel weight, an exact centre near c.
+        z = (pairs - pair_r[:, None, :]) / pair_b[:, None, :]
+        top = np.argmin((z * z).sum(axis=2), axis=1)
+        again = _pair_moments(pairs, pair_r, pair_b, pairs[np.arange(d.size), top])
+        for moment, value in zip((c1, c2, s11, s22, s12), again[1:]):
+            moment[d, p] = value[:, 0]
+    norm = 2.0 * np.pi * b[:, first] * b[:, second]
+    effective_weight = mass / norm
     return np.array([
-        c1, c2, (w * dx).sum(axis=1), s22, (w * dy).sum(axis=1),
-        r[:, 0], r[:, 1], b[:, 0] ** 2, b[:, 1] ** 2,
-        effective_weight / n, effective_weight, effective_weight * norm / n,
+        c1, c2, np.maximum(s11, 0.0), np.maximum(s22, 0.0), s12,
+        r[:, first], r[:, second], b[:, first] ** 2, b[:, second] ** 2,
+        effective_weight / n, effective_weight, mass / n,
     ])
+
+
+def local_moments(xs: np.ndarray, ys: np.ndarray, r: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kernel-weighted moments of P pairs: the (12, P) rows of
+    local_moments_stack, each pair a two-asset window.
+
+    `xs`, `ys` are validated (P, n) samples, `r` and `b` (P, 2) grid points
+    and positive bandwidths. Each column depends only on its own pair.
+    """
+    return local_moments_stack(np.stack([xs, ys], axis=2), r, b)[:, :, 0]
 
 
 def _gaussian_form(va, vb, vc, d1, d2, s=None, hessian: bool = False):

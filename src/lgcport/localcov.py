@@ -19,12 +19,13 @@ from .errors import (
 # external code (e.g. the span tracer in perfbench/) looks it up here.
 from .lgc import (  # noqa: F401
     FitDiagnostics,
+    _bandwidths,
+    _centred_cross,
     _flat_columns,
-    _plugin_bandwidths,
+    _mle_starts,
     estimate_local_params,
     fit_local_moments,
-    gaussian_mle_batch,
-    local_moments,
+    local_moments_stack,
 )
 from .panel import ReturnPanel
 
@@ -37,10 +38,10 @@ PD_TOL = 1e-10
 _CHANGE_TOL = 1e-9
 _PROJECTION_ITERATIONS = 100
 
-# Pair-observations (pairs x window length) that local_covariance_stack
-# gathers and reduces to moments at a time: a few (pairs, window) arrays of
-# 192 kB each. The blocks of global_covariance_stack and of the bandwidths
-# hold as many observations (assets x window length): 192 kB per copy.
+# Asset-observations (window length x assets per date) that the stacks read
+# at a time, in whole dates (or one date if a date alone holds more): 192 kB
+# per (dates, n, N) copy. A slice of local_covariance_stack holds four such
+# copies while it reduces its windows to moments.
 _BLOCK_PAIR_OBS = 3 * 2**13
 
 # Pairs per Newton pass of local_covariance_stack, in whole dates (or one date
@@ -323,14 +324,16 @@ def local_covariance_stack(windows, grids, bandwidth_scale: float = 1.1) -> Loca
 
     Each date is checked on its own, so a date whose window has no estimate
     (a column with zero variance, say) gets its LgcportError in `errors` and
-    leaves the other dates untouched. The remaining dates are fitted in
-    blocks of consecutive dates, one Newton pass per block of at most 2,048
-    pairs (or one date if a date alone holds more). A block's samples are
-    reduced to kernel-weighted moments a slice of at most 24,576
-    pair-observations (pairs x n) at a time. Once every date is assembled,
-    the dates are repaired in blocks of their own, of at most 65,536 matrix
-    elements (N x N per date). A date's result does not depend on the block,
-    slice or repair block it lands in.
+    leaves the other dates untouched. The dates are fitted in blocks of
+    consecutive dates, one Newton pass per block of at most 2,048 pairs (or
+    one date if a date alone holds more). A block's windows are read a slice
+    of at most 24,576 asset-observations (n x N per date) at a time: one
+    centred cross-product per date gives its bandwidths, its errors and the
+    pairs' starts, and one set of kernel products its moments (see
+    lgc.local_moments_stack). Once every date is assembled, the dates are
+    repaired in blocks of their own, of at most 65,536 matrix elements
+    (N x N per date). A date's result does not depend on the block, slice or
+    repair block it lands in.
     """
     w = _as_windows(windows)
     n_dates, n, n_assets = w.shape
@@ -341,54 +344,56 @@ def local_covariance_stack(windows, grids, bandwidth_scale: float = 1.1) -> Loca
     pair_fields = {name: np.zeros((n_dates, n_pairs), kind) for name, kind in _PAIR_FIELDS}
     if n < 2 or n_assets == 1:
         return LocalCovStack(**vars(global_covariance_stack(w)), **pair_fields)
+    if bandwidth_scale <= 0.0:
+        raise ValueError("scale must be positive, got %g" % bandwidth_scale)
 
     out = LocalCovStack.empty(n_dates, n_assets, **pair_fields)
-    bandwidths = np.zeros((n_dates, n_assets))
-    per_block = max(1, _BLOCK_PAIR_OBS // (n * n_assets))
-    for lo in range(0, n_dates, per_block):
-        block, errors = _plugin_bandwidths(w[lo : lo + per_block], bandwidth_scale)
-        bandwidths[lo : lo + per_block] = block
-        out.errors.update({lo + d: err for d, err in errors.items()})
-    ok = _ok_dates(out)
     per_block = max(1, _BLOCK_PAIRS // n_pairs)
-    for lo in range(0, ok.size, per_block):
-        _fit_block(out, ok[lo : lo + per_block], w, g, bandwidths)
-    _repair_dates(out, ok)
+    for lo in range(0, n_dates, per_block):
+        _fit_block(out, range(lo, min(lo + per_block, n_dates)), w, g, bandwidth_scale)
+    _repair_dates(out, _ok_dates(out))
     return out
 
 
-def _block_moments(idx, windows, grids, bandwidths):
-    """The (12, P) local_moments and (P, 5) global-MLE starts of every pair
-    of the dates `idx`, pairs in np.triu_indices order within a date.
+def _block_moments(dates: range, windows, grids, scale: float):
+    """The dates of the range `dates` with an estimate, the (12, P) local
+    moments and (P, 5) global-MLE starts of their pairs, pairs in
+    np.triu_indices order within a date, and {date: error} for the others.
 
-    Pair k is pair k % n_pairs of date idx[k // n_pairs]. The samples are
-    gathered a slice of at most _BLOCK_PAIR_OBS pair-observations at a time,
-    and only their moments and starts are kept.
+    Pair k is pair k % n_pairs of the k // n_pairs-th returned date. The
+    windows are read a slice of at most _BLOCK_PAIR_OBS asset-observations
+    at a time, and only their moments and starts are kept.
     """
     n, n_assets = windows.shape[1:]
-    first, second = np.triu_indices(n_assets, 1)
-    n_pairs = len(first)
-    total = len(idx) * n_pairs
-    per_slice = max(1, _BLOCK_PAIR_OBS // n)
-    moments, starts = [], []
-    for lo in range(0, total, per_slice):
-        k = np.arange(lo, min(lo + per_slice, total))
-        date, i, j = idx[k // n_pairs], first[k % n_pairs], second[k % n_pairs]
-        xs, ys = windows[date, :, i], windows[date, :, j]
-        starts.append(gaussian_mle_batch(xs, ys))
-        r = np.column_stack([grids[date, i], grids[date, j]])
-        b = np.column_stack([bandwidths[date, i], bandwidths[date, j]])
-        moments.append(local_moments(xs, ys, r, b))
-    return np.concatenate(moments, axis=1), np.concatenate(starts)
+    per_slice = max(1, _BLOCK_PAIR_OBS // (n * n_assets))
+    kept, moments, starts, failed = [], [], [], {}
+    for lo in range(dates.start, dates.stop, per_slice):
+        block = windows[lo : min(lo + per_slice, dates.stop)]
+        if not np.all(np.isfinite(block)):
+            raise ValueError("sample contains non-finite values")
+        mean, cross = _centred_cross(block)
+        bandwidths, errors = _bandwidths(mean, cross, n, scale)
+        ok = np.arange(len(block))
+        if errors:
+            failed.update({lo + d: err for d, err in errors.items()})
+            ok = np.setdiff1d(ok, list(errors))
+            block, mean, cross, bandwidths = block[ok], mean[ok], cross[ok], bandwidths[ok]
+        kept.append(lo + ok)
+        starts.append(_mle_starts(mean, cross, n).reshape(-1, 5))
+        moments.append(local_moments_stack(block, grids[lo + ok], bandwidths).reshape(12, -1))
+    return np.concatenate(kept), np.concatenate(moments, axis=1), np.concatenate(starts), failed
 
 
-def _fit_block(out: LocalCovStack, idx, windows, grids, bandwidths) -> None:
-    """Fit every pair of the dates `idx` in one Newton pass and write the
-    dates' estimates into `out`, their covariances before repair (see
-    local_covariance_stack)."""
+def _fit_block(out: LocalCovStack, dates: range, windows, grids, scale: float) -> None:
+    """Fit every pair of the dates `dates` in one Newton pass and write the
+    dates' estimates, or their errors, into `out`, the covariances before
+    repair (see local_covariance_stack)."""
+    idx, moments, mle, errors = _block_moments(dates, windows, grids, scale)
+    out.errors.update(errors)
+    if not idx.size:
+        return
     n_dates, n, n_assets = len(idx), windows.shape[1], windows.shape[2]
     first, second = np.triu_indices(n_assets, 1)
-    moments, mle = _block_moments(idx, windows, grids, bandwidths)
     fit = fit_local_moments(moments, mle)
     fallback = ~fit.converged
     params = np.where(fallback[:, None], mle, fit.params).reshape(n_dates, -1, 5)

@@ -75,8 +75,10 @@ def descriptive_stats(returns) -> DescriptiveStats:
     m2 = float(np.mean(dev**2))
     if m2 <= 0.0:
         raise InsufficientDataError("constant series has no distribution shape")
-    skew = float(np.mean(dev**3)) / m2**1.5
-    exkurt = float(np.mean(dev**4)) / m2**2 - 3.0
+    # Standardized first, so that a finite column has finite moment ratios.
+    z = dev / math.sqrt(m2)
+    skew = float(np.mean(z**3))
+    exkurt = float(np.mean(z**4)) - 3.0
     q1, med, q3 = (float(q) for q in np.quantile(r, [0.25, 0.5, 0.75]))
     return DescriptiveStats(
         n=n,

@@ -471,9 +471,10 @@ class TestAccountReference:
 
 class TestLocalEstimate:
     def test_one_fit_call_per_block_and_one_repair_per_date(self, monkeypatch):
-        # 36 dates of 6 pairs x 24 months: Newton passes of 10 dates (4
-        # passes), each reduced to moments in slices of 5 dates (8 slices),
-        # and then one repair block of all 36 dates.
+        # 36 dates of 4 assets x 24 months (6 pairs each): Newton passes of
+        # 10 dates (4 passes), each read in slices of 5 dates (8 slices, one
+        # local_moments_stack call each), and then one repair block of all
+        # 36 dates.
         calls = {"moments": 0, "newton": 0, "repair": 0}
 
         def counting(name, fn):
@@ -483,9 +484,8 @@ class TestLocalEstimate:
 
             return wrapped
 
-        monkeypatch.setattr(
-            localcov_mod, "local_moments", counting("moments", localcov_mod.local_moments)
-        )
+        real_moments = localcov_mod.local_moments_stack
+        monkeypatch.setattr(localcov_mod, "local_moments_stack", counting("moments", real_moments))
         monkeypatch.setattr(
             localcov_mod, "fit_local_moments", counting("newton", localcov_mod.fit_local_moments)
         )
@@ -500,7 +500,7 @@ class TestLocalEstimate:
             return matrices, repaired
 
         monkeypatch.setattr(localcov_mod, "_repair", repair)
-        monkeypatch.setattr(localcov_mod, "_BLOCK_PAIR_OBS", 5 * 6 * 24)
+        monkeypatch.setattr(localcov_mod, "_BLOCK_PAIR_OBS", 5 * 24 * 4)
         monkeypatch.setattr(localcov_mod, "_BLOCK_PAIRS", 10 * 6)
         res = run_backtest(panel, BacktestConfig(window=24, strategies=specs("MINC-L")))
         # One stacked repair, whatever the Newton passes, sees every date

@@ -315,6 +315,36 @@ class TestErrorHandling:
         assert not out.exists()
 
 
+class TestHugeFiniteColumn:
+    """A column near 1e120 is finite, though the cube of its spread is not."""
+
+    @pytest.fixture()
+    def huge_panel(self, tmp_path):
+        path = tmp_path / "panel.csv"
+        path.write_text(
+            _panel_text(["%r,%r" % (0.5 * (t % 7) - 1.0, 1e120 * (1 + t % 5)) for t in range(30)])
+        )
+        return path
+
+    def test_describe_reports_finite_moment_ratios(self, huge_panel, capsys):
+        assert run_cli("describe", "--input", str(huge_panel)) == 0
+        rows = csv.reader(io.StringIO(capsys.readouterr().out))
+        stats = {row[1]: float(row[3]) for row in rows if row[0] == "statistic"}
+        skew, kurt = stats["skewness"], stats["excess_kurtosis"]
+        # The column is 1e120 times 1..5 in turn: a symmetric uniform
+        # distribution on five points, of excess kurtosis -1.3.
+        assert abs(skew) <= 1e-14 and kurt == pytest.approx(-1.3, rel=1e-14)
+
+    def test_run_ends_in_a_report_or_one_json_line(self, huge_panel, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = run_cli("run", "--input", str(huge_panel), "--out", str(out), "--windows", "12")
+        err = capsys.readouterr().err
+        if code == 1:
+            assert len(err.splitlines()) == 1 and "message" in json.loads(err)
+        else:
+            assert code == 0 and err == ""
+
+
 # One row per month from 2020-01, with header `date,A,B`.
 def _panel_text(cells):
     rows = ["%d-%02d,%s" % (2020 + t // 12, t % 12 + 1, row) for t, row in enumerate(cells)]

@@ -32,12 +32,14 @@ import lgcport.lgc as lgc
 from lgcport.lgc import (
     _ETA_CLIP,
     _freeze_clipped,
+    WEIGHT_FLOOR,
     _plugin_bandwidths,
     _full_hessian,
     _newton_direction,
     _objective,
     _penalty_gradient,
     local_moments,
+    local_moments_stack,
 )
 from lgcport.synth import synth_panel
 
@@ -339,14 +341,21 @@ class RefMoments(NamedTuple):
     wbar: np.ndarray  # (P,) mean kernel weight
 
 
-def ref_moments(xs, ys, r, b):
-    """RefMoments of (P, n) samples at grid points r with bandwidths b."""
+def ref_weighted_moments(xs, ys, r, b):
+    """Kernel weights (P, n), weighted means (P, 2) and weighted covariances
+    (P, 2, 2) of (P, n) samples, pair by pair and in two passes."""
     w = np.array([gaussian_kernel_weight(np.column_stack(s), rr, bb) for *s, rr, bb in zip(xs, ys, r, b)])
     p = w / w.sum(axis=1, keepdims=True)
     dev = np.stack([xs, ys], axis=2)
     center = np.einsum("pi,pic->pc", p, dev)
     dev -= center[:, None, :]
-    lam, vec = np.linalg.eigh(np.einsum("pi,pic,pid->pcd", p, dev, dev))
+    return w, center, np.einsum("pi,pic,pid->pcd", p, dev, dev)
+
+
+def ref_moments(xs, ys, r, b):
+    """RefMoments of (P, n) samples at grid points r with bandwidths b."""
+    w, center, cov = ref_weighted_moments(xs, ys, r, b)
+    lam, vec = np.linalg.eigh(cov)
     root = vec * np.sqrt(np.clip(lam, 0.0, None))[:, None, :]
     return RefMoments(center, root, r, b[:, :, None] ** 2 * np.eye(2), w.mean(axis=1))
 
@@ -545,6 +554,116 @@ class TestNewtonObjective:
         moments = local_moments(xs, ys, r, b)
         value = _objective(moments, eta.T.copy())
         assert np.array_equal(value, _objective(moments, eta.T.copy(), hessian=True)[0])
+
+
+def stack_pairs(windows, grids, bandwidths):
+    """Every pair (i < j) of every window of a (D, n, N) stack as the (P, n)
+    samples and (P, 2) grid points and bandwidths of a per-pair call, in
+    local_moments_stack's order."""
+    first, second = np.triu_indices(windows.shape[2], 1)
+    n = windows.shape[1]
+    xs = windows[:, :, first].transpose(0, 2, 1).reshape(-1, n)
+    ys = windows[:, :, second].transpose(0, 2, 1).reshape(-1, n)
+    r = np.stack([grids[:, first], grids[:, second]], axis=2).reshape(-1, 2)
+    b = np.stack([bandwidths[:, first], bandwidths[:, second]], axis=2).reshape(-1, 2)
+    return xs, ys, r, b
+
+
+def oracle_draw(rng, n_assets, n, kind, log_scale, beyond):
+    """Two (n, N) windows of correlated, shifted normals with their grid
+    points and bandwidths (10**log_scale plug-in bandwidths): at the 5 % or
+    95 % quantile, `beyond` bandwidths below the minimum or above the
+    maximum, or, for "spike", within a bandwidth of one observation whose
+    neighbours all sit 3 to 8 bandwidths away in every coordinate, so that
+    it holds all but 1e-8 to 1e-28 of every pair's kernel mass."""
+    windows = rng.standard_normal((2, n, n_assets)) @ rng.standard_normal((n_assets, n_assets))
+    windows += rng.uniform(-3.0, 3.0, n_assets)
+    b = 1.1 * 10.0**log_scale * windows.std(axis=1, ddof=1)
+    if kind == "lower":
+        return windows, np.quantile(windows, 0.05, axis=1), b
+    if kind == "upper":
+        return windows, np.quantile(windows, 0.95, axis=1), b
+    if kind == "below":
+        return windows, windows.min(axis=1) - beyond * b, b
+    if kind == "above":
+        return windows, windows.max(axis=1) + beyond * b, b
+    dates = np.arange(2)
+    grids = windows[dates, rng.integers(n, size=2)]
+    far = rng.uniform(3.0, 8.0, windows.shape) * rng.choice([-1.0, 1.0], windows.shape)
+    windows = grids[:, None, :] + far * b[:, None, :]
+    windows[dates, rng.integers(n, size=2)] = grids + rng.uniform(-1.0, 1.0, grids.shape) * b
+    return windows, grids, b
+
+
+class TestLocalMomentsOracle:
+    """local_moments_stack against the per-pair, two-pass ref_weighted_moments."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n_assets=st.integers(2, 8),
+        n=st.integers(2, 300),
+        kind=st.sampled_from(["lower", "upper", "below", "above", "spike"]),
+        log_scale=st.floats(-3.0, 3.0),
+        beyond=st.floats(0.0, 4.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_per_pair_reference(self, n_assets, n, kind, log_scale, beyond, seed):
+        # Summed about the grid point, a covariance carries a rounding error
+        # of about eps |c - r|^2, up to 1e3 times its size before its pair is
+        # summed again (lgc._RESUM_RATIO): 1e3 * 300 * eps = 7e-11 at worst
+        # over 300 terms. The largest error over 6,000 random draws was
+        # 1.4e-11 of the variance.
+        rng = np.random.default_rng(seed)
+        windows, grids, bandwidths = oracle_draw(rng, n_assets, n, kind, log_scale, beyond)
+        got = local_moments_stack(windows, grids, bandwidths).reshape(12, -1)
+        xs, ys, r, b = stack_pairs(windows, grids, bandwidths)
+        with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
+            w, center, cov = ref_weighted_moments(xs, ys, r, b)
+        mass = w.mean(axis=1) * 2.0 * np.pi * b[:, 0] * b[:, 1]
+        assert np.array_equal(got[5:7].T, r) and np.array_equal(got[7:9].T, b**2)
+        variances = got[2:4][:, np.isfinite(got[2:4]).all(axis=0)]
+        assert np.all(variances >= 0.0)
+        # The same pairs are fitted, for the same reason: no local mass, or
+        # a weighted correlation at the cap.
+        has_mass = mass >= WEIGHT_FLOOR
+        assert np.array_equal(got[11] >= WEIGHT_FLOOR, has_mass)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got_corr = got[4] / np.sqrt(got[2] * got[3])
+            ref_corr = cov[:, 0, 1] / np.sqrt(cov[:, 0, 0] * cov[:, 1, 1])
+        cap = 1.0 - 1e-9
+        collinear = np.abs(got_corr) >= cap
+        assert np.array_equal(collinear[has_mass], (np.abs(ref_corr) >= cap)[has_mass])
+        if not has_mass.any():
+            return
+        got, w, center, cov = got[:, has_mass], w[has_mass], center[has_mass], cov[has_mass]
+        mass = mass[has_mass]
+        assert np.all(np.abs(got[11] - mass) <= 1e-13 * mass)
+        assert np.all(np.abs(got[10] - w.sum(axis=1)) <= 1e-13 * w.sum(axis=1))
+        sd = np.sqrt(np.diagonal(cov, axis1=1, axis2=2))
+        assert np.all(np.abs(got[:2].T - center) <= 1e-12 * (np.abs(center) + sd))
+        # Variances of subnormal size keep only a few digits, in both.
+        tiny = 1e-290
+        assert np.all(np.abs(got[2] - cov[:, 0, 0]) <= 1e-10 * cov[:, 0, 0] + tiny)
+        assert np.all(np.abs(got[3] - cov[:, 1, 1]) <= 1e-10 * cov[:, 1, 1] + tiny)
+        assert np.all(np.abs(got[4] - cov[:, 0, 1]) <= 1e-10 * sd[:, 0] * sd[:, 1] + tiny)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n_assets=st.integers(2, 8), n=st.integers(2, 300), seed=st.integers(0, 2**32 - 1))
+    def test_starts_match_a_two_pass_per_pair_mle(self, n_assets, n, seed):
+        rng = np.random.default_rng(seed)
+        windows, grids, bandwidths = oracle_draw(rng, n_assets, n, "lower", 0.0, 0.0)
+        xs, ys, _, _ = stack_pairs(windows, grids, bandwidths)
+        stack = lgc._mle_starts(*lgc._centred_cross(windows), n).reshape(-1, 5)
+        for got in (stack, gaussian_mle_batch(xs, ys)):
+            for k, (x, y) in enumerate(zip(xs, ys)):
+                dx, dy = x - x.mean(), y - y.mean()
+                v1, v2 = np.mean(dx * dx), np.mean(dy * dy)
+                sd1, sd2 = math.sqrt(v1), math.sqrt(v2)
+                rho = min(max(np.mean(dx * dy) / math.sqrt(v1 * v2), -1.0 + 1e-9), 1.0 - 1e-9)
+                assert abs(got[k, 0] - x.mean()) <= 1e-13 * (abs(x.mean()) + sd1)
+                assert abs(got[k, 1] - y.mean()) <= 1e-13 * (abs(y.mean()) + sd2)
+                assert got[k, 2:4] == pytest.approx([sd1, sd2], rel=1e-13)
+                assert abs(got[k, 4] - rho) <= 1e-13
 
 
 def eigen_modified_step(g, h, floor=1e-8):

@@ -391,7 +391,8 @@ def c11_windows(window, n_dates):
 class TestLocalCovarianceStack:
     @staticmethod
     def counted_stages(monkeypatch):
-        """Count the moment slices and Newton passes of local_covariance_stack."""
+        """Count the slices (one local_moments_stack call each) and Newton
+        passes of local_covariance_stack."""
         calls = {"moments": 0, "newton": 0}
 
         def counting(name, fn):
@@ -401,20 +402,22 @@ class TestLocalCovarianceStack:
 
             return wrapped
 
-        monkeypatch.setattr(localcov, "local_moments", counting("moments", localcov.local_moments))
+        monkeypatch.setattr(
+            localcov, "local_moments_stack", counting("moments", localcov.local_moments_stack)
+        )
         monkeypatch.setattr(
             localcov, "fit_local_moments", counting("newton", localcov.fit_local_moments)
         )
         return calls
 
     def test_a_date_does_not_depend_on_its_block(self, monkeypatch):
-        # 30 dates of 15 pairs x 120 months, in one Newton pass; the moment
-        # slices hold 1, 7 or 30 dates.
+        # 30 dates of 6 assets x 120 months (15 pairs each), in one Newton
+        # pass; the slices hold 1, 7 or 30 dates.
         windows, grids = c11_windows(120, 30)
         calls = self.counted_stages(monkeypatch)
         runs = []
         for dates_per_slice, n_slices in ((1, 30), (7, 5), (30, 1)):
-            monkeypatch.setattr(localcov, "_BLOCK_PAIR_OBS", dates_per_slice * 15 * 120)
+            monkeypatch.setattr(localcov, "_BLOCK_PAIR_OBS", dates_per_slice * 120 * 6)
             calls.update(moments=0, newton=0)
             runs.append(local_covariance_stack(windows, grids))
             assert calls == {"moments": n_slices, "newton": 1}
@@ -427,11 +430,10 @@ class TestLocalCovarianceStack:
 
     def test_a_date_does_not_depend_on_its_newton_pass(self, monkeypatch):
         # The same 30 dates in Newton passes of 1, 7 or all 30 dates, each
-        # pass reduced to moments in slices of 4 dates (its last slice holds
-        # the rest).
+        # pass read in slices of 4 dates (its last slice holds the rest).
         windows, grids = c11_windows(120, 30)
         calls = self.counted_stages(monkeypatch)
-        monkeypatch.setattr(localcov, "_BLOCK_PAIR_OBS", 4 * 15 * 120)
+        monkeypatch.setattr(localcov, "_BLOCK_PAIR_OBS", 4 * 120 * 6)
         runs = []
         for dates_per_pass, n_passes, n_slices in ((1, 30, 30), (7, 5, 9), (30, 1, 8)):
             monkeypatch.setattr(localcov, "_BLOCK_PAIRS", dates_per_pass * 15)

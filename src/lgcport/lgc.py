@@ -11,6 +11,11 @@ So each pair's objective is a pair of 2 x 2 Gaussian forms in its five
 parameters, whose value, gradient and Hessian are written out elementwise
 over (P,) arrays of pairs; a Hessian is kept as its 15 distinct entries.
 
+Every statistic of a whole window comes from one reader, _window_stats: the
+column means, the centred cross-product X_c' X_c, the sample sds and the
+verdict on flat columns. The sample covariance, plugin_bandwidth and
+global_gaussian_mle (the start of every local fit) are read from it.
+
 Many pairs are fitted at once in two stages. local_moments_stack reduces
 each window of assets to the moments of all its pairs: the kernel weight of
 pair (i, j) is the product of one factor per asset, so every kernel-weighted
@@ -251,18 +256,23 @@ def plugin_bandwidth(sample, scale: float = 1.1) -> Tuple[float, ...]:
     """Plug-in bandwidth: `scale` times each column's sample sd (n-1 denominator).
 
     `sample` is (n, 2) for one pair, giving (b1, b2), or (n, k) for k assets
-    at once, giving one bandwidth per asset. This is the one-window case of
-    _plugin_bandwidths.
+    at once, giving one bandwidth per asset: the bandwidths that
+    local_covariance_stack gives a window's assets. A flat column (see
+    _window_stats) raises its DegenerateSampleError.
     """
     s = np.asarray(sample, dtype=float)
     if s.ndim != 2 or s.shape[1] < 1:
         raise ValueError("sample must have shape (n, k), got %r" % (s.shape,))
     if s.shape[0] < 2:
         raise ValueError("bandwidth needs at least 2 observations")
-    bandwidths, errors = _plugin_bandwidths(s[None], scale)
+    if not np.all(np.isfinite(s)):
+        raise ValueError("sample contains non-finite values")
+    if scale <= 0.0:
+        raise ValueError("scale must be positive, got %g" % scale)
+    _, _, sd, errors = _window_stats(s[None])
     if errors:
         raise errors[0]
-    return tuple(float(v) for v in bandwidths[0])
+    return tuple(float(v) for v in scale * sd[0])
 
 
 def _flat_columns(sd, mean, n: int) -> np.ndarray:
@@ -270,57 +280,42 @@ def _flat_columns(sd, mean, n: int) -> np.ndarray:
     standard deviation `sd` is not finite, or at most n * eps * |mean|.
 
     A constant column's mean is rarely exact, so its computed sd is rounding
-    of order eps * |mean|, not zero: below 0.25 * n * eps * |mean| in 6,000
-    random draws with n <= 600, by the std and the centred X'X paths alike,
-    and below 0.27 times that with the mean taken as a matrix product
-    (_centred_cross).
+    of order eps * |mean|, not zero: by _window_stats, as by np.std, at most
+    0.31 * n * eps * |mean| in 6,000 random draws with n <= 600 and |mean|
+    log-uniform in [1e-6, 1e6] (0.23 with |mean| uniform there).
     """
     return ~(np.isfinite(sd) & (sd > n * np.finfo(float).eps * np.abs(mean)))
 
 
-def _centred_cross(windows: np.ndarray):
-    """Column means (D, N) and centred cross-products X_c' X_c (D, N, N) of
-    each (n, N) window of a (D, n, N) stack, one matrix product per window."""
-    mean = np.ones(windows.shape[1]) @ windows / windows.shape[1]
+def _window_stats(windows: np.ndarray):
+    """The statistics of each (n, N) window of a finite (D, n, N) stack,
+    n >= 2, that the sample covariance, the plug-in bandwidths and the
+    Gaussian MLEs are read from.
+
+    Returns the (D, N) column means, the (D, N, N) centred cross-products
+    X_c' X_c, the (D, N) sample sds (n-1 denominator) and
+    {d: DegenerateSampleError} for the windows with a flat column (see
+    _flat_columns), one message for a zero variance and one for a variance
+    that is not finite. cross * (1 / (n - 1)) is the sample covariance,
+    rounded as np.cov rounds it.
+    """
+    n = windows.shape[1]
+    mean = windows.mean(axis=1)
     centred = windows - mean[:, None, :]
-    return mean, centred.transpose(0, 2, 1) @ centred
-
-
-def _bandwidths(mean, cross, n: int, scale: float):
-    """Plug-in bandwidths of a stack of windows of n >= 2 observations, from
-    their _centred_cross.
-
-    Returns the (D, N) bandwidths, `scale` times each column's sample sd
-    (n-1 denominator), and {d: DegenerateSampleError} for the windows with a
-    flat column (see _flat_columns).
-    """
+    cross = centred.transpose(0, 2, 1) @ centred
     sd = np.sqrt(np.diagonal(cross, axis1=1, axis2=2) * (1.0 / (n - 1)))
-    flat = _flat_columns(sd, mean, n)
-    errors = {
-        int(d): DegenerateSampleError(
-            "sample standard deviation is %s in a coordinate, sd=%r"
-            % ("zero" if np.all(np.isfinite(sd[d])) else "not finite", sd[d])
+    errors = {}
+    for d in np.flatnonzero(np.any(_flat_columns(sd, mean, n), axis=1)):
+        finite = np.all(np.isfinite(sd[d]))
+        errors[int(d)] = DegenerateSampleError(
+            "a column has zero variance" if finite else "a column's variance is not finite"
         )
-        for d in np.flatnonzero(np.any(flat, axis=1))
-    }
-    return scale * sd, errors
-
-
-def _plugin_bandwidths(windows: np.ndarray, scale: float):
-    """Plug-in bandwidths of each (n, k) window of a (D, n, k) stack, n >= 2:
-    see _bandwidths. A non-finite window or a non-positive scale raises
-    ValueError for the whole stack.
-    """
-    if not np.all(np.isfinite(windows)):
-        raise ValueError("sample contains non-finite values")
-    if scale <= 0.0:
-        raise ValueError("scale must be positive, got %g" % scale)
-    return _bandwidths(*_centred_cross(windows), windows.shape[1], scale)
+    return mean, cross, sd, errors
 
 
 def _mle_starts(mean, cross, n: int) -> np.ndarray:
     """Unweighted Gaussian MLEs of every pair of each window of a stack of
-    windows of n >= 2 observations, from their _centred_cross, correlation
+    windows of n >= 2 observations, from their _window_stats, correlation
     capped below 1.
 
     Returns (D, P, 5) parameters (mu1, mu2, sigma1, sigma2, rho), pairs in
@@ -336,32 +331,18 @@ def _mle_starts(mean, cross, n: int) -> np.ndarray:
     return np.stack([mean[:, first], mean[:, second], sd[:, first], sd[:, second], rho], axis=-1)
 
 
-def gaussian_mle_batch(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Unweighted Gaussian MLEs of P bivariate samples at once, correlation capped below 1.
-
-    `xs`, `ys` are validated (P, n) samples with n >= 2. Returns (P, 5)
-    parameters (mu1, mu2, sigma1, sigma2, rho): each pair is a two-asset
-    window of _mle_starts, so each row depends only on its own sample.
-    """
-    windows = np.stack([xs, ys], axis=2)
-    return _mle_starts(*_centred_cross(windows), xs.shape[1])[:, 0]
-
-
 def global_gaussian_mle(sample) -> LocalParams:
-    """Unweighted Gaussian MLE of a bivariate sample, correlation capped below 1.
-
-    The one-pair case of gaussian_mle_batch.
+    """Unweighted Gaussian MLE of a bivariate sample, correlation capped below 1:
+    the start that local_covariance_stack gives the pair. A flat column (see
+    _window_stats) raises its DegenerateSampleError.
     """
     s = _as_sample(sample)
     if s.shape[0] < 2:
         raise ValueError("MLE needs at least 2 observations")
-    columns = np.ascontiguousarray(s.T)
-    theta = gaussian_mle_batch(columns[:1], columns[1:])[0]
-    if np.any(_flat_columns(theta[2:4], theta[:2], s.shape[0])):
-        if np.all(np.isfinite(theta[2:4])):
-            raise DegenerateSampleError("constant column, Gaussian MLE undefined")
-        raise DegenerateSampleError("column variance is not finite, Gaussian MLE undefined")
-    return LocalParams.from_array(theta)
+    mean, cross, _, errors = _window_stats(s[None])
+    if errors:
+        raise errors[0]
+    return LocalParams.from_array(_mle_starts(mean, cross, s.shape[0])[0, 0])
 
 
 # Newton solver settings: Armijo sufficient-decrease constant, step halvings
@@ -508,16 +489,6 @@ def local_moments_stack(windows: np.ndarray, grids: np.ndarray, bandwidths: np.n
     ])
 
 
-def local_moments(xs: np.ndarray, ys: np.ndarray, r: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kernel-weighted moments of P pairs: the (12, P) rows of
-    local_moments_stack, each pair a two-asset window.
-
-    `xs`, `ys` are validated (P, n) samples, `r` and `b` (P, 2) grid points
-    and positive bandwidths. Each column depends only on its own pair.
-    """
-    return local_moments_stack(np.stack([xs, ys], axis=2), r, b)[:, :, 0]
-
-
 def _gaussian_form(va, vb, vc, d1, d2, s=None, hessian: bool = False):
     """T = 0.5 log det V + 0.5 d' V^-1 d + 0.5 tr(V^-1 S) per pair, and for
     `hessian` its gradient (5, P) and packed Hessian (15, P) over
@@ -604,7 +575,8 @@ def _objective(mom: np.ndarray, eta: np.ndarray, hessian: bool = False):
     """F(eta) = -local_loglik / wbar per pair, and for `hessian` its gradient
     (5, P) and packed Hessian (15, P).
 
-    `mom` holds local_moments rows (at least rows 0-9) and `eta` is (5, P).
+    `mom` holds local_moments_stack rows (at least rows 0-9), one column per
+    pair, and `eta` is (5, P).
     With Sigma = [[va, vc], [vc, vb]] and B = diag(b1^2, b2^2),
         F = log(2 pi) + T(Sigma, c - mu, S) + exp(-log(2 pi) - T(Sigma + B, r - mu)) / wbar
     where T is _gaussian_form: the first part is the weighted Gaussian
@@ -747,7 +719,7 @@ class BatchFit:
 
 def fit_local_moments(moments: np.ndarray, theta0: np.ndarray) -> BatchFit:
     """Maximize the local log-likelihood of P pairs given their (12, P)
-    local_moments, from (P, 5) starting parameters `theta0`.
+    local_moments_stack rows, from (P, 5) starting parameters `theta0`.
 
     Pairs whose scale-free local mass is below WEIGHT_FLOOR, and pairs
     whose kernel-weighted sample correlation reaches the cap +-(1 - 1e-9),
@@ -837,10 +809,10 @@ def estimate_local_params(
 
     Notes
     -----
-    This is the single-pair case of local_moments and fit_local_moments: a
-    damped Newton iteration in (mu1, mu2, log sigma1, log sigma2, atanh rho)
-    with an analytic Hessian, eigenvalue-modified where it is not positive
-    definite, and an Armijo line search. The objective is normalized by the
+    This is the single-pair case of local_moments_stack and
+    fit_local_moments: a damped Newton iteration in (mu1, mu2, log sigma1,
+    log sigma2, atanh rho) with an analytic Hessian, eigenvalue-modified
+    where it is not positive definite, and an Armijo line search. The objective is normalized by the
     mean kernel weight so the 1e-6 gradient tolerance means the same thing at
     every grid point and bandwidth. `iterations` counts Newton steps.
     """
@@ -851,9 +823,7 @@ def estimate_local_params(
     r1, r2 = _check_point(r)
     theta0 = init if init is not None else global_gaussian_mle(s)
 
-    moments = local_moments(
-        s[None, :, 0], s[None, :, 1], np.array([[r1, r2]]), np.array([[b1, b2]])
-    )
+    moments = local_moments_stack(s[None], np.array([[r1, r2]]), np.array([[b1, b2]]))[:, 0]
     fit = fit_local_moments(moments, theta0.as_array()[None])
     if fit.local_mass[0] < WEIGHT_FLOOR:
         raise InsufficientLocalDataError(

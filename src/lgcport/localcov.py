@@ -1,4 +1,13 @@
-"""Asset covariance matrices assembled from pairwise local Gaussian fits."""
+"""Asset covariance matrices assembled from pairwise local Gaussian fits.
+
+Both covariance stacks read their windows through one loop, _window_slices:
+a slice of dates at a time, checked for non-finite values, reduced by
+lgc._window_stats, and split into the dates with a flat column, which get
+that reader's DegenerateSampleError, and the others. The global stack
+scales the others' cross-products to sample covariances; the local stack
+takes their bandwidths and starts from the same statistics and fits every
+pair. Both stacks end in the same blocked PD repair.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +19,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
-    DegenerateSampleError,
     InsufficientDataError,
     LgcportError,
     NonSymmetricError,
@@ -19,10 +27,8 @@ from .errors import (
 # external code (e.g. the span tracer in perfbench/) looks it up here.
 from .lgc import (  # noqa: F401
     FitDiagnostics,
-    _bandwidths,
-    _centred_cross,
-    _flat_columns,
     _mle_starts,
+    _window_stats,
     estimate_local_params,
     fit_local_moments,
     local_moments_stack,
@@ -250,17 +256,43 @@ def _repair_dates(out: CovStack, ok) -> None:
         out.matrices[idx], out.pd_repaired[idx] = _repair(out.matrices[idx])
 
 
+def _window_slices(windows, dates: range, errors: dict):
+    """Read the windows of the range `dates` of a (D, n, N) stack, n >= 2, a
+    slice of at most _BLOCK_PAIR_OBS asset-observations (n x N per date) at
+    a time, or one date if a date alone holds more.
+
+    A slice with a non-finite value raises ValueError. Otherwise its
+    windows' _window_stats are taken, the error of each date with a flat
+    column goes into `errors`, and the slice yields the other dates, their
+    windows and their (mean, cross, sd), each with a leading axis of those
+    dates.
+    """
+    n, n_assets = windows.shape[1:]
+    per_slice = max(1, _BLOCK_PAIR_OBS // (n * n_assets))
+    for lo in range(dates.start, dates.stop, per_slice):
+        block = windows[lo : min(lo + per_slice, dates.stop)]
+        if not np.all(np.isfinite(block)):
+            raise ValueError("sample contains non-finite values")
+        mean, cross, sd, failed = _window_stats(block)
+        ok = np.arange(len(block))
+        if failed:
+            errors.update((lo + d, err) for d, err in failed.items())
+            ok = np.setdiff1d(ok, list(failed))
+            block, mean, cross, sd = block[ok], mean[ok], cross[ok], sd[ok]
+        yield lo + ok, block, mean, cross, sd
+
+
 def global_covariance_stack(windows) -> CovStack:
     """Sample covariance (n-1 denominator) of each (n, N) window of the
     (D, n, N) stack, PD-repaired if needed.
 
-    A date with a flat column (see lgc._flat_columns: no spread beyond
+    A date with a flat column (see lgc._window_stats: no spread beyond
     rounding, or a variance that overflows) gets a DegenerateSampleError in
     `errors`, and n < 2 fails every date; a non-finite window raises
-    ValueError for the whole stack. The covariances are assembled in blocks
-    of at most 24,576 observations (n x N per date), or of one date, and then
-    repaired in blocks of at most 65,536 matrix elements (N x N per date);
-    a date's result does not depend on its blocks.
+    ValueError for the whole stack. The covariances are assembled in slices
+    of at most 24,576 observations (n x N per date), or of one date, and
+    then repaired in blocks of at most 65,536 matrix elements (N x N per
+    date); a date's result does not depend on its slices or blocks.
     """
     w = _as_windows(windows)
     n_dates, n, n_assets = w.shape
@@ -269,26 +301,10 @@ def global_covariance_stack(windows) -> CovStack:
         err = InsufficientDataError("covariance needs at least 2 observations")
         out.errors = dict.fromkeys(range(n_dates), err)
         return out
-    per_block = max(1, _BLOCK_PAIR_OBS // (n * n_assets))
-    for lo in range(0, n_dates, per_block):
-        block = w[lo : lo + per_block]
-        if not np.all(np.isfinite(block)):
-            raise ValueError("sample contains non-finite values")
-        mean = block.mean(axis=1, keepdims=True)
-        centred = block - mean
-        cov = centred.transpose(0, 2, 1) @ centred
+    for idx, _, _, cov, sd in _window_slices(w, range(n_dates), out.errors):
         cov *= 1.0 / (n - 1)
-        sd = np.sqrt(np.diagonal(cov, axis1=1, axis2=2))
-        flat = np.any(_flat_columns(sd, mean[:, 0], n), axis=1)
-        for d in np.flatnonzero(flat):
-            if np.all(np.isfinite(sd[d])):
-                message = "a column has zero variance"
-            else:
-                message = "a column's variance is not finite"
-            out.errors[int(lo + d)] = DegenerateSampleError(message)
-        ok, sd = np.flatnonzero(~flat), sd[~flat]
-        out.correlations[lo + ok] = cov[ok] / (sd[:, :, None] * sd[:, None, :])
-        out.matrices[lo + ok] = cov[ok]
+        out.correlations[idx] = cov / (sd[:, :, None] * sd[:, None, :])
+        out.matrices[idx] = cov
     _repair_dates(out, _ok_dates(out))
     return out
 
@@ -355,41 +371,30 @@ def local_covariance_stack(windows, grids, bandwidth_scale: float = 1.1) -> Loca
     return out
 
 
-def _block_moments(dates: range, windows, grids, scale: float):
-    """The dates of the range `dates` with an estimate, the (12, P) local
-    moments and (P, 5) global-MLE starts of their pairs, pairs in
-    np.triu_indices order within a date, and {date: error} for the others.
+def _block_moments(dates: range, windows, grids, scale: float, errors: dict):
+    """The dates of the range `dates` with an estimate, and the (12, P)
+    local moments and (P, 5) global-MLE starts of their pairs, pairs in
+    np.triu_indices order within a date; the other dates' errors go into
+    `errors`.
 
     Pair k is pair k % n_pairs of the k // n_pairs-th returned date. The
-    windows are read a slice of at most _BLOCK_PAIR_OBS asset-observations
-    at a time, and only their moments and starts are kept.
+    windows are read by _window_slices, and only their moments and starts
+    are kept.
     """
-    n, n_assets = windows.shape[1:]
-    per_slice = max(1, _BLOCK_PAIR_OBS // (n * n_assets))
-    kept, moments, starts, failed = [], [], [], {}
-    for lo in range(dates.start, dates.stop, per_slice):
-        block = windows[lo : min(lo + per_slice, dates.stop)]
-        if not np.all(np.isfinite(block)):
-            raise ValueError("sample contains non-finite values")
-        mean, cross = _centred_cross(block)
-        bandwidths, errors = _bandwidths(mean, cross, n, scale)
-        ok = np.arange(len(block))
-        if errors:
-            failed.update({lo + d: err for d, err in errors.items()})
-            ok = np.setdiff1d(ok, list(errors))
-            block, mean, cross, bandwidths = block[ok], mean[ok], cross[ok], bandwidths[ok]
-        kept.append(lo + ok)
+    n = windows.shape[1]
+    kept, moments, starts = [], [], []
+    for idx, block, mean, cross, sd in _window_slices(windows, dates, errors):
+        kept.append(idx)
         starts.append(_mle_starts(mean, cross, n).reshape(-1, 5))
-        moments.append(local_moments_stack(block, grids[lo + ok], bandwidths).reshape(12, -1))
-    return np.concatenate(kept), np.concatenate(moments, axis=1), np.concatenate(starts), failed
+        moments.append(local_moments_stack(block, grids[idx], scale * sd).reshape(12, -1))
+    return np.concatenate(kept), np.concatenate(moments, axis=1), np.concatenate(starts)
 
 
 def _fit_block(out: LocalCovStack, dates: range, windows, grids, scale: float) -> None:
     """Fit every pair of the dates `dates` in one Newton pass and write the
     dates' estimates, or their errors, into `out`, the covariances before
     repair (see local_covariance_stack)."""
-    idx, moments, mle, errors = _block_moments(dates, windows, grids, scale)
-    out.errors.update(errors)
+    idx, moments, mle = _block_moments(dates, windows, grids, scale, out.errors)
     if not idx.size:
         return
     n_dates, n, n_assets = len(idx), windows.shape[1], windows.shape[2]

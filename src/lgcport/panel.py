@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import re
 import warnings
 from dataclasses import dataclass, field
 from typing import List
@@ -12,22 +13,23 @@ import numpy as np
 from .errors import PanelAlignmentError, PanelParseError
 
 
+_DATE = re.compile("[0-9]{4}-[0-9]{2}")
+
+
 class PanelGapWarning(UserWarning):
     """Dates skip more than one month somewhere in the file."""
 
 
 def _month_ordinal(label: str) -> int:
-    """Parse 'yyyy-mm' to a month count; raise PanelParseError otherwise."""
-    parts = label.split("-")
-    if len(parts) != 2 or len(parts[0]) != 4 or len(parts[1]) != 2:
+    """Parse 'yyyy-mm' (four ASCII digits, '-', two ASCII digits) to a month
+    count, which month_label writes back as `label`; raise PanelParseError
+    otherwise."""
+    if not _DATE.fullmatch(label):
         raise PanelParseError("bad date %r, expected yyyy-mm" % (label,))
-    try:
-        year, month = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise PanelParseError("bad date %r, expected yyyy-mm" % (label,)) from None
+    month = int(label[5:])
     if not 1 <= month <= 12:
         raise PanelParseError("month out of range in %r" % (label,))
-    return year * 12 + (month - 1)
+    return int(label[:4]) * 12 + (month - 1)
 
 
 def month_label(ordinal: int) -> str:

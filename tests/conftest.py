@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from lgcport.lgc import LocalParams, gaussian_kernel_weight, local_score
+from lgcport.lgc import LocalParams, gaussian_kernel_weight, local_moments_stack, local_score
 
 
 def gauss_pair(rng, n, rho, means=(0.0, 0.0), sds=(1.0, 1.0)):
@@ -14,6 +14,13 @@ def gauss_pair(rng, n, rho, means=(0.0, 0.0), sds=(1.0, 1.0)):
     y = rho * z[:, 0] + np.sqrt(1.0 - rho * rho) * z[:, 1]
     out = np.column_stack([z[:, 0], y])
     return np.asarray(means) + np.asarray(sds) * out
+
+
+def pair_moments(xs, ys, r, b):
+    """The (12, P) local_moments_stack rows of P pairs, each its own
+    two-asset window: (P, n) samples `xs`, `ys` and (P, 2) grid points `r`
+    and bandwidths `b`."""
+    return local_moments_stack(np.stack([xs, ys], axis=2), r, b)[:, :, 0]
 
 
 @pytest.fixture

@@ -583,8 +583,8 @@ class TestDegenerateWindows:
             for step in steps:
                 assert np.array_equal(s.target_weights[step], s.target_weights[step - 1])
             assert np.all(np.isfinite(s.wealth_net))
-        assert "zero variance" in res.strategies["MINC"].fallbacks[0][1]
-        assert "standard deviation is zero" in res.strategies["MINC-L"].fallbacks[0][1]
+        for label in ("MINC", "MINC-L"):
+            assert res.strategies[label].fallbacks[0][1] == "a column has zero variance"
         assert res.strategies["EW"].fallbacks == []
         for step, diag in enumerate(res.date_diagnostics):
             flat = step in steps

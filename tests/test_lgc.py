@@ -21,7 +21,6 @@ from lgcport.lgc import (
     bivariate_normal_density,
     estimate_local_params,
     gaussian_kernel_weight,
-    gaussian_mle_batch,
     global_gaussian_mle,
     local_loglik,
     local_score,
@@ -33,17 +32,18 @@ from lgcport.lgc import (
     _ETA_CLIP,
     _freeze_clipped,
     WEIGHT_FLOOR,
-    _plugin_bandwidths,
     _full_hessian,
     _newton_direction,
     _objective,
     _penalty_gradient,
-    local_moments,
+    _mle_starts,
+    _window_stats,
     local_moments_stack,
 )
+from lgcport.localcov import local_covariance_stack
 from lgcport.synth import synth_panel
 
-from conftest import eta_score, gauss_pair, tensor_gauss_legendre
+from conftest import eta_score, gauss_pair, pair_moments, tensor_gauss_legendre
 
 
 def penalty_box(r, b, theta):
@@ -312,9 +312,9 @@ class TestGlobalGaussianMle:
 
     def test_batch_rows_are_the_one_pair_fits(self, rng):
         samples = [gauss_pair(rng, 90, rho) for rho in (-0.9, 0.0, 0.5, 0.99)]
-        xs = np.array([s[:, 0] for s in samples])
-        ys = np.array([s[:, 1] for s in samples])
-        batch = gaussian_mle_batch(xs, ys)
+        mean, cross, _, errors = _window_stats(np.stack(samples))
+        assert not errors
+        batch = _mle_starts(mean, cross, 90)[:, 0]
         for row, sample in zip(batch, samples):
             assert np.array_equal(row, global_gaussian_mle(sample).as_array())
 
@@ -501,7 +501,7 @@ class TestNewtonObjective:
                     math.atanh(rng.uniform(-0.8, 0.8)),
                 ]
             )
-            moments = local_moments(sample[None, :, 0], sample[None, :, 1], r[None], b[None])
+            moments = local_moments_stack(sample[None], r[None], b[None])[:, 0]
             value, grad, hess = _objective(moments, eta[:, None], hessian=True)
 
             theta = LocalParams(
@@ -532,7 +532,7 @@ class TestNewtonObjective:
         xs, ys, r, b, eta = objective_draws(rng, kind)
         ref = ref_objective(ref_moments(xs.copy(), ys.copy(), r, b), eta)
         ref_grad, ref_hess = ref_freeze_clipped(eta, *ref[1:])
-        moments = local_moments(xs, ys, r, b)
+        moments = pair_moments(xs, ys, r, b)
         value, grad, hess = _objective(moments, eta.T.copy(), hessian=True)
         grad, hess = _freeze_clipped(eta.T, grad, hess)
         kappa = np.cosh(eta[:, 4]) ** 2
@@ -551,7 +551,7 @@ class TestNewtonObjective:
     def test_values_without_the_hessian_are_the_same(self):
         rng = np.random.default_rng(7)
         xs, ys, r, b, eta = objective_draws(rng, "typical", 50)
-        moments = local_moments(xs, ys, r, b)
+        moments = pair_moments(xs, ys, r, b)
         value = _objective(moments, eta.T.copy())
         assert np.array_equal(value, _objective(moments, eta.T.copy(), hessian=True)[0])
 
@@ -653,8 +653,9 @@ class TestLocalMomentsOracle:
         rng = np.random.default_rng(seed)
         windows, grids, bandwidths = oracle_draw(rng, n_assets, n, "lower", 0.0, 0.0)
         xs, ys, _, _ = stack_pairs(windows, grids, bandwidths)
-        stack = lgc._mle_starts(*lgc._centred_cross(windows), n).reshape(-1, 5)
-        for got in (stack, gaussian_mle_batch(xs, ys)):
+        stack = _mle_starts(*_window_stats(windows)[:2], n).reshape(-1, 5)
+        alone = np.array([global_gaussian_mle(np.column_stack(xy)).as_array() for xy in zip(xs, ys)])
+        for got in (stack, alone):
             for k, (x, y) in enumerate(zip(xs, ys)):
                 dx, dy = x - x.mean(), y - y.mean()
                 v1, v2 = np.mean(dx * dx), np.mean(dy * dy)
@@ -765,22 +766,28 @@ class TestPluginBandwidth:
         x = synth_panel(months=200, n_assets=5, model="clayton", seed=1).returns
         windows = np.stack([x[t - 120 : t] for t in range(120, 200)])
         windows[7][:, 3] = 0.25
-        bandwidths, errors = _plugin_bandwidths(windows, 1.3)
+        _, _, sd, errors = _window_stats(windows)
         assert list(errors) == [7]
         with pytest.raises(DegenerateSampleError) as alone:
             plugin_bandwidth(windows[7], 1.3)
-        assert str(errors[7]) == str(alone.value)
+        assert str(errors[7]) == str(alone.value) == "a column has zero variance"
         for d in range(len(windows)):
             if d != 7:
-                assert tuple(bandwidths[d]) == plugin_bandwidth(windows[d], 1.3)
+                assert tuple(1.3 * sd[d]) == plugin_bandwidth(windows[d], 1.3)
 
     def test_stack_rejects_non_finite_windows_and_bad_scale(self, rng):
         windows = rng.standard_normal((4, 30, 3))
-        with pytest.raises(ValueError):
-            _plugin_bandwidths(windows, 0.0)
+        grids = windows.mean(axis=1)
+        for scale in (0.0, -1.0):
+            with pytest.raises(ValueError, match="scale must be positive"):
+                plugin_bandwidth(windows[0], scale)
+            with pytest.raises(ValueError, match="scale must be positive"):
+                local_covariance_stack(windows, grids, scale)
         windows[2, 5, 1] = np.nan
-        with pytest.raises(ValueError):
-            _plugin_bandwidths(windows, 1.1)
+        with pytest.raises(ValueError, match="non-finite"):
+            plugin_bandwidth(windows[2])
+        with pytest.raises(ValueError, match="non-finite"):
+            local_covariance_stack(windows, grids)
 
 
 class TestEstimateLocalParams:

@@ -5,6 +5,7 @@ import math
 import tracemalloc
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,10 +22,9 @@ from lgcport.lgc import (
     estimate_local_params,
     fit_local_moments,
     gaussian_kernel_weight,
-    gaussian_mle_batch,
     global_gaussian_mle,
     local_loglik,
-    local_moments,
+    local_moments_stack,
     plugin_bandwidth,
 )
 import lgcport.localcov as localcov
@@ -40,7 +40,7 @@ from lgcport.localcov import (
 )
 from lgcport.synth import clayton_normal_sample, synth_panel
 
-from conftest import eta_score, gauss_pair
+from conftest import eta_score, gauss_pair, pair_moments
 
 
 def clip_renormalized(corr):
@@ -265,14 +265,16 @@ class TestPairwiseLocalCovariance:
         for window in (x[:150], x[10:]):
             grid = percentile_grid(window, 0.1)
             b = np.array(plugin_bandwidth(window))
-            xs, ys = window.T[first], window.T[second]
-            moments = local_moments(
-                xs,
-                ys,
+            moments = pair_moments(
+                window.T[first],
+                window.T[second],
                 np.column_stack([grid[first], grid[second]]),
                 np.column_stack([b[first], b[second]]),
             )
-            fit = fit_local_moments(moments, gaussian_mle_batch(xs, ys) if warm is None else warm)
+            cold = np.array(
+                [global_gaussian_mle(window[:, [i, j]]).as_array() for i, j in zip(first, second)]
+            )
+            fit = fit_local_moments(moments, cold if warm is None else warm)
             steps = set()
             for k, (i, j) in enumerate(zip(first, second)):
                 pair = window[:, [i, j]]
@@ -363,7 +365,7 @@ class TestNewtonOnPaperPanel:
         window, grid = x[t - 120 : t], moving_grid(x, t)
         pair, r = window[:, [1, 4]], grid[[1, 4]]
         b = np.array(plugin_bandwidth(pair))
-        moments = local_moments(pair.T[:1], pair.T[1:], r[None], b[None])
+        moments = local_moments_stack(pair[None], r[None], b[None])[:, 0]
         start = _to_eta(fits[1, 4][0].as_array()[None])
         hess = _full_hessian(_objective(moments, start.T, hessian=True)[2])[0]
         assert np.linalg.eigvalsh(hess)[0] < 0.0
@@ -540,7 +542,7 @@ class TestLocalCovarianceStack:
         stack = local_covariance_stack(windows, grids)
         assert list(stack.errors) == [2]
         assert isinstance(stack.errors[2], DegenerateSampleError)
-        assert "standard deviation is zero" in str(stack.errors[2])
+        assert str(stack.errors[2]) == "a column has zero variance"
         assert not stack.matrices[2].any() and stack.n_fallbacks[2] == 0
         rest = [0, 1, 3, 4, 5]
         clean = local_covariance_stack(windows[rest], grids[rest])
@@ -679,7 +681,36 @@ class TestGlobalCovarianceStack:
 
 
 class TestFlatColumns:
-    """One spread rule (lgc._flat_columns) in both stacks and the Gaussian MLE."""
+    """One reader (lgc._window_stats) gives both stacks, plugin_bandwidth and
+    the Gaussian MLE the same flat-column verdict and the same message."""
+
+    @staticmethod
+    def verdicts(windows, grids):
+        """{date: message} of each entry point over a (D, n, N) stack.
+
+        global_gaussian_mle takes two columns: a window is flagged when the
+        fit of a pair of consecutive columns, the last with the first,
+        raises.
+        """
+        n_assets = windows.shape[2]
+        out = {
+            "global": global_covariance_stack(windows).errors,
+            "local": local_covariance_stack(windows, grids).errors,
+            "plugin": {},
+            "mle": {},
+        }
+        for d, window in enumerate(windows):
+            try:
+                plugin_bandwidth(window)
+            except DegenerateSampleError as err:
+                out["plugin"][d] = err
+            for j in range(n_assets):
+                try:
+                    global_gaussian_mle(window[:, [j, (j + 1) % n_assets]])
+                except DegenerateSampleError as err:
+                    out["mle"][d] = err
+                    break
+        return {name: {d: str(err) for d, err in errors.items()} for name, errors in out.items()}
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -691,21 +722,17 @@ class TestFlatColumns:
     def test_constant_column_is_flat_in_both_stacks(self, c, sign, n, seed):
         windows = np.random.default_rng(seed).standard_normal((1, n, 3))
         windows[0, :, 2] = sign * c
-        grids = windows.mean(axis=1)
-        assert str(global_covariance_stack(windows).errors[0]) == "a column has zero variance"
-        local = local_covariance_stack(windows, grids).errors
-        assert "standard deviation is zero" in str(local[0])
-        with pytest.raises(DegenerateSampleError, match="constant column"):
-            global_gaussian_mle(windows[0, :, 1:])
+        found = self.verdicts(windows, windows.mean(axis=1))
+        want = {0: "a column has zero variance"}
+        assert found == dict.fromkeys(found, want)
 
     @pytest.mark.parametrize("c", [0.1, 0.5, 2.3, -1e6, 1e-6])
     def test_one_entry_moved_by_1e_9_relative_is_not_flat(self, c, rng):
         windows = rng.standard_normal((1, 120, 3))
         windows[0, :, 2] = c
         windows[0, 7, 2] = c * (1.0 + 1e-9)
-        assert not global_covariance_stack(windows).errors
-        assert not local_covariance_stack(windows, windows.mean(axis=1)).errors
-        global_gaussian_mle(windows[0, :, 1:])
+        found = self.verdicts(windows, windows.mean(axis=1))
+        assert found == dict.fromkeys(found, {})
 
     def test_overflowing_variance_is_an_error_of_its_date(self):
         windows, grids = c11_windows(120, 4)
@@ -714,11 +741,45 @@ class TestFlatColumns:
         with np.errstate(over="ignore"):
             glob = global_covariance_stack(windows)
             local = local_covariance_stack(windows, grids)
-            with pytest.raises(DegenerateSampleError, match="not finite"):
-                global_gaussian_mle(windows[1][:, 1:3])
-        assert list(glob.errors) == [1] and list(local.errors) == [1]
-        assert str(glob.errors[1]) == "a column's variance is not finite"
-        assert "standard deviation is not finite" in str(local.errors[1])
+            found = self.verdicts(windows, grids)
+        want = {1: "a column's variance is not finite"}
+        assert found == dict.fromkeys(found, want)
         assert np.array_equal(glob.matrices[rest], global_covariance_stack(windows[rest]).matrices)
         clean = local_covariance_stack(windows[rest], grids[rest])
         assert np.array_equal(local.matrices[rest], clean.matrices)
+
+    @pytest.mark.parametrize("layout", ["views", "copies"])
+    def test_entry_points_flag_the_same_windows(self, layout, monkeypatch):
+        # Asset 1 is constant over months 20..89 and asset 3 holds huge
+        # returns in months 110 and 112, so the windows x[t - 40 : t] are
+        # flat for t in 60..90 (dates 20..50) and overflow for t in 111..152
+        # (dates 71..112). The windows are the backtest's sliding views, or
+        # copies of them, read in slices of seven dates.
+        x = synth_panel(months=160, n_assets=4, model="clayton", seed=3).returns
+        x[20:90, 1] = 0.5
+        x[[110, 112], 3] = 1e200
+        windows = sliding_window_view(x, 40, axis=0)[:120].transpose(0, 2, 1)
+        if layout == "copies":
+            windows = np.ascontiguousarray(windows)
+        grids = moving_grid(x, np.arange(40, 160))
+        monkeypatch.setattr(localcov, "_BLOCK_PAIR_OBS", 7 * 40 * 4)
+        bandwidths = {}
+        real = localcov.local_moments_stack
+
+        def spy(block, block_grids, block_bandwidths):
+            for window, b in zip(block, block_bandwidths):
+                (d,) = [d for d in range(len(windows)) if np.array_equal(window, windows[d])]
+                bandwidths[d] = b
+            return real(block, block_grids, block_bandwidths)
+
+        monkeypatch.setattr(localcov, "local_moments_stack", spy)
+        with np.errstate(over="ignore"):
+            found = self.verdicts(windows, grids)
+        want = {d: "a column has zero variance" for d in range(20, 51)}
+        want.update((d, "a column's variance is not finite") for d in range(71, 113))
+        assert found == dict.fromkeys(found, want)
+        # The local stack gives every other window plugin_bandwidth's
+        # bandwidths, bit for bit.
+        assert sorted(bandwidths) == sorted(set(range(120)) - set(want))
+        for d, b in bandwidths.items():
+            assert b.tolist() == list(plugin_bandwidth(windows[d]))

@@ -10,6 +10,7 @@ from lgcport.errors import PanelAlignmentError, PanelParseError
 from lgcport.panel import (
     PanelGapWarning,
     ReturnPanel,
+    _month_ordinal,
     load_panel,
     month_label,
     write_panel,
@@ -71,6 +72,30 @@ class TestMonthLabel:
     def test_roundtrip_through_year_boundary(self):
         assert month_label(2019 * 12 + 11) == "2019-12"
         assert month_label(2020 * 12 + 0) == "2020-01"
+
+    @pytest.mark.parametrize(
+        "label", ["+999-01", " 999-01", "2020- 1", "２０２０-01", "2020-０1", "2020-1 ", "20201-01"]
+    )
+    def test_only_ascii_digits_are_a_date(self, label):
+        with pytest.raises(PanelParseError, match="expected yyyy-mm"):
+            ReturnPanel(["A"], [label, "9999-12"], [[1.0], [2.0]])
+
+    @given(
+        year=st.text("0123456789+- ０٣", min_size=4, max_size=4),
+        month=st.text("0123456789+- １", min_size=2, max_size=2),
+    )
+    def test_every_accepted_label_round_trips(self, year, month):
+        label = year + "-" + month
+        try:
+            ordinal = _month_ordinal(label)
+        except PanelParseError:
+            return
+        assert month_label(ordinal) == label
+
+    @given(year=st.integers(0, 9999), month=st.integers(1, 12))
+    def test_every_yyyy_mm_is_accepted(self, year, month):
+        label = "%04d-%02d" % (year, month)
+        assert month_label(_month_ordinal(label)) == label
 
 
 class TestLoadReturns:

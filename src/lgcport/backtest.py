@@ -16,6 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, LgcportError, PortfolioWipeoutError
+from .lgc import BANDWIDTH_SCALE
 # global_covariance and pairwise_local_covariance are unused here but stay
 # importable from this module: external code (e.g. the span tracer in
 # perfbench/) looks them up here.
@@ -51,7 +52,7 @@ class BacktestConfig:
     grid_method: str = "moving"
     grid_lookback: int = 3
     grid_quantile: float = 0.05
-    bandwidth_scale: float = 1.1
+    bandwidth_scale: float = BANDWIDTH_SCALE
     charge_initial_allocation: bool = False
 
     def __post_init__(self):

@@ -1,4 +1,9 @@
-"""Command line entry points: synth, run, describe."""
+"""Command line entry points: synth, run, describe.
+
+Options have no defaults of their own: each `dest` is named after the field
+or parameter it sets, and a command passes on only the options given, so
+every default is the one of RunConfig, synth_panel or asset_table.
+"""
 
 from __future__ import annotations
 
@@ -8,16 +13,23 @@ import sys
 
 import numpy as np
 
+from .backtest import GRID_METHODS
 from .errors import ConfigError, LgcportError
-from .panel import load_panel, write_panel
-from .report import ALL_STRATEGY_LABELS, RunConfig, describe_text, execute_run
+from .panel import PANEL_MODES, load_panel, write_panel
+from .report import RunConfig, describe_text, execute_run
 from .synth import SYNTH_MODELS, synth_panel
 
-def _csv_list(text, cast, option):
-    try:
-        return [cast(part) for part in text.split(",") if part.strip()]
-    except ValueError as err:
-        raise ConfigError("%s: %s" % (option, err)) from err
+
+def _csv_list(cast, option):
+    """An option type: a comma list of `cast` values, or a ConfigError naming `option`."""
+
+    def parse(text):
+        try:
+            return [cast(part) for part in text.split(",") if part.strip()]
+        except ValueError as err:
+            raise ConfigError("%s: %s" % (option, err)) from err
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -26,96 +38,94 @@ def build_parser() -> argparse.ArgumentParser:
         description="Local-correlation covariance estimation and rolling portfolio backtests.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    quiet = argparse.SUPPRESS  # an option not given sets nothing
 
-    p_run = sub.add_parser("run", help="backtest a return or price panel")
-    p_run.add_argument("--input", required=True, help="panel file (date,asset columns)")
-    p_run.add_argument("--mode", choices=("returns", "prices"), default="returns")
-    p_run.add_argument("--out", required=True, help="output directory for reports")
-    p_run.add_argument("--windows", default="120,240", help="comma list of window lengths")
+    p_run = sub.add_parser("run", help="backtest a return or price panel", argument_default=quiet)
+    p_run.add_argument(
+        "--input", dest="input_path", required=True, help="panel file (date,asset columns)"
+    )
+    p_run.add_argument("--mode", choices=PANEL_MODES)
+    p_run.add_argument(
+        "--out", dest="output_dir", required=True, help="output directory for reports"
+    )
+    p_run.add_argument(
+        "--windows", type=_csv_list(int, "--windows"), help="comma list of window lengths"
+    )
     p_run.add_argument(
         "--strategies",
-        default=",".join(ALL_STRATEGY_LABELS),
+        type=_csv_list(str, "--strategies"),
         help="comma list of strategy labels (default: all nine)",
     )
-    p_run.add_argument("--tcost", default="0,1", help="comma list of costs in basis points")
-    p_run.add_argument("--grid", choices=("moving", "percentile"), default="moving")
-    p_run.add_argument("--grid-lookback", type=int, default=3)
-    p_run.add_argument("--grid-quantile", type=float, default=0.05)
-    p_run.add_argument("--bandwidth-scale", type=float, default=1.1)
-    p_run.add_argument("--gamma", type=float, default=1.0)
-    p_run.add_argument("--var-alpha", type=float, default=0.95)
+    p_run.add_argument(
+        "--tcost",
+        dest="tcosts_bp",
+        type=_csv_list(float, "--tcost"),
+        help="comma list of costs in basis points",
+    )
+    p_run.add_argument("--grid", dest="grid_method", choices=GRID_METHODS)
+    p_run.add_argument("--grid-lookback", type=int)
+    p_run.add_argument("--grid-quantile", type=float)
+    p_run.add_argument("--bandwidth-scale", type=float)
+    p_run.add_argument("--gamma", type=float)
+    p_run.add_argument("--var-alpha", type=float)
     p_run.add_argument(
         "--charge-initial",
+        dest="charge_initial_allocation",
         action="store_true",
         help="charge transaction costs on the first allocation from cash",
     )
 
-    p_synth = sub.add_parser("synth", help="write a seeded synthetic panel")
+    p_synth = sub.add_parser(
+        "synth", help="write a seeded synthetic panel", argument_default=quiet
+    )
     p_synth.add_argument("--out", required=True)
-    p_synth.add_argument("--months", type=int, default=463)
-    p_synth.add_argument("--assets", type=int, default=6)
-    p_synth.add_argument("--model", choices=SYNTH_MODELS, default="bear")
-    p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--rho", type=float, default=0.5)
-    p_synth.add_argument("--theta", type=float, default=2.0, help="Clayton dependence")
-    p_synth.add_argument("--start", default="1980-02")
+    p_synth.add_argument("--months", type=int)
+    p_synth.add_argument("--assets", dest="n_assets", type=int)
+    p_synth.add_argument("--model", choices=SYNTH_MODELS)
+    p_synth.add_argument("--seed", type=int)
+    p_synth.add_argument("--rho", type=float)
+    p_synth.add_argument("--theta", dest="clayton_theta", type=float, help="Clayton dependence")
+    p_synth.add_argument("--start")
 
-    p_desc = sub.add_parser("describe", help="asset statistics and correlation matrices")
-    p_desc.add_argument("--input", required=True)
-    p_desc.add_argument("--mode", choices=("returns", "prices"), default="returns")
-    p_desc.add_argument("--grid-quantile", type=float, default=0.05)
-    p_desc.add_argument("--bandwidth-scale", type=float, default=1.1)
-    p_desc.add_argument("--out", default=None, help="write here instead of stdout")
+    p_desc = sub.add_parser(
+        "describe", help="asset statistics and correlation matrices", argument_default=quiet
+    )
+    p_desc.add_argument("--input", dest="path", required=True)
+    p_desc.add_argument("--mode", choices=PANEL_MODES)
+    p_desc.add_argument("--grid-quantile", dest="quantile", type=float)
+    p_desc.add_argument("--bandwidth-scale", type=float)
+    p_desc.add_argument("--out", help="write here instead of stdout")
     return parser
 
 
-def _cmd_run(args) -> int:
-    config = RunConfig(
-        input_path=args.input,
-        output_dir=args.out,
-        mode=args.mode,
-        windows=_csv_list(args.windows, int, "--windows"),
-        strategies=_csv_list(args.strategies, str, "--strategies"),
-        tcosts_bp=_csv_list(args.tcost, float, "--tcost"),
-        grid_method=args.grid,
-        grid_lookback=args.grid_lookback,
-        grid_quantile=args.grid_quantile,
-        bandwidth_scale=args.bandwidth_scale,
-        charge_initial_allocation=args.charge_initial,
-        gamma=args.gamma,
-        var_alpha=args.var_alpha,
-    )
+def _cmd_run(options: dict) -> int:
+    config = RunConfig(**options)
     manifest = execute_run(config)
     print(
         "wrote %d files to %s (windows: %s)"
-        % (len(manifest["files"]) + 1, args.out, ",".join(map(str, config.windows)))
+        % (len(manifest["files"]) + 1, config.output_dir, ",".join(map(str, config.windows)))
     )
     return 0
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(options: dict) -> int:
+    out = options.pop("out")
     try:
-        panel = synth_panel(
-            months=args.months,
-            n_assets=args.assets,
-            model=args.model,
-            seed=args.seed,
-            rho=args.rho,
-            clayton_theta=args.theta,
-            start=args.start,
-        )
+        panel = synth_panel(**options)
     except ValueError as err:
         raise ConfigError(str(err)) from err
-    write_panel(panel, args.out)
-    print("wrote %d months x %d assets to %s" % (panel.n_months, panel.n_assets, args.out))
+    write_panel(panel, out)
+    print("wrote %d months x %d assets to %s" % (panel.n_months, panel.n_assets, out))
     return 0
 
 
-def _cmd_describe(args) -> int:
-    panel = load_panel(args.input, args.mode)
-    text = describe_text(panel, args.grid_quantile, args.bandwidth_scale)
-    if args.out:
-        with open(args.out, "w") as fh:
+def _cmd_describe(options: dict) -> int:
+    out = options.pop("out", None)
+    # --input and --mode are load_panel's; the rest are asset_table's.
+    panel = load_panel(**{k: options.pop(k) for k in ("path", "mode") if k in options})
+    text = describe_text(panel, **options)
+    if out:
+        with open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -123,13 +133,14 @@ def _cmd_describe(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     handlers = {"run": _cmd_run, "synth": _cmd_synth, "describe": _cmd_describe}
     try:
+        # A bad list option is a ConfigError raised while parsing.
+        options = vars(build_parser().parse_args(argv))
         # Extreme input makes numpy warn on its way to a recorded fallback or
         # an error; the command's outcome is its output or one JSON line.
         with np.errstate(all="ignore"):
-            return handlers[args.command](args)
+            return handlers[options.pop("command")](options)
     except (LgcportError, OSError) as err:
         report = {"error": type(err).__name__, "message": str(err)}
         print(json.dumps(report), file=sys.stderr)

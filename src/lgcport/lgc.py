@@ -43,6 +43,9 @@ from .errors import (
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
+# The method's one tuning parameter: plug-in bandwidths are this multiple of each sd.
+BANDWIDTH_SCALE = 1.1
+
 # Convergence contract for estimate_local_params.
 GRADIENT_TOL = 1e-6
 MAX_ITERATIONS = 200
@@ -252,7 +255,7 @@ def local_score(sample, r, b, theta: LocalParams) -> np.ndarray:
     return data - _penalty_gradient(r, b, theta)
 
 
-def plugin_bandwidth(sample, scale: float = 1.1) -> Tuple[float, ...]:
+def plugin_bandwidth(sample, scale: float = BANDWIDTH_SCALE) -> Tuple[float, ...]:
     """Plug-in bandwidth: `scale` times each column's sample sd (n-1 denominator).
 
     `sample` is (n, 2) for one pair, giving (b1, b2), or (n, k) for k assets

@@ -26,6 +26,7 @@ from .errors import (
 # estimate_local_params is unused here but stays importable from this module:
 # external code (e.g. the span tracer in perfbench/) looks it up here.
 from .lgc import (  # noqa: F401
+    BANDWIDTH_SCALE,
     FitDiagnostics,
     _mle_starts,
     _window_stats,
@@ -323,7 +324,7 @@ def global_covariance(panel) -> LocalCovMatrix:
     return _only_date(global_covariance_stack(_as_matrix(panel)[None]))
 
 
-def local_covariance_stack(windows, grids, bandwidth_scale: float = 1.1) -> LocalCovStack:
+def local_covariance_stack(windows, grids, bandwidth_scale=BANDWIDTH_SCALE) -> LocalCovStack:
     """Assemble an N x N covariance per date from bivariate local fits.
 
     `windows` is (D, n, N) and `grids` is (D, N): date d is estimated from
@@ -428,7 +429,7 @@ def _fit_block(out: LocalCovStack, dates: range, windows, grids, scale: float) -
         getattr(out, name)[idx] = getattr(fit, name).reshape(n_dates, -1)
 
 
-def pairwise_local_covariance(panel, grid, bandwidth_scale: float = 1.1) -> LocalCovMatrix:
+def pairwise_local_covariance(panel, grid, bandwidth_scale=BANDWIDTH_SCALE) -> LocalCovMatrix:
     """The local covariance of one (n, N) window at one grid point.
 
     This is the one-date case of local_covariance_stack: an error the stack

@@ -60,10 +60,12 @@ class StrategySpec:
                 "covariance_source must be one of %r, got %r"
                 % (COVARIANCE_SOURCES, self.covariance_source)
             )
-        if not self.gamma > 0.0:
-            raise ValueError("gamma must be positive, got %r" % (self.gamma,))
+        if not 0.0 < self.gamma < np.inf:
+            raise ValueError("gamma must be positive and finite, got %r" % (self.gamma,))
         if self.lower_bound is None:
             object.__setattr__(self, "lower_bound", DEFAULT_LOWER_BOUND[self.kind])
+        if not np.isfinite(self.lower_bound):
+            raise ValueError("lower bound must be finite, got %r" % (self.lower_bound,))
         if self.lower_bound > 1.0:
             raise ValueError("lower bound above 1 is infeasible")
 
@@ -74,14 +76,14 @@ class StrategySpec:
         return self.kind + "-L"
 
     @classmethod
-    def from_label(cls, label: str, gamma: float = 1.0) -> "StrategySpec":
+    def from_label(cls, label: str, **options) -> "StrategySpec":
         """Parse labels like 'MVS' (global covariance) or 'MINC-L' (local)."""
         name = label.strip().upper()
         local = name.endswith("-L")
         kind = name[:-2] if local else name
         if kind not in STRATEGY_KINDS or (local and kind == "EW"):
             raise ValueError("unknown strategy label %r" % label)
-        return cls(kind=kind, covariance_source="local" if local else "global", gamma=gamma)
+        return cls(kind=kind, covariance_source="local" if local else "global", **options)
 
 
 def equal_weights(n_assets: int) -> np.ndarray:

@@ -15,6 +15,9 @@ from .errors import PanelAlignmentError, PanelParseError
 
 _DATE = re.compile("[0-9]{4}-[0-9]{2}")
 
+# What the cells of a panel file hold: percent returns or price levels.
+PANEL_MODES = ("returns", "prices")
+
 
 class PanelGapWarning(UserWarning):
     """Dates skip more than one month somewhere in the file."""
@@ -96,7 +99,7 @@ def load_panel(path, mode: str = "returns") -> ReturnPanel:
     month. The file's rows, and the returns of a price file, must make a
     ReturnPanel. Gaps larger than one month are flagged with PanelGapWarning.
     """
-    if mode not in ("returns", "prices"):
+    if mode not in PANEL_MODES:
         raise ValueError("mode must be 'returns' or 'prices', got %r" % mode)
     try:
         with open(path, newline="", encoding="utf-8") as fh:

@@ -1,5 +1,11 @@
 """Delimited report files, wealth paths and the machine-readable run manifest.
 
+A run is built whole before anything is written: execute_run loads the
+panel, backtests every window and builds every table into one map of file
+name -> (header, rows), with the manifest beside it. Only then does it
+create the output directory and write the map and the manifest, so a run
+that fails on any window writes no file.
+
 Column names and order are part of the package contract: bump
 REPORT_SCHEMA_VERSION when they change. Numbers are written with repr so
 files round-trip exactly and reruns diff clean.
@@ -27,26 +33,24 @@ from .backtest import (
     weight_dispersion,
 )
 from .errors import ConfigError
+from .lgc import BANDWIDTH_SCALE
 from .localcov import global_covariance, pairwise_local_covariance, percentile_grid
-from .metrics import descriptive_stats, drawdowns, max_drawdown, performance_report, sharpe
-from .optimizer import StrategySpec
-from .panel import ReturnPanel, load_panel
+from .metrics import (
+    VAR_ALPHA,
+    descriptive_stats,
+    drawdowns,
+    max_drawdown,
+    performance_report,
+    sharpe,
+)
+from .optimizer import COVARIANCE_SOURCES, STRATEGY_KINDS, StrategySpec
+from .panel import PANEL_MODES, ReturnPanel, load_panel
 
 REPORT_SCHEMA_VERSION = "1"
 
-# Grid quantile of the local correlations in a run's asset table.
-ASSET_TABLE_QUANTILE = 0.05
-
-ALL_STRATEGY_LABELS = (
-    "EW",
-    "MVS",
-    "MVSC",
-    "MIN",
-    "MINC",
-    "MVS-L",
-    "MVSC-L",
-    "MIN-L",
-    "MINC-L",
+# Every kind on the global covariance, then every optimized kind on the local one.
+ALL_STRATEGY_LABELS = tuple(
+    dict.fromkeys(StrategySpec(k, s).label for s in COVARIANCE_SOURCES for k in STRATEGY_KINDS)
 )
 
 ASSET_STAT_ROWS = (
@@ -110,28 +114,22 @@ def _bp_tag(bp: float) -> str:
     return ("%g" % bp) + "bp"
 
 
-def _write_rows(fh, header: Sequence[str], rows, lineterminator: str = "\r\n") -> None:
+def _cells(header: Sequence[str], record, **named) -> list:
+    """One row in `header` order: each name's value from `named`, else the
+    attribute of `record` of that name."""
+    return [named[name] if name in named else getattr(record, name) for name in header]
+
+
+def _write_rows(fh, header: Sequence[str], rows, lineterminator: str) -> None:
     writer = csv.writer(fh, lineterminator=lineterminator)
     writer.writerow(header)
     for row in rows:
         writer.writerow([_fmt(v) for v in row])
 
 
-def _write_csv(path, header: Sequence[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        _write_rows(fh, header, rows)
-
-
-def _sha256(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-def asset_table(panel: ReturnPanel, quantile: float, bandwidth_scale: float):
-    """Rows of the asset overview table: stats plus both correlation matrices."""
+def asset_table(panel: ReturnPanel, quantile: float = 0.05, bandwidth_scale=BANDWIDTH_SCALE):
+    """Rows of the asset overview table: stats plus both correlation matrices,
+    the local ones at each asset's `quantile` (a run's table keeps 0.05)."""
     if not 0.0 < quantile < 1.0:
         raise ConfigError("grid quantile must lie in (0, 1), got %g" % quantile)
     if not 0.0 < bandwidth_scale < math.inf:
@@ -165,19 +163,9 @@ def asset_table(panel: ReturnPanel, quantile: float, bandwidth_scale: float):
 def strategy_stats_table(result: BacktestResult):
     rows = []
     for label, sr in result.strategies.items():
-        d = descriptive_stats(sr.gross_returns)
-        rows.append(
-            [
-                label,
-                d.mean,
-                d.std_dev,
-                d.skewness,
-                d.excess_kurtosis,
-                d.minimum,
-                d.maximum,
-                max_drawdown(sr.gross_returns),
-            ]
-        )
+        stats = descriptive_stats(sr.gross_returns)
+        drawdown = max_drawdown(sr.gross_returns)
+        rows.append(_cells(STRATEGY_STATS_HEADER, stats, strategy=label, max_drawdown=drawdown))
     return list(STRATEGY_STATS_HEADER), rows
 
 
@@ -223,19 +211,7 @@ def performance_table(
         for label, sr in result.strategies.items():
             r = sr.gross_returns if bp == 0.0 else _net_returns(sr, bp)
             p = performance_report(r, gamma=gamma, alpha=alpha)
-            rows.append(
-                [
-                    panel_name,
-                    label,
-                    p.sharpe,
-                    p.var_sharpe,
-                    p.es_sharpe,
-                    p.ann_sharpe,
-                    p.ceq,
-                    p.sortino,
-                    p.omega,
-                ]
-            )
+            rows.append(_cells(PERFORMANCE_HEADER, p, panel=panel_name, strategy=label))
     return list(PERFORMANCE_HEADER), rows
 
 
@@ -244,10 +220,7 @@ def wealth_table(result: BacktestResult, label: str):
     dates = [result.inception_date] + list(result.dates)
     dd_g = drawdowns(sr.gross_returns)
     dd_n = drawdowns(sr.net_returns)
-    rows = [
-        [dates[i], sr.wealth_gross[i], dd_g[i], sr.wealth_net[i], dd_n[i]]
-        for i in range(len(dates))
-    ]
+    rows = [list(row) for row in zip(dates, sr.wealth_gross, dd_g, sr.wealth_net, dd_n)]
     return list(WEALTH_HEADER), rows
 
 
@@ -261,28 +234,24 @@ class RunConfig:
     windows: List[int] = field(default_factory=lambda: [120, 240])
     strategies: List[str] = field(default_factory=lambda: list(ALL_STRATEGY_LABELS))
     tcosts_bp: List[float] = field(default_factory=lambda: [0.0, 1.0])
-    grid_method: str = "moving"
-    grid_lookback: int = 3
-    grid_quantile: float = 0.05
-    bandwidth_scale: float = 1.1
-    charge_initial_allocation: bool = False
-    gamma: float = 1.0
-    var_alpha: float = 0.95
+    grid_method: str = BacktestConfig.grid_method
+    grid_lookback: int = BacktestConfig.grid_lookback
+    grid_quantile: float = BacktestConfig.grid_quantile
+    bandwidth_scale: float = BacktestConfig.bandwidth_scale
+    charge_initial_allocation: bool = BacktestConfig.charge_initial_allocation
+    gamma: float = StrategySpec.gamma
+    var_alpha: float = VAR_ALPHA
 
     def __post_init__(self):
-        if self.mode not in ("returns", "prices"):
+        if self.mode not in PANEL_MODES:
             raise ConfigError("mode must be 'returns' or 'prices'")
         if not self.windows:
             raise ConfigError("need at least one window length")
-        if not self.strategies:
-            raise ConfigError("strategy list is empty")
+        repeated = [m for i, m in enumerate(self.windows) if m in self.windows[:i]]
+        if repeated:
+            raise ConfigError("window length %d is repeated" % repeated[0])
         if not self.tcosts_bp or any(not 0.0 <= bp < math.inf for bp in self.tcosts_bp):
             raise ConfigError("transaction costs must be nonnegative and finite")
-        for label in self.strategies:
-            try:
-                StrategySpec.from_label(label, self.gamma)
-            except ValueError as err:
-                raise ConfigError(str(err)) from err
         if not 0.0 < self.var_alpha < 1.0:
             raise ConfigError("var_alpha must lie in (0, 1)")
         for m in self.windows:
@@ -290,9 +259,13 @@ class RunConfig:
 
     def backtest_config(self, window: int) -> BacktestConfig:
         """The backtest of one window; costs are charged at the largest nonzero rate."""
+        try:
+            strategies = [StrategySpec.from_label(s, gamma=self.gamma) for s in self.strategies]
+        except ValueError as err:
+            raise ConfigError(str(err)) from err
         return BacktestConfig(
             window=window,
-            strategies=[StrategySpec.from_label(s, self.gamma) for s in self.strategies],
+            strategies=strategies,
             tcost_bp=max((bp for bp in self.tcosts_bp if bp > 0.0), default=0.0),
             grid_method=self.grid_method,
             grid_lookback=self.grid_lookback,
@@ -303,34 +276,31 @@ class RunConfig:
 
 
 def execute_run(config: RunConfig) -> dict:
-    """Load the panel, run every window, write all report files.
+    """Load the panel, run every window, then write all report files.
 
-    Returns the manifest dict (also written to manifest.json). Output is a
-    pure function of the config and the input file bytes: reruns produce
-    byte-identical files.
+    Returns the manifest dict (also written to manifest.json). Nothing is
+    written until every window's tables are built. Output is a pure function
+    of the config and the input file bytes: reruns produce byte-identical
+    files.
     """
     panel = load_panel(config.input_path, config.mode)
-    os.makedirs(config.output_dir, exist_ok=True)
 
-    files: List[str] = []
+    tables: Dict[str, tuple] = {}
     window_meta: Dict[str, dict] = {}
-    assets = asset_table(panel, ASSET_TABLE_QUANTILE, config.bandwidth_scale)
+    assets = asset_table(panel, bandwidth_scale=config.bandwidth_scale)
     for m in config.windows:
         # Looked up on the module, so wrappers installed there see every call.
         result = backtest.run_backtest(panel, config.backtest_config(m))
 
         tag = "w%d" % m
-        out = config.output_dir
-        _write_file(out, "table_assets_%s.csv" % tag, *assets, files)
-        header, rows = strategy_stats_table(result)
-        _write_file(out, "table_strategy_stats_%s.csv" % tag, header, rows, files)
-        header, rows = rebalancing_table(result, config.tcosts_bp)
-        _write_file(out, "table_rebalancing_%s.csv" % tag, header, rows, files)
-        header, rows = performance_table(result, config.tcosts_bp, config.gamma, config.var_alpha)
-        _write_file(out, "table_performance_%s.csv" % tag, header, rows, files)
+        tables["table_assets_%s.csv" % tag] = assets
+        tables["table_strategy_stats_%s.csv" % tag] = strategy_stats_table(result)
+        tables["table_rebalancing_%s.csv" % tag] = rebalancing_table(result, config.tcosts_bp)
+        tables["table_performance_%s.csv" % tag] = performance_table(
+            result, config.tcosts_bp, config.gamma, config.var_alpha
+        )
         for label in result.strategies:
-            header, rows = wealth_table(result, label)
-            _write_file(out, "wealth_%s_%s.csv" % (label, tag), header, rows, files)
+            tables["wealth_%s_%s.csv" % (label, tag)] = wealth_table(result, label)
 
         window_meta[str(m)] = {
             "out_of_sample_months": len(result.dates),
@@ -342,13 +312,15 @@ def execute_run(config: RunConfig) -> dict:
             },
         }
 
+    with open(config.input_path, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
     manifest = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "package": "lgcport",
         "version": __version__,
         "config": asdict(config),
         "input": {
-            "sha256": _sha256(config.input_path),
+            "sha256": digest,
             "n_months": panel.n_months,
             "n_assets": panel.n_assets,
             "assets": list(panel.asset_names),
@@ -356,21 +328,22 @@ def execute_run(config: RunConfig) -> dict:
             "last_date": panel.dates[-1],
         },
         "windows": window_meta,
-        "files": sorted(files),
+        "files": sorted(tables),
     }
+
+    os.makedirs(config.output_dir, exist_ok=True)
+    for name, (header, rows) in tables.items():
+        with open(os.path.join(config.output_dir, name), "w", newline="") as fh:
+            _write_rows(fh, header, rows, "\r\n")
     with open(os.path.join(config.output_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return manifest
 
 
-def _write_file(outdir, name, header, rows, files: List[str]) -> None:
-    _write_csv(os.path.join(outdir, name), header, rows)
-    files.append(name)
-
-
-def describe_text(panel: ReturnPanel, quantile: float, bandwidth_scale: float) -> str:
-    """The asset overview table as CSV text (the `describe` command body)."""
+def describe_text(panel: ReturnPanel, **options) -> str:
+    """The asset overview table as CSV text (the `describe` command body);
+    `options` (quantile, bandwidth_scale) are asset_table's."""
     text = io.StringIO()
-    _write_rows(text, *asset_table(panel, quantile, bandwidth_scale), lineterminator="\n")
+    _write_rows(text, *asset_table(panel, **options), lineterminator="\n")
     return text.getvalue()

@@ -5,16 +5,21 @@ import io
 import json
 import subprocess
 import sys
+from dataclasses import asdict
 
 import pytest
 
+import lgcport.cli
 from lgcport.cli import main
-from lgcport.panel import ReturnPanel, write_panel
+from lgcport.errors import ConfigError
+from lgcport.panel import ReturnPanel, load_panel, write_panel
 from lgcport.report import (
     PERFORMANCE_HEADER,
     REPORT_SCHEMA_VERSION,
     STRATEGY_STATS_HEADER,
     WEALTH_HEADER,
+    RunConfig,
+    describe_text,
 )
 from lgcport.synth import synth_panel
 
@@ -313,6 +318,114 @@ class TestErrorHandling:
         assert err["error"] == "ConfigError"
         assert message in err["message"]
         assert not out.exists()
+
+
+
+class TestDefaultsComeFromTheLibrary:
+    """Options have no defaults of their own: an option left out takes the
+    default of the call it feeds."""
+
+    def test_synth_without_options(self, tmp_path):
+        assert run_cli("synth", "--out", str(tmp_path / "cli.csv")) == 0
+        write_panel(synth_panel(), tmp_path / "lib.csv")
+        assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
+
+    def test_describe_without_options(self, panel_file, capsys):
+        assert run_cli("describe", "--input", str(panel_file)) == 0
+        assert capsys.readouterr().out == describe_text(load_panel(panel_file))
+
+    def test_run_without_options(self, tmp_path):
+        panel = tmp_path / "p.csv"
+        write_panel(synth_panel(), panel)
+        out = tmp_path / "o"
+        assert run_cli("run", "--input", str(panel), "--out", str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"] == asdict(RunConfig(str(panel), str(out)))
+
+    @pytest.mark.parametrize(
+        "option, value, name, want",
+        [
+            ("--input", "other.csv", "input_path", "other.csv"),
+            ("--out", "elsewhere", "output_dir", "elsewhere"),
+            ("--mode", "prices", "mode", "prices"),
+            ("--windows", "60,90", "windows", [60, 90]),
+            ("--strategies", "EW,MINC-L", "strategies", ["EW", "MINC-L"]),
+            ("--tcost", "0,2.5", "tcosts_bp", [0.0, 2.5]),
+            ("--grid", "percentile", "grid_method", "percentile"),
+            ("--grid-lookback", "5", "grid_lookback", 5),
+            ("--grid-quantile", "0.1", "grid_quantile", 0.1),
+            ("--bandwidth-scale", "1.3", "bandwidth_scale", 1.3),
+            ("--gamma", "2.5", "gamma", 2.5),
+            ("--var-alpha", "0.9", "var_alpha", 0.9),
+            ("--charge-initial", None, "charge_initial_allocation", True),
+        ],
+    )
+    def test_run_option_sets_its_field(self, monkeypatch, option, value, name, want):
+        configs = []
+
+        def record(config):
+            configs.append(config)
+            return {"files": []}
+
+        monkeypatch.setattr(lgcport.cli, "execute_run", record)
+        given = {"--input": "in.csv", "--out": "out", option: value}
+        argv = [part for pair in given.items() for part in pair if part is not None]
+        assert run_cli("run", *argv) == 0
+        default = asdict(RunConfig("in.csv", "out"))
+        assert default[name] != want
+        assert asdict(configs[0]) == {**default, name: want}
+
+
+class TestFailedRun:
+    @pytest.fixture()
+    def short_panel(self, tmp_path):
+        # Window 147 of 150 months leaves 3 out-of-sample months, fewer than
+        # the strategy statistics need; window 120 runs through.
+        path = tmp_path / "p150.csv"
+        assert run_cli("synth", "--out", str(path), "--months", "150") == 0
+        return path
+
+    def _assert_one_json_line(self, capsys):
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, captured.err
+        return json.loads(lines[0])
+
+    def test_second_window_failure_writes_nothing(self, short_panel, tmp_path, capsys):
+        out = tmp_path / "rep"
+        argv = ["run", "--input", str(short_panel), "--out", str(out), "--windows", "120,147"]
+        assert run_cli(*argv) == 1
+        assert "message" in self._assert_one_json_line(capsys)
+        assert not out.exists()
+
+    def test_existing_directory_left_untouched(self, short_panel, tmp_path, capsys):
+        out = tmp_path / "rep"
+        out.mkdir()
+        old = {"manifest.json": b'{"old": true}\n', "table_assets_w120.csv": b"old,table\r\n"}
+        for name, content in old.items():
+            (out / name).write_bytes(content)
+        argv = ["run", "--input", str(short_panel), "--out", str(out), "--windows", "120,147"]
+        assert run_cli(*argv) == 1
+        self._assert_one_json_line(capsys)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == old
+
+    def test_repeated_window_refused(self, panel_file, tmp_path, capsys):
+        out = tmp_path / "rep"
+        argv = ["run", "--input", str(panel_file), "--out", str(out)]
+        assert run_cli(*argv, "--windows", "24,20,24", "--strategies", "EW,MIN") == 1
+        err = self._assert_one_json_line(capsys)
+        assert err["error"] == "ConfigError" and "24" in err["message"]
+        assert not out.exists()
+        with pytest.raises(ConfigError, match="120"):
+            RunConfig("in.csv", "out", windows=[120, 240, 120])
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "0"])
+    def test_bad_gamma_refused_before_loading(self, tmp_path, capsys, value):
+        missing = tmp_path / "missing.csv"
+        argv = ["run", "--input", str(missing), "--out", str(tmp_path / "o"), "--gamma", value]
+        assert run_cli(*argv) == 1
+        err = self._assert_one_json_line(capsys)
+        assert err["error"] == "ConfigError" and "gamma" in err["message"]
 
 
 class TestHugeFiniteColumn:

@@ -1,5 +1,7 @@
 """Mean-variance weight solver: analytic cases, brute-force oracles, invariants."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -195,3 +197,17 @@ class TestStrategySpec:
     def test_rejects_bad_gamma(self):
         with pytest.raises(ValueError):
             StrategySpec("MVS", "global", gamma=0.0)
+
+    @pytest.mark.parametrize("gamma", [-1.0, math.inf, math.nan])
+    def test_rejects_gamma_not_positive_and_finite(self, gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            StrategySpec("MVS", "global", gamma=gamma)
+
+    @pytest.mark.parametrize("bound", [math.nan, -math.inf, math.inf])
+    def test_rejects_lower_bound_not_finite(self, bound):
+        with pytest.raises(ValueError, match="lower bound"):
+            StrategySpec("MINC", "global", lower_bound=bound)
+
+    def test_from_label_passes_options_on(self):
+        spec = StrategySpec.from_label("MVSC-L", gamma=3.0, lower_bound=0.1)
+        assert (spec.gamma, spec.lower_bound, spec.label) == (3.0, 0.1, "MVSC-L")

@@ -142,10 +142,42 @@ def _repair(cov: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     Rebuilding a matrix from the floored spectrum moves its smallest
     eigenvalue by less than the margin, so a repaired matrix passes the test
     as it is. A matrix's result does not depend on its stack.
+
+    The stack is first tried by one stacked Cholesky of A - sI per matrix,
+    with s = 2 PD_TOL t and t = trace(A), if every t > 0. If it succeeds,
+    every matrix is kept and no eigenvalue is computed; otherwise the
+    eigenvalues decide for the whole stack, as above. Success implies the
+    eigenvalue test (u = eps/2, g = (N+1)u / (1 - (N+1)u)):
+    - B = fl(A - sI) = A - sI + E with E diagonal. B_ii > 0 needs A_ii > s,
+      so |E_ii| <= u A_ii <= u t; and s >= 2 PD_TOL t (1 - (N+2)u) after
+      the rounding of the trace and of the product.
+    - The computed factor R has R'R = B + dB with |dB| <= g |R'||R| (Higham
+      2002, Thm 10.3). By Cauchy-Schwarz |R'||R| <= d d' with d_i^2 =
+      (R'R)_ii <= B_ii / (1 - g), so ||dB||_2 <= g trace(B) / (1 - g) <=
+      2(N+1)u t. R'R is positive definite, so lambda_min(B) > -2(N+1)u t.
+    - Hence lambda_min(A) > s - 2(N+1)u t - u t >= (2 PD_TOL - (2N+5)u) t.
+      Where that is positive, A is positive definite and t >= lambda_max(A).
+    So lambda_min(A) exceeds PD_TOL lambda_max(A) by (PD_TOL - (2N+5)u)
+    lambda_max(A), nearly PD_TOL lambda_max(A) for N well below 4.5e5. The
+    exact test holds, and eigvalsh, being backward stable, moves each
+    eigenvalue by O(N u lambda_max(A)) only, so its test keeps the matrix
+    too. The trace bounds lambda_max at no cost; a matrix whose lambda_min
+    lies below 2 PD_TOL t (at most 2N PD_TOL lambda_max) fails the Cholesky
+    and is judged by its eigenvalues.
     """
     # Halved in place: one (k, N, N) temporary, not two.
     cov = cov + cov.transpose(0, 2, 1)
     cov /= 2.0
+    ii = np.arange(cov.shape[-1])
+    trace = np.trace(cov, axis1=1, axis2=2)
+    if np.all(trace > 0.0):
+        shifted = cov.copy()
+        shifted[:, ii, ii] -= 2.0 * PD_TOL * trace[:, None]
+        try:
+            np.linalg.cholesky(shifted)
+            return cov, np.zeros(len(cov), dtype=bool)
+        except np.linalg.LinAlgError:
+            pass
     vals = np.linalg.eigvalsh(cov)
     top = vals[:, -1]
     least = (PD_TOL - cov.shape[-1] * np.finfo(float).eps) * top

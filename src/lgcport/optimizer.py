@@ -111,25 +111,51 @@ def _check_inputs(sigma, mu, lower_bound):
     return s, mu, n
 
 
+def _attempt(lapack, stacks):
+    """`lapack` over the stacks, or None if it raises LinAlgError."""
+    try:
+        return lapack(*stacks)
+    except np.linalg.LinAlgError:
+        return None
+
+
 def _stacked(lapack, *stacks):
     """`lapack` (np.linalg.solve, say) over stacks of problems, and the (P,)
     flags of the problems it fails on.
 
-    If the stacked call raises LinAlgError, it is repeated one problem at a
-    time: a failed problem is flagged and its result is NaN, in an array of
-    the last stack's shape.
+    A failed problem's result is NaN, in an array of the last stack's shape.
+    If the stacked call raises LinAlgError, the failures are found by halves
+    (see _split). A problem's result does not depend on its stack, so every
+    result and flag is the one a call on that problem alone would give.
     """
-    failed = np.zeros(len(stacks[0]), dtype=bool)
-    try:
-        return lapack(*stacks), failed
-    except np.linalg.LinAlgError:
-        out = np.full(stacks[-1].shape, np.nan)
-        for i, problem in enumerate(zip(*stacks)):
-            try:
-                out[i] = lapack(*problem)
-            except np.linalg.LinAlgError:
-                failed[i] = True
-        return out, failed
+    out = _attempt(lapack, stacks)
+    if out is None:
+        return _split(lapack, stacks)
+    return out, np.zeros(len(stacks[0]), dtype=bool)
+
+
+def _split(lapack, stacks):
+    """_stacked's results and flags for stacks on which `lapack` raised.
+
+    Each half is tried. A half that raises while the other does not is split
+    the same way, down to one problem, which is the failure. Where both
+    halves raise, failures are dense, and the stacks go one problem at a
+    time. One failure among P problems costs 2 log2(P) calls after the first,
+    and no pattern costs more than P + 2 log2(P).
+    """
+    p = len(stacks[0])
+    if p == 1:
+        return np.full(stacks[-1].shape, np.nan), np.ones(1, dtype=bool)
+    halves = ([s[: p // 2] for s in stacks], [s[p // 2 :] for s in stacks])
+    outs = [_attempt(lapack, half) for half in halves]
+    if outs[0] is None and outs[1] is None:
+        parts = [_stacked(lapack, *(s[i : i + 1] for s in stacks)) for i in range(p)]
+    else:
+        parts = [
+            _split(lapack, half) if out is None else (out, np.zeros(len(half[0]), dtype=bool))
+            for out, half in zip(outs, halves)
+        ]
+    return np.concatenate([part[0] for part in parts]), np.concatenate([part[1] for part in parts])
 
 
 def _ratio_test(w, step, free, lb):
@@ -208,6 +234,13 @@ def _active_set_qp(q, c, lb):
     call, so each problem takes the same iterate path and the same LAPACK call
     it would take alone. Deterministic: ties break at the lowest index.
 
+    Each KKT system is solved once. After a full step (no bound blocks) the
+    free set and w_A are unchanged, so the next iteration would solve the
+    same system again and get the same solution, `target`: its step would be
+    target - w. Where that is within 1e-13, the problem goes to the release
+    rule in the same iteration, with the multiplier just solved for, as it
+    would one iteration later. The all-free systems copy Q whole.
+
     The first iteration's all-free solve gives each problem's budget-only
     optimum w0. A problem restarts at its best vertex (`_vertex_starts`)
     when w0 breaks more than n/3 of the bounds and the smallest eigenvalue of
@@ -228,32 +261,45 @@ def _active_set_qp(q, c, lb):
     pi = np.zeros((p, n))
     failures = {}
     live = np.arange(p)
+    flat_q = np.ascontiguousarray(q).reshape(-1)
 
     for it in range(60 * (n + 1)):
         if not live.size:
             break
         free = ~active[live]
         k = free.sum(axis=1)
-        step = np.zeros((live.size, n))
+        # Each problem's equality-constrained optimum on its free set, with
+        # its bound weights as they are.
+        target = w[live]
         singular = np.zeros(live.size, dtype=bool)
         for size in np.unique(k[k > 0]):
             # Stationarity rows solve Q_FF w_F - lam = -c_F - Q_FA w_A, so the
             # recovered lam satisfies grad = lam + pi directly.
             rows = np.flatnonzero(k == size)
             idx = live[rows]
-            fi = np.nonzero(free[rows])[1].reshape(rows.size, size)
-            ai = np.nonzero(~free[rows])[1].reshape(rows.size, n - size)
             kkt = np.zeros((rows.size, size + 1, size + 1))
-            kkt[:, :size, :size] = q[idx[:, None, None], fi[:, :, None], fi[:, None, :]]
             kkt[:, :size, size] = -1.0
             kkt[:, size, :size] = 1.0
-            q_fa = q[idx[:, None, None], fi[:, :, None], ai[:, None, :]]
             rhs = np.empty((rows.size, size + 1, 1))
-            rhs[:, :size, 0] = -c[idx[:, None], fi] - (q_fa @ w[idx[:, None], ai, None])[:, :, 0]
             rhs[:, size, 0] = 1.0 - lb * float(n - size)
+            if size == n:
+                # All free: Q_FA w_A is empty, and -c - 0.0 is -c bit for bit.
+                fi = np.broadcast_to(np.arange(n), (rows.size, n))
+                kkt[:, :n, :n] = q[idx]
+                rhs[:, :n, 0] = -c[idx]
+            else:
+                fi = np.nonzero(free[rows])[1].reshape(rows.size, size)
+                ai = np.nonzero(~free[rows])[1].reshape(rows.size, n - size)
+                # Rows F of each Q, as offsets into the flat stack: one
+                # gather each for Q_FF and Q_FA.
+                row_f = (idx * (n * n))[:, None, None] + (fi * n)[:, :, None]
+                kkt[:, :size, :size] = flat_q[row_f + fi[:, None, :]]
+                q_fa = flat_q[row_f + ai[:, None, :]]
+                rhs[:, :size, 0] = -c[idx[:, None], fi] - (q_fa @ w[idx[:, None], ai, None])[:, :, 0]
             sol, singular[rows] = _stacked(np.linalg.solve, kkt, rhs)
-            step[rows[:, None], fi] = sol[:, :size, 0] - w[idx[:, None], fi]
+            target[rows[:, None], fi] = sol[:, :size, 0]
             lam[idx] = sol[:, size, 0]
+        step = target - w[live]
         for i in live[singular]:
             failures[int(i)] = SolverError("singular KKT system")
         if it == 0:
@@ -271,6 +317,7 @@ def _active_set_qp(q, c, lb):
             lam[rows] = np.einsum("pi,pi->p", q[rows, j], w[rows]) + c[rows, j]
 
         moving = ~singular & (np.max(np.abs(step), axis=1) > 1e-13)
+        settled = ~singular & ~moving
         if moving.any():
             # Walk toward the equality-constrained optimum, stopping at the
             # first bound that blocks.
@@ -280,8 +327,13 @@ def _active_set_qp(q, c, lb):
             hit = block >= 0
             w[idx[hit], block[hit]] = lb
             active[idx[hit], block[hit]] = True
+            # A full step leaves the free set and w_A as they were, so the
+            # next iteration would solve this same system and step by
+            # target - w: where that is within 1e-13, settle now.
+            full = np.flatnonzero(moving)[~hit]
+            settled[full] = np.max(np.abs(target[full] - w[idx[~hit]]), axis=1) <= 1e-13
 
-        settled = np.flatnonzero(~singular & ~moving)
+        settled = np.flatnonzero(settled)
         finished = np.zeros(live.size, dtype=bool)
         if settled.size:
             idx = live[settled]

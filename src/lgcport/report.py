@@ -4,7 +4,10 @@ A run is built whole before anything is written: execute_run loads the
 panel, backtests every window and builds every table into one map of file
 name -> (header, rows), with the manifest beside it. Only then does it
 create the output directory and write the map and the manifest, so a run
-that fails on any window writes no file.
+that fails on any window writes no file. A directory whose earlier
+manifest.json lists a file there that this run would not rewrite is
+refused, before anything is written, so no report file of the earlier run
+is left beside a manifest that does not list it.
 
 Column names and order are part of the package contract: bump
 REPORT_SCHEMA_VERSION when they change. Numbers are written with repr so
@@ -331,6 +334,7 @@ def execute_run(config: RunConfig) -> dict:
         "files": sorted(tables),
     }
 
+    _refuse_stale_files(config.output_dir, tables)
     os.makedirs(config.output_dir, exist_ok=True)
     for name, (header, rows) in tables.items():
         with open(os.path.join(config.output_dir, name), "w", newline="") as fh:
@@ -339,6 +343,25 @@ def execute_run(config: RunConfig) -> dict:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return manifest
+
+
+def _refuse_stale_files(output_dir: str, names) -> None:
+    """Raise ConfigError if the manifest.json of an earlier run in
+    `output_dir` lists a file that is there and that this run, writing
+    `names`, would leave in place: the directory would then hold report
+    files its new manifest does not list. Nothing is deleted. A manifest
+    that does not parse, or lists no files, lists nothing."""
+    try:
+        with open(os.path.join(output_dir, "manifest.json")) as fh:
+            listed = json.load(fh)["files"]
+    except (OSError, ValueError, KeyError, TypeError):
+        return
+    for name in listed if isinstance(listed, list) else ():
+        if name not in names and os.path.isfile(os.path.join(output_dir, str(name))):
+            raise ConfigError(
+                "output directory %s holds %s from an earlier run, which this run "
+                "would not replace" % (output_dir, name)
+            )
 
 
 def describe_text(panel: ReturnPanel, **options) -> str:

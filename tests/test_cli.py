@@ -419,6 +419,27 @@ class TestFailedRun:
         with pytest.raises(ConfigError, match="120"):
             RunConfig("in.csv", "out", windows=[120, 240, 120])
 
+    def test_stale_files_of_an_earlier_run_refused(self, tmp_path, capsys):
+        # The second run would leave the first's window-240 tables beside a
+        # manifest that does not list them: it is refused, and nothing of
+        # the first run is changed or deleted.
+        panel = tmp_path / "p.csv"
+        assert run_cli("synth", "--out", str(panel)) == 0
+        out = tmp_path / "rep"
+        argv = ["run", "--input", str(panel), "--out", str(out), "--strategies", "EW,MIN"]
+        assert run_cli(*argv, "--windows", "120,240") == 0
+        first = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert "table_assets_w240.csv" in first
+        capsys.readouterr()
+        assert run_cli(*argv, "--windows", "120") == 1
+        err = self._assert_one_json_line(capsys)
+        assert err["error"] == "ConfigError"
+        assert "table_assets_w240.csv" in err["message"]
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+        # The same run again is allowed.
+        assert run_cli(*argv, "--windows", "120,240") == 0
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+
     @pytest.mark.parametrize("value", ["inf", "nan", "0"])
     def test_bad_gamma_refused_before_loading(self, tmp_path, capsys, value):
         missing = tmp_path / "missing.csv"

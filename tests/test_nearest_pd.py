@@ -189,3 +189,90 @@ def test_nearest_correlation_is_the_reference(m):
     d = np.sqrt(np.diag(m))
     corr = m / np.outer(d, d)
     assert np.array_equal(nearest_correlation(corr), ref_nearest_correlation(corr)[0])
+
+
+def spectrum_matrix(rng, n, ratio, scale):
+    """A symmetric matrix with eigenvalues log-uniform in [ratio, 1] * scale,
+    the two ends included, in a random orthonormal basis."""
+    basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    vals = np.exp(rng.uniform(np.log(ratio), 0.0, size=n))
+    vals[0], vals[-1] = ratio, 1.0
+    m = (basis * (scale * vals)) @ basis.T
+    return (m + m.T) / 2.0
+
+
+@st.composite
+def pre_test_stacks(draw):
+    """Stacks that probe the Cholesky pre-test of _repair: matrices whose
+    smallest-to-largest eigenvalue ratio lies in [1e-12, 1e-8], around
+    PD_TOL, beside well-conditioned, indefinite, zero-trace and
+    negative-diagonal ones."""
+    n = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(
+        st.lists(
+            st.sampled_from(["near", "near", "near", "pd", "indefinite", "zero_trace", "negative_diagonal"]),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    stack = []
+    for kind in kinds:
+        scale = 10.0 ** draw(st.integers(-8, 8))
+        if kind == "near":
+            ratio = 10.0 ** draw(st.floats(-12.0, -8.0))
+            m = spectrum_matrix(rng, n, ratio, scale)
+        elif kind == "pd":
+            m = spectrum_matrix(rng, n, 0.1, scale)
+        elif kind == "indefinite":
+            # v'Mv <= scale, less 1.5 * scale along v = M's first row.
+            m = spectrum_matrix(rng, n, 0.5, scale)
+            m -= 1.5 * scale * np.outer(m[0], m[0]) / (m[0] @ m[0])
+        elif kind == "zero_trace":
+            # Diagonal +-scale in turn (0 last if n is odd): the trace is 0.
+            m = spectrum_matrix(rng, n, 0.5, scale)
+            m[np.diag_indices(n)] = scale * np.resize([1.0, -1.0], n)
+            if n % 2:
+                m[n - 1, n - 1] = 0.0
+        else:
+            m = spectrum_matrix(rng, n, 0.5, scale)
+            m[n - 1, n - 1] = -m[n - 1, n - 1]
+        stack.append((m + m.T) / 2.0)
+    return np.stack(stack)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pre_test_stacks())
+def test_pre_test_keeps_the_eigenvalue_reference(stack):
+    # Whether or not the stacked Cholesky accepts the stack, every flag and
+    # matrix is the eigvalsh-only reference's, bit for bit.
+    out, repaired = _repair(stack)
+    for d, m in enumerate(stack):
+        want, flag, _ = ref_nearest_pd(m)
+        assert repaired[d] == flag
+        assert np.array_equal(out[d], want)
+
+
+def test_pre_test_takes_no_eigenvalues_of_a_positive_definite_stack(monkeypatch):
+    # Ratios from 1e-8 down to 1e-9 at N = 24: each smallest eigenvalue lies
+    # above 2 * PD_TOL * trace, so the stacked Cholesky accepts the stack.
+    rng = np.random.default_rng(11)
+    stack = np.stack([spectrum_matrix(rng, 24, 10.0 ** -e, 1e-3) for e in np.linspace(8, 9, 12)])
+    refs = [ref_nearest_pd(m) for m in stack]
+    assert not any(flag for _, flag, _ in refs)
+
+    def no_eigenvalues(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigenvalues)
+    out, repaired = _repair(stack)
+    assert not repaired.any()
+    assert np.array_equal(out, stack)
+    # One matrix below the floor sends the whole stack to the eigenvalues.
+    low = np.concatenate([stack, spectrum_matrix(rng, 24, 1e-12, 1e-3)[None]])
+    try:
+        _repair(low)
+    except AssertionError as err:
+        assert str(err) == "eigvalsh called"
+    else:
+        raise AssertionError("the stacked Cholesky accepted a matrix below the floor")

@@ -223,7 +223,7 @@ def test_ratio_test_scans_rows_where_argmin_differs():
         assert np.array_equal(alpha[r], want_alpha)
 
 
-def test_failed_stacked_call_is_repeated_one_problem_at_a_time():
+def test_failed_stacked_call_is_retried_by_halves():
     # A singular middle system makes the stacked solve and Cholesky raise;
     # the others get what they would get alone, and it gets NaN.
     kkt = np.stack([2.0 * np.eye(2), np.zeros((2, 2)), [[2.0, 1.0], [1.0, 3.0]]])
@@ -236,6 +236,48 @@ def test_failed_stacked_call_is_repeated_one_problem_at_a_time():
             assert np.array_equal(out[i], lapack(*(a[i] for a in args)))
     out, failed = optimizer._stacked(np.linalg.solve, kkt[::2], rhs[::2])
     assert not failed.any() and np.array_equal(out, np.linalg.solve(kkt[::2], rhs[::2]))
+
+
+def counted(lapack, calls):
+    def call(*stacks):
+        calls.append(len(stacks[0]))
+        return lapack(*stacks)
+
+    return call
+
+
+@pytest.mark.parametrize("pattern", ["one", "two_adjacent", "two_apart", "dense", "all", "random"])
+def test_stacked_retry_costs_and_results(rng, pattern):
+    # Each result and flag is that of a call on the problem alone; one
+    # failure among P costs O(log P) calls, and no pattern more than
+    # P + 2 log2(P) after the first call.
+    p, n = 1000, 4
+    a = rng.standard_normal((p, n, n))
+    spd = a @ a.transpose(0, 2, 1) + n * np.eye(n)
+    bad = {
+        "one": [617],
+        "two_adjacent": [300, 301],
+        "two_apart": [3, 998],
+        "dense": list(range(100, 400)),
+        "all": list(range(p)),
+        "random": np.flatnonzero(rng.random(p) < 0.02).tolist(),
+    }[pattern]
+    indefinite, singular = spd.copy(), spd.copy()
+    indefinite[bad] *= -1.0
+    singular[bad] = 0.0
+    rhs = rng.standard_normal((p, n, 1))
+    for lapack, args in ((np.linalg.cholesky, (indefinite,)), (np.linalg.solve, (singular, rhs))):
+        calls = []
+        out, failed = optimizer._stacked(counted(lapack, calls), *args)
+        assert np.flatnonzero(failed).tolist() == sorted(bad)
+        for i in range(p):
+            if failed[i]:
+                assert np.isnan(out[i]).all()
+            else:
+                assert np.array_equal(out[i], lapack(*(x[i] for x in args)))
+        if pattern == "one":
+            assert len(calls) <= 2 * np.ceil(np.log2(p)) + 1
+        assert len(calls) <= p + 2 * np.log2(p) + 1
 
 
 @pytest.mark.parametrize("kind, lb", [("MVS", -0.5), ("MVSC", 0.0), ("MINC", 0.0)])
@@ -299,6 +341,17 @@ def test_batch_across_chunks_matches_single_solves(rng, monkeypatch):
     assert np.array_equal(w[~rejected], singles[~rejected])
 
 
+def wide_window(n_dates=343, n=24):
+    """(sigma, mu) of a strategy-window of the global_wide benchmark: 343
+    dates of 24 Clayton assets, window 120, in decimal returns."""
+    x = synth_panel(months=n_dates + 120, n_assets=n, model="clayton", seed=3).returns
+    windows = np.lib.stride_tricks.sliding_window_view(x, 120, axis=0)[:n_dates]
+    windows = windows.transpose(0, 2, 1)
+    centred = windows - windows.mean(axis=1, keepdims=True)
+    sigma = (centred.transpose(0, 2, 1) @ centred) / 119.0 / 1e4
+    return sigma, windows.mean(axis=1) / 100.0
+
+
 @pytest.mark.parametrize("kind", ["MVSC", "MIN"])
 def test_window_of_wide_problems_matches_reference(kind):
     # A strategy-window of the global_wide benchmark: 343 dates of 24 Clayton
@@ -306,14 +359,9 @@ def test_window_of_wide_problems_matches_reference(kind):
     # breaks most bounds, so every date restarts at its best vertex: the same
     # active set by a shorter path, with weights that agree within 1e-14.
     # MIN binds no bound and keeps the reference's path bit for bit.
-    n_dates, n = 343, 24
+    sigma, mu = wide_window()
+    n_dates, n = mu.shape
     assert optimizer._BLOCK_KKT // (n + 1) ** 2 >= n_dates
-    x = synth_panel(months=n_dates + 120, n_assets=n, model="clayton", seed=3).returns
-    windows = np.lib.stride_tricks.sliding_window_view(x, 120, axis=0)[:n_dates]
-    windows = windows.transpose(0, 2, 1)
-    centred = windows - windows.mean(axis=1, keepdims=True)
-    sigma = (centred.transpose(0, 2, 1) @ centred) / 119.0 / 1e4
-    mu = windows.mean(axis=1) / 100.0
     spec = StrategySpec(kind)
     w, failures = solve_batch(spec, sigma, mu)
     assert not failures
@@ -324,6 +372,29 @@ def test_window_of_wide_problems_matches_reference(kind):
         w_ref, _, _, active_ref = reference_active_set_qp(q[i], c[i], spec.lower_bound)
         assert np.array_equal(active[i], active_ref)
         assert np.max(np.abs(w[i] - w_ref)) <= tol
+
+
+@pytest.mark.parametrize("kind", ["MVS", "MVSC", "MIN", "MINC"])
+def test_no_kkt_system_is_solved_twice(kind, monkeypatch):
+    # After a full step the free set and w_A are unchanged, so the next
+    # iteration's system would be the one just solved: the problem settles
+    # in the same iteration instead. On the wide window no (free set, w_A)
+    # of a problem, hence no KKT system, is solved twice.
+    sigma, mu = wide_window()
+    spec = StrategySpec(kind)
+    solved = []
+    stacked = optimizer._stacked
+
+    def recorded(lapack, *stacks):
+        if lapack is np.linalg.solve:
+            solved.extend(kkt.tobytes() + rhs.tobytes() for kkt, rhs in zip(*stacks))
+        return stacked(lapack, *stacks)
+
+    monkeypatch.setattr(optimizer, "_stacked", recorded)
+    w, failures = solve_batch(spec, sigma, mu)
+    assert not failures
+    assert len(solved) >= len(mu)
+    assert len(set(solved)) == len(solved)
 
 
 def enumerated_optimum(q, c, lb):

@@ -133,8 +133,8 @@ def turnover(target: np.ndarray, drifted: np.ndarray):
 
 def apply_transaction_costs(gross_pct, turnover_path, tcost_bp: float) -> np.ndarray:
     """Net percent returns: gross minus turnover * tcost_bp basis points."""
-    if tcost_bp < 0.0:
-        raise ValueError("transaction cost must be nonnegative")
+    if not 0.0 <= tcost_bp < math.inf:
+        raise ValueError("transaction cost must be nonnegative and finite")
     g = np.asarray(gross_pct, dtype=float)
     t = np.asarray(turnover_path, dtype=float)
     if np.any(t < 0.0):

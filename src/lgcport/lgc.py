@@ -25,12 +25,16 @@ step comes from a vectorized 5 x 5 LDL' factorization, with an
 eigenvalue-modified step (a Gill-Murray-style modified Newton method) as the
 fallback where the Hessian is indefinite or nearly singular.
 estimate_local_params is the one-pair case: a two-asset window.
+
+How each fit went is one FitDiagnostics record, of one pair or of arrays
+over pairs, and fit_local_moments alone decides which pairs fall back to
+their global Gaussian MLE.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
 import numpy as np
@@ -95,13 +99,23 @@ class LocalParams:
 
 @dataclass
 class FitDiagnostics:
-    """Bookkeeping returned alongside a local fit."""
+    """How the local fit of one pair went, or arrays of it over pairs: (P,)
+    from fit_local_moments, (D, P) in a LocalCovStack. Indexing an array
+    record at one pair gives that pair's record, with Python scalars."""
 
     converged: bool
-    iterations: int
+    iterations: int  # Newton steps
     gradient_norm: float
     effective_weight: float
     fallback: bool = False
+
+    @classmethod
+    def zeros(cls, shape) -> "FitDiagnostics":
+        """A record of arrays of `shape`, every value False or 0."""
+        return cls(*(np.zeros(shape, f.type) for f in fields(cls)))
+
+    def __getitem__(self, index) -> "FitDiagnostics":
+        return FitDiagnostics(**{name: value[index].item() for name, value in vars(self).items()})
 
 
 def _as_sample(sample) -> np.ndarray:
@@ -270,8 +284,8 @@ def plugin_bandwidth(sample, scale: float = BANDWIDTH_SCALE) -> Tuple[float, ...
         raise ValueError("bandwidth needs at least 2 observations")
     if not np.all(np.isfinite(s)):
         raise ValueError("sample contains non-finite values")
-    if scale <= 0.0:
-        raise ValueError("scale must be positive, got %g" % scale)
+    if not 0.0 < scale < math.inf:
+        raise ValueError("scale must be positive and finite, got %g" % scale)
     _, _, sd, errors = _window_stats(s[None])
     if errors:
         raise errors[0]
@@ -700,48 +714,31 @@ def _line_search(mom, eta, value, grad, step):
     return new, accepted
 
 
-@dataclass
-class BatchFit:
-    """Per-pair results of fit_local_moments, each with a leading (P,) axis."""
-
-    params: np.ndarray  # (P, 5) mu1, mu2, sigma1, sigma2, rho
-    converged: np.ndarray
-    iterations: np.ndarray
-    gradient_norm: np.ndarray
-    effective_weight: np.ndarray
-    local_mass: np.ndarray
-
-    def diagnostics(self, i: int) -> FitDiagnostics:
-        return FitDiagnostics(
-            converged=bool(self.converged[i]),
-            iterations=int(self.iterations[i]),
-            gradient_norm=float(self.gradient_norm[i]),
-            effective_weight=float(self.effective_weight[i]),
-        )
-
-
-def fit_local_moments(moments: np.ndarray, theta0: np.ndarray) -> BatchFit:
+def fit_local_moments(moments: np.ndarray, theta0: np.ndarray) -> Tuple[np.ndarray, FitDiagnostics]:
     """Maximize the local log-likelihood of P pairs given their (12, P)
-    local_moments_stack rows, from (P, 5) starting parameters `theta0`.
+    local_moments_stack rows, from (P, 5) starting parameters `theta0`;
+    returns the (P, 5) parameters and the pairs' FitDiagnostics.
 
     Pairs whose scale-free local mass is below WEIGHT_FLOOR, and pairs
     whose kernel-weighted sample correlation reaches the cap +-(1 - 1e-9),
-    are not fitted (iterations 0, gradient norm inf, unconverged). The
-    others run a modified Newton iteration with an analytic Hessian and an
-    Armijo line search in (mu1, mu2, log sigma1, log sigma2, atanh rho), and
-    leave the active set once the max-norm of the wbar-normalized gradient is
-    at most GRADIENT_TOL. A pair whose gradient is not finite, whose line
-    search fails, or that reaches MAX_ITERATIONS stops unconverged. Each
-    pair's result depends only on its own moments and start.
+    are not fitted (iterations 0, gradient norm inf, their start as
+    parameters). The others run a modified Newton iteration with an
+    analytic Hessian and an Armijo line search in (mu1, mu2, log sigma1,
+    log sigma2, atanh rho), and converge once the max-norm of the
+    wbar-normalized gradient is at most GRADIENT_TOL. A pair whose gradient
+    is not finite, whose line search fails, or that reaches MAX_ITERATIONS
+    stops. Every pair that does not converge falls back to its global
+    Gaussian MLE (`fallback`). Each pair's result depends only on its own
+    moments and start.
     """
-    effective_weight, mass = moments[10], moments[11]
-    fit = BatchFit(
-        params=np.array(theta0, dtype=float),
+    mass = moments[11]
+    params = np.array(theta0, dtype=float)
+    fits = FitDiagnostics(
         converged=np.zeros(len(mass), dtype=bool),
         iterations=np.zeros(len(mass), dtype=int),
         gradient_norm=np.full(len(mass), np.inf),
-        effective_weight=effective_weight,
-        local_mass=mass,
+        effective_weight=moments[10],
+        fallback=np.ones(len(mass), dtype=bool),
     )
     # At a kernel-weighted sample correlation of +-1 (up to the cap) the
     # likelihood keeps rising as |rho| -> 1, so there is no finite optimum:
@@ -751,8 +748,8 @@ def fit_local_moments(moments: np.ndarray, theta0: np.ndarray) -> BatchFit:
         collinear = np.abs(s12 / np.sqrt(s11 * s22)) >= _RHO_CAP
     fitted = np.flatnonzero((mass >= WEIGHT_FLOOR) & ~collinear)
     if not fitted.size:
-        return fit
-    eta = np.ascontiguousarray(_to_eta(fit.params[fitted]).T)
+        return params, fits
+    eta = np.ascontiguousarray(_to_eta(params[fitted]).T)
     # `live` indexes the pairs of `fitted` still iterating, and `mom` holds
     # their moments, one column each.
     live = np.arange(len(fitted))
@@ -762,9 +759,11 @@ def fit_local_moments(moments: np.ndarray, theta0: np.ndarray) -> BatchFit:
         value, grad, hess = _objective(mom, point, hessian=True)
         grad, hess = _freeze_clipped(point, grad, hess)
         gnorm = np.abs(grad).max(axis=0)
-        fit.gradient_norm[fitted[live]] = gnorm
+        fits.gradient_norm[fitted[live]] = gnorm
         done = gnorm <= GRADIENT_TOL
-        fit.converged[fitted[live[done]]] = True
+        settled = fitted[live[done]]
+        fits.converged[settled] = True
+        fits.fallback[settled] = False
         go = ~done & np.isfinite(gnorm)
         if it == MAX_ITERATIONS or not go.any():
             break
@@ -774,11 +773,11 @@ def fit_local_moments(moments: np.ndarray, theta0: np.ndarray) -> BatchFit:
         new, moved = _line_search(mom, point, value, grad, step)
         eta[:, live] = new
         live, mom = live[moved], mom[:, moved]
-        fit.iterations[fitted[live]] += 1
+        fits.iterations[fitted[live]] += 1
         if not live.size:
             break
-    fit.params[fitted] = _from_eta(eta.T)
-    return fit
+    params[fitted] = _from_eta(eta.T)
+    return params, fits
 
 
 def estimate_local_params(
@@ -827,15 +826,15 @@ def estimate_local_params(
     theta0 = init if init is not None else global_gaussian_mle(s)
 
     moments = local_moments_stack(s[None], np.array([[r1, r2]]), np.array([[b1, b2]]))[:, 0]
-    fit = fit_local_moments(moments, theta0.as_array()[None])
-    if fit.local_mass[0] < WEIGHT_FLOOR:
+    params, fits = fit_local_moments(moments, theta0.as_array()[None])
+    diag = fits[0]
+    if moments[11, 0] < WEIGHT_FLOOR:
         raise InsufficientLocalDataError(
             "no effective observations near grid point (%g, %g): local mass %.3e"
-            % (r1, r2, fit.local_mass[0]),
-            effective_weight=float(fit.effective_weight[0]),
+            % (r1, r2, moments[11, 0]),
+            effective_weight=diag.effective_weight,
         )
-    theta = LocalParams.from_array(fit.params[0])
-    diag = fit.diagnostics(0)
+    theta = LocalParams.from_array(params[0])
     if not diag.converged:
         raise NonConvergenceError(
             "local fit at (%g, %g) stopped after %d iterations with gradient %.3e"

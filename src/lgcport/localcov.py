@@ -63,13 +63,6 @@ _BLOCK_PAIRS = 2048
 # 113 at N = 24 and 28 at N = 48, whatever the blocks of the estimate.
 _BLOCK_REPAIR = 2**16
 
-# The per-pair fields of a LocalCovStack (FitDiagnostics' fields) and their dtypes.
-_PAIR_FIELDS = (
-    ("converged", bool), ("iterations", int), ("gradient_norm", float),
-    ("effective_weight", float), ("fallback", bool),
-)
-
-
 @dataclass
 class LocalCovMatrix:
     """A covariance matrix plus the bookkeeping of how it was built."""
@@ -241,31 +234,22 @@ class CovStack:
 class LocalCovStack(CovStack):
     """Local covariances of a stack of dates, plus the fit of each pair.
 
-    `correlations` are the pairwise local correlations. The per-pair fields
-    are (D, P), pairs in np.triu_indices order within a date; a date in
+    `correlations` are the pairwise local correlations. `fits` holds (D, P)
+    arrays, pairs in np.triu_indices order within a date; a date in
     `errors` has them False or 0.
     """
 
-    converged: np.ndarray  # (D, P)
-    iterations: np.ndarray  # (D, P) Newton steps
-    gradient_norm: np.ndarray  # (D, P)
-    effective_weight: np.ndarray  # (D, P)
-    fallback: np.ndarray  # (D, P) the pair fell back to its global Gaussian MLE
+    fits: FitDiagnostics
 
     @property
     def n_fallbacks(self) -> np.ndarray:
         """(D,) number of pairs of each date that fell back."""
-        return self.fallback.sum(axis=1)
+        return self.fits.fallback.sum(axis=1)
 
     def pair_diagnostics(self, d: int) -> Dict[Tuple[int, int], FitDiagnostics]:
         """The fit of each pair (i, j) of date d."""
         first, second = np.triu_indices(self.matrices.shape[1], 1)
-        return {
-            (int(i), int(j)): FitDiagnostics(
-                **{name: getattr(self, name)[d, k].item() for name, _ in _PAIR_FIELDS}
-            )
-            for k, (i, j) in enumerate(zip(first, second))
-        }
+        return {(int(i), int(j)): self.fits[d, k] for k, (i, j) in enumerate(zip(first, second))}
 
 
 def _as_windows(windows) -> np.ndarray:
@@ -368,8 +352,9 @@ def local_covariance_stack(windows, grids, bandwidth_scale=BANDWIDTH_SCALE) -> L
     The result is scaled by n/(n - 1) so the wide-bandwidth limit matches the
     n-1 sample covariance, then repaired to positive definiteness. A single
     asset, or a window shorter than 2, is left to global_covariance_stack.
-    Pairs that fail to fit (no local mass, or no convergence) fall back to
-    the pair's global Gaussian MLE and are flagged in `fallback`.
+    A pair that fit_local_moments marks as a fallback (no local mass, a
+    collinear sample, or no convergence) takes its global Gaussian MLE; each
+    pair's FitDiagnostics is in `fits`.
 
     Each date is checked on its own, so a date whose window has no estimate
     (a column with zero variance, say) gets its LgcportError in `errors` and
@@ -389,14 +374,14 @@ def local_covariance_stack(windows, grids, bandwidth_scale=BANDWIDTH_SCALE) -> L
     g = np.asarray(grids, dtype=float)
     if g.shape != (n_dates, n_assets) or not np.all(np.isfinite(g)):
         raise ValueError("grids must hold one finite coordinate per date and asset")
+    if not 0.0 < bandwidth_scale < math.inf:
+        raise ValueError("scale must be positive and finite, got %g" % bandwidth_scale)
     n_pairs = n_assets * (n_assets - 1) // 2
-    pair_fields = {name: np.zeros((n_dates, n_pairs), kind) for name, kind in _PAIR_FIELDS}
+    fits = FitDiagnostics.zeros((n_dates, n_pairs))
     if n < 2 or n_assets == 1:
-        return LocalCovStack(**vars(global_covariance_stack(w)), **pair_fields)
-    if bandwidth_scale <= 0.0:
-        raise ValueError("scale must be positive, got %g" % bandwidth_scale)
+        return LocalCovStack(**vars(global_covariance_stack(w)), fits=fits)
 
-    out = LocalCovStack.empty(n_dates, n_assets, **pair_fields)
+    out = LocalCovStack.empty(n_dates, n_assets, fits=fits)
     per_block = max(1, _BLOCK_PAIRS // n_pairs)
     for lo in range(0, n_dates, per_block):
         _fit_block(out, range(lo, min(lo + per_block, n_dates)), w, g, bandwidth_scale)
@@ -432,9 +417,8 @@ def _fit_block(out: LocalCovStack, dates: range, windows, grids, scale: float) -
         return
     n_dates, n, n_assets = len(idx), windows.shape[1], windows.shape[2]
     first, second = np.triu_indices(n_assets, 1)
-    fit = fit_local_moments(moments, mle)
-    fallback = ~fit.converged
-    params = np.where(fallback[:, None], mle, fit.params).reshape(n_dates, -1, 5)
+    params, fits = fit_local_moments(moments, mle)
+    params = np.where(fits.fallback[:, None], mle, params).reshape(n_dates, -1, 5)
     sigma1, sigma2, rho = params[..., 2], params[..., 3], params[..., 4]
 
     shape = (n_dates, n_assets, n_assets)
@@ -456,9 +440,8 @@ def _fit_block(out: LocalCovStack, dates: range, windows, grids, scale: float) -
 
     out.matrices[idx] = cov
     out.correlations[idx] = corr
-    out.fallback[idx] = fallback.reshape(n_dates, -1)
-    for name in ("converged", "iterations", "gradient_norm", "effective_weight"):
-        getattr(out, name)[idx] = getattr(fit, name).reshape(n_dates, -1)
+    for name, value in vars(fits).items():
+        getattr(out.fits, name)[idx] = value.reshape(n_dates, -1)
 
 
 def pairwise_local_covariance(panel, grid, bandwidth_scale=BANDWIDTH_SCALE) -> LocalCovMatrix:

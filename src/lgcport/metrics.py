@@ -120,10 +120,9 @@ def historical_var(returns, alpha: float = VAR_ALPHA) -> float:
 
 def historical_es(returns, alpha: float = VAR_ALPHA) -> float:
     """Expected shortfall: mean loss at or beyond the VaR quantile."""
-    r = _as_series(returns, min_n=max(2, math.ceil(1.0 / (1.0 - alpha))))
-    cut = np.quantile(r, 1.0 - alpha)
-    tail = r[r <= cut]
-    return -float(tail.mean())
+    cut = -historical_var(returns, alpha)
+    r = _as_series(returns)
+    return -float(r[r <= cut].mean())
 
 
 def var_sharpe(returns, alpha: float = VAR_ALPHA, risk_free: float = 0.0) -> float:

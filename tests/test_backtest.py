@@ -204,6 +204,11 @@ class TestTurnoverAndCosts:
         with pytest.raises(ValueError):
             apply_transaction_costs([1.0], [-0.1], 1.0)
 
+    @pytest.mark.parametrize("tcost_bp", [-1.0, math.nan, math.inf])
+    def test_cost_outside_nonnegative_reals_rejected(self, tcost_bp):
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            apply_transaction_costs([1.0], [0.5], tcost_bp)
+
 
 class TestPathStatistics:
     def test_dispersion_loop_oracle(self, rng):

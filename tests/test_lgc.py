@@ -778,11 +778,16 @@ class TestPluginBandwidth:
     def test_stack_rejects_non_finite_windows_and_bad_scale(self, rng):
         windows = rng.standard_normal((4, 30, 3))
         grids = windows.mean(axis=1)
-        for scale in (0.0, -1.0):
+        for scale in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="scale must be positive"):
                 plugin_bandwidth(windows[0], scale)
+            # A stack with no pair to fit (one asset, or one observation)
+            # refuses the scale too.
+            for w, g in ((windows, grids), (windows[..., :1], grids[:, :1])):
+                with pytest.raises(ValueError, match="scale must be positive"):
+                    local_covariance_stack(w, g, scale)
             with pytest.raises(ValueError, match="scale must be positive"):
-                local_covariance_stack(windows, grids, scale)
+                local_covariance_stack(windows[:, :1], grids, scale)
         windows[2, 5, 1] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             plugin_bandwidth(windows[2])
@@ -819,6 +824,7 @@ class TestEstimateLocalParams:
             estimate_local_params(sample, (0.0, 0.0), plugin_bandwidth(sample), start)
         assert isinstance(err.value.diagnostics, FitDiagnostics)
         assert not err.value.diagnostics.converged
+        assert err.value.diagnostics.fallback
 
     def test_deterministic(self, rng):
         sample = gauss_pair(rng, 600, 0.2)

@@ -11,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from lgcport.errors import DegenerateSampleError, InsufficientDataError, NonSymmetricError
+from lgcport.errors import (
+    DegenerateSampleError,
+    InsufficientDataError,
+    InsufficientLocalDataError,
+    NonConvergenceError,
+    NonSymmetricError,
+)
 import lgcport.lgc as lgc
 from lgcport.lgc import (
     GRADIENT_TOL,
@@ -274,7 +280,7 @@ class TestPairwiseLocalCovariance:
             cold = np.array(
                 [global_gaussian_mle(window[:, [i, j]]).as_array() for i, j in zip(first, second)]
             )
-            fit = fit_local_moments(moments, cold if warm is None else warm)
+            params, fits = fit_local_moments(moments, cold if warm is None else warm)
             steps = set()
             for k, (i, j) in enumerate(zip(first, second)):
                 pair = window[:, [i, j]]
@@ -282,17 +288,17 @@ class TestPairwiseLocalCovariance:
                 single, diag = estimate_local_params(
                     pair, (grid[i], grid[j]), plugin_bandwidth(pair), init
                 )
-                assert np.max(np.abs(single.as_array() - fit.params[k])) <= 1e-9
-                assert fit.iterations[k] == diag.iterations
+                assert np.max(np.abs(single.as_array() - params[k])) <= 1e-9
+                assert fits.iterations[k] == diag.iterations
                 steps.add(diag.iterations)
             assert len(steps) > 1
             if warm is None:
                 # The one-date API runs the same cold batch.
                 out = pairwise_local_covariance(window, grid)
-                assert np.max(np.abs(out.correlations[first, second] - fit.params[:, 4])) <= 1e-9
+                assert np.max(np.abs(out.correlations[first, second] - params[:, 4])) <= 1e-9
                 iterations = [out.pair_diagnostics[p].iterations for p in zip(first, second)]
-                assert iterations == fit.iterations.tolist()
-            warm = fit.params
+                assert iterations == fits.iterations.tolist()
+            warm = params
 
     def test_grid_length_mismatch_raises(self, rng):
         x = rng.standard_normal((50, 3))
@@ -426,9 +432,12 @@ class TestLocalCovarianceStack:
         for run in runs[1:]:
             for name in ("matrices", "correlations", "pd_repaired", "n_fallbacks"):
                 assert np.array_equal(getattr(run, name), getattr(runs[0], name))
+            for name, value in vars(run.fits).items():
+                assert np.array_equal(value, getattr(runs[0].fits, name))
         for d in (0, 13, 29):
             alone = local_covariance_stack(windows[d : d + 1], grids[d : d + 1])
             assert np.array_equal(alone.matrices[0], runs[0].matrices[d])
+            assert alone.pair_diagnostics(0) == runs[0].pair_diagnostics(d)
 
     def test_a_date_does_not_depend_on_its_newton_pass(self, monkeypatch):
         # The same 30 dates in Newton passes of 1, 7 or all 30 dates, each
@@ -443,8 +452,10 @@ class TestLocalCovarianceStack:
             runs.append(local_covariance_stack(windows, grids))
             assert calls == {"moments": n_slices, "newton": n_passes}
         for run in runs[1:]:
-            for name in ("matrices", "correlations", "pd_repaired", "iterations", "fallback"):
+            for name in ("matrices", "correlations", "pd_repaired"):
                 assert np.array_equal(getattr(run, name), getattr(runs[0], name))
+            for name in ("iterations", "fallback"):
+                assert np.array_equal(getattr(run.fits, name), getattr(runs[0].fits, name))
 
     def test_a_date_does_not_depend_on_its_repair_block(self, monkeypatch):
         # 30 dates of the paper's run, two of them (104 and 105) repaired,
@@ -480,6 +491,7 @@ class TestLocalCovarianceStack:
             assert np.array_equal(one.correlations, stack.correlations[d])
             assert one.pd_repaired == stack.pd_repaired[d]
             assert one.n_fallbacks == stack.n_fallbacks[d]
+            assert one.pair_diagnostics == stack.pair_diagnostics(d)
 
     def test_agrees_with_the_warm_started_chain(self):
         # Cold and warm starts reach the same optimum up to the 1e-6 gradient
@@ -557,6 +569,34 @@ class TestLocalCovarianceStack:
         for d in range(2):
             mle = global_gaussian_mle(windows[d][:, [0, 2]])
             assert stack.correlations[d][0, 2] == mle.rho
+
+    def test_unfitted_and_unconverged_pairs_fall_back_to_their_global_mle(self, rng, monkeypatch):
+        # One pair per date: date 0's grid point lies far in asset 1's tail,
+        # where the pair has no local mass; date 1's is a lower-tail point,
+        # where the Newton iteration is cut after one step.
+        x = gauss_pair(rng, 80, 0.4)
+        windows = np.stack([x, x])
+        grids = np.array([[0.0, 40.0], percentile_grid(x, 0.1)])
+        assert local_covariance_stack(windows, grids).pair_diagnostics(1)[(0, 1)].converged
+        monkeypatch.setattr(lgc, "MAX_ITERATIONS", 1)
+        stack = local_covariance_stack(windows, grids)
+        mle = global_gaussian_mle(x)
+        off = mle.rho * mle.sigma1 * mle.sigma2
+        want = nearest_pd(np.array([[mle.sigma1**2, off], [off, mle.sigma2**2]]) * (80 / 79))[0]
+        for d, iterations in ((0, 0), (1, 1)):
+            diag = stack.pair_diagnostics(d)[(0, 1)]
+            assert diag.fallback and not diag.converged
+            assert diag.iterations == iterations
+            assert np.array_equal(stack.matrices[d], want)
+            assert stack.correlations[d][0, 1] == mle.rho
+        assert stack.n_fallbacks.tolist() == [1, 1]
+        # The one-pair API raises for each, with the same record.
+        b = plugin_bandwidth(x)
+        with pytest.raises(InsufficientLocalDataError):
+            estimate_local_params(x, grids[0], b)
+        with pytest.raises(NonConvergenceError) as err:
+            estimate_local_params(x, grids[1], b)
+        assert err.value.diagnostics == stack.pair_diagnostics(1)[(0, 1)]
 
     def test_single_asset_dates_use_the_sample_variance(self, rng):
         x = rng.standard_normal((30, 1))

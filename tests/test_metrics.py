@@ -142,6 +142,12 @@ class TestTailMeasures:
         with pytest.raises(ValueError):
             historical_var(np.arange(30.0), alpha=1.0)
 
+    @pytest.mark.parametrize("measure", [historical_var, historical_es, var_sharpe, es_sharpe])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 1.5, math.nan])
+    def test_every_tail_measure_refuses_alpha_outside_the_unit_interval(self, measure, alpha):
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+            measure(np.arange(-15.0, 15.0), alpha)
+
 
 class TestCeq:
     def test_moment_form_hand_cases(self):

@@ -32,8 +32,16 @@ def _csv_list(cast, option):
     return parse
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise ConfigError, so that they too end in
+    the one JSON line. Subparsers take this class from their parent."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lgcport",
         description="Local-correlation covariance estimation and rolling portfolio backtests.",
     )
@@ -135,7 +143,7 @@ def _cmd_describe(options: dict) -> int:
 def main(argv=None) -> int:
     handlers = {"run": _cmd_run, "synth": _cmd_synth, "describe": _cmd_describe}
     try:
-        # A bad list option is a ConfigError raised while parsing.
+        # A usage error or a bad list option is a ConfigError raised while parsing.
         options = vars(build_parser().parse_args(argv))
         # Extreme input makes numpy warn on its way to a recorded fallback or
         # an error; the command's outcome is its output or one JSON line.

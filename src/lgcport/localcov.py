@@ -477,9 +477,11 @@ def percentile_grid(panel, q: float) -> np.ndarray:
     x = _as_windows(panel) if np.ndim(panel) == 3 else _as_matrix(panel)
     if not 0.0 < q < 1.0:
         raise ValueError("quantile must lie in (0, 1), got %g" % q)
-    tail = min(q, 1.0 - q)
-    if x.shape[-2] * tail < 1.0:
+    # The tail is counted in observations: 1 / q overflows for a subnormal q.
+    tail = x.shape[-2] * min(q, 1.0 - q)
+    if tail < 1.0:
         raise InsufficientDataError(
-            "need at least %d observations for quantile %g" % (math.ceil(1.0 / tail), q)
+            "%d observations put %g in the tail of quantile %g, need at least 1"
+            % (x.shape[-2], tail, q)
         )
     return np.quantile(x, q, axis=-2)

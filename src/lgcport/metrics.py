@@ -5,6 +5,9 @@ denominator, skewness and kurtosis as bias-uncorrected moment ratios with
 kurtosis in excess form, quantiles with linear interpolation, and ratios
 left as monthly numbers unless annualized explicitly. Undefined ratios
 (no losses, no downside, nonpositive VaR) come back as NaN.
+
+Every ratio takes the returns as given, measured from zero: subtract a
+risk-free rate or a target from the series before calling.
 """
 
 from __future__ import annotations
@@ -96,18 +99,18 @@ def descriptive_stats(returns) -> DescriptiveStats:
     )
 
 
-def sharpe(returns, risk_free: float = 0.0) -> float:
-    """Monthly Sharpe ratio: mean excess return over standard deviation."""
+def sharpe(returns) -> float:
+    """Monthly Sharpe ratio: mean return over standard deviation."""
     r = _as_series(returns, min_n=2)
     sd = float(r.std(ddof=1))
     if sd <= 0.0:
         return math.nan
-    return (float(r.mean()) - risk_free) / sd
+    return float(r.mean()) / sd
 
 
-def ann_sharpe(returns, risk_free: float = 0.0) -> float:
+def ann_sharpe(returns) -> float:
     """Annualized Sharpe: sqrt(12) times the monthly ratio."""
-    return math.sqrt(PERIODS_PER_YEAR) * sharpe(returns, risk_free)
+    return math.sqrt(PERIODS_PER_YEAR) * sharpe(returns)
 
 
 def historical_var(returns, alpha: float = VAR_ALPHA) -> float:
@@ -125,22 +128,22 @@ def historical_es(returns, alpha: float = VAR_ALPHA) -> float:
     return -float(r[r <= cut].mean())
 
 
-def var_sharpe(returns, alpha: float = VAR_ALPHA, risk_free: float = 0.0) -> float:
-    """Mean excess return over historical VaR; NaN when VaR is nonpositive."""
+def var_sharpe(returns, alpha: float = VAR_ALPHA) -> float:
+    """Mean return over historical VaR; NaN when VaR is nonpositive."""
     v = historical_var(returns, alpha)
     if v <= 0.0:
         return math.nan
     r = _as_series(returns)
-    return (float(r.mean()) - risk_free) / v
+    return float(r.mean()) / v
 
 
-def es_sharpe(returns, alpha: float = VAR_ALPHA, risk_free: float = 0.0) -> float:
-    """Mean excess return over expected shortfall; NaN when ES is nonpositive."""
+def es_sharpe(returns, alpha: float = VAR_ALPHA) -> float:
+    """Mean return over expected shortfall; NaN when ES is nonpositive."""
     e = historical_es(returns, alpha)
     if e <= 0.0:
         return math.nan
     r = _as_series(returns)
-    return (float(r.mean()) - risk_free) / e
+    return float(r.mean()) / e
 
 
 def ceq(returns, gamma: float = 1.0) -> float:
@@ -160,30 +163,24 @@ def ceq_from_moments(mean_pct: float, sd_pct: float, gamma: float = 1.0) -> floa
     return (mean_dec - gamma / 2.0 * sd_dec**2) * 100.0
 
 
-def sortino(returns, target: float = 0.0, denominator: str = "full") -> float:
-    """Mean excess over target divided by downside deviation.
-
-    `denominator="full"` averages squared shortfalls over all n observations;
-    `"below"` averages over below-target months only. NaN when nothing falls
-    below the target.
+def sortino(returns) -> float:
+    """Mean return divided by downside deviation: the root mean square of
+    the shortfalls below zero, averaged over all n observations. NaN when
+    nothing falls below zero.
     """
-    if denominator not in ("full", "below"):
-        raise ValueError("denominator must be 'full' or 'below'")
     r = _as_series(returns, min_n=2)
-    short = np.clip(target - r, 0.0, None)
-    count = int((short > 0.0).sum())
-    if count == 0:
+    short = np.clip(0.0 - r, 0.0, None)
+    if not np.any(short > 0.0):
         return math.nan
-    div = r.shape[0] if denominator == "full" else count
-    downside = math.sqrt(float((short**2).sum()) / div)
-    return (float(r.mean()) - target) / downside
+    downside = math.sqrt(float((short**2).sum()) / r.shape[0])
+    return float(r.mean()) / downside
 
 
-def omega(returns, threshold: float = 0.0) -> float:
-    """Ratio of total gains above the threshold to total losses below it."""
+def omega(returns) -> float:
+    """Ratio of total gains above zero to total losses below it."""
     r = _as_series(returns)
-    gains = float(np.clip(r - threshold, 0.0, None).sum())
-    losses = float(np.clip(threshold - r, 0.0, None).sum())
+    gains = float(np.clip(r, 0.0, None).sum())
+    losses = float(np.clip(0.0 - r, 0.0, None).sum())
     if losses <= 0.0:
         return math.nan
     return gains / losses
@@ -207,20 +204,16 @@ def max_drawdown(returns) -> float:
 
 
 def performance_report(
-    returns,
-    gamma: float = 1.0,
-    alpha: float = VAR_ALPHA,
-    risk_free: float = 0.0,
-    sortino_target: float = 0.0,
+    returns, gamma: float = 1.0, alpha: float = VAR_ALPHA
 ) -> PerformanceReport:
     """All performance ratios of one return series in a single record."""
     return PerformanceReport(
-        sharpe=sharpe(returns, risk_free),
-        var_sharpe=var_sharpe(returns, alpha, risk_free),
-        es_sharpe=es_sharpe(returns, alpha, risk_free),
-        ann_sharpe=ann_sharpe(returns, risk_free),
+        sharpe=sharpe(returns),
+        var_sharpe=var_sharpe(returns, alpha),
+        es_sharpe=es_sharpe(returns, alpha),
+        ann_sharpe=ann_sharpe(returns),
         ceq=ceq(returns, gamma),
-        sortino=sortino(returns, sortino_target),
+        sortino=sortino(returns),
         omega=omega(returns),
         max_drawdown=max_drawdown(returns),
     )

@@ -340,8 +340,7 @@ def execute_run(config: RunConfig) -> dict:
         with open(os.path.join(config.output_dir, name), "w", newline="") as fh:
             _write_rows(fh, header, rows, "\r\n")
     with open(os.path.join(config.output_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest
 
 

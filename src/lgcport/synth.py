@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -16,6 +15,8 @@ SYNTH_MODELS = ("gaussian", "bear", "clayton")
 DEFAULT_NAMES = ("STK1", "STK2", "BND1", "BND2", "CMDT", "GOLD")
 DEFAULT_MEANS = (0.6, 0.7, 0.75, 0.55, 0.1, 0.2)
 DEFAULT_SDS = (4.5, 4.4, 2.4, 2.4, 3.5, 5.0)
+# Share of bear months in the "bear" model.
+BEAR_PROB = 0.18
 
 # Correlation regimes: calm, and a bear month where equity-type assets
 # move together much more tightly.
@@ -160,39 +161,27 @@ def synth_panel(
     seed: int = 0,
     rho: float = 0.5,
     clayton_theta: float = 2.0,
-    bear_prob: float = 0.18,
     start: str = "1980-02",
-    means: Optional[Sequence[float]] = None,
-    sds: Optional[Sequence[float]] = None,
-    names: Optional[Sequence[str]] = None,
 ) -> ReturnPanel:
     """Generate a monthly percent-return panel with a chosen dependence shape.
 
     Models: "gaussian" draws a constant-correlation Gaussian; "bear" mixes a
-    calm regime with a high-correlation, down-shifted, higher-vol regime;
-    "clayton" gives lower-tail dependence via an exchangeable Clayton copula.
-    All draws come from one seeded generator, so equal configs give equal
-    panels byte for byte.
+    calm regime with a high-correlation, down-shifted, higher-vol regime in
+    a BEAR_PROB share of the months; "clayton" gives lower-tail dependence
+    via an exchangeable Clayton copula. Asset i has mean DEFAULT_MEANS[i % 6]
+    and sd DEFAULT_SDS[i % 6], and is named DEFAULT_NAMES[i] in panels of at
+    most six assets and A01, A02, ... in wider ones. All draws come from one
+    seeded generator, so equal configs give equal panels byte for byte.
     """
     if model not in SYNTH_MODELS:
         raise ValueError("model must be one of %r, got %r" % (SYNTH_MODELS, model))
     if months < 2 or n_assets < 1:
         raise ValueError("need at least 2 months and 1 asset")
-    if names is None:
-        names = [
-            DEFAULT_NAMES[i] if n_assets <= 6 else "A%02d" % (i + 1)
-            for i in range(n_assets)
-        ]
-    mu = np.array(
-        [DEFAULT_MEANS[i % 6] for i in range(n_assets)] if means is None else means,
-        dtype=float,
-    )
-    sd = np.array(
-        [DEFAULT_SDS[i % 6] for i in range(n_assets)] if sds is None else sds,
-        dtype=float,
-    )
-    if mu.shape != (n_assets,) or sd.shape != (n_assets,) or np.any(sd <= 0.0):
-        raise ValueError("means/sds must match n_assets, sds positive")
+    names = [
+        DEFAULT_NAMES[i] if n_assets <= 6 else "A%02d" % (i + 1) for i in range(n_assets)
+    ]
+    mu = np.array([DEFAULT_MEANS[i % 6] for i in range(n_assets)])
+    sd = np.array([DEFAULT_SDS[i % 6] for i in range(n_assets)])
 
     rng = np.random.default_rng(seed)
     if model == "clayton":
@@ -208,7 +197,7 @@ def synth_panel(
     else:
         calm = np.linalg.cholesky(_regime_correlation(n_assets, _CALM_BLOCKS))
         bear = np.linalg.cholesky(_regime_correlation(n_assets, _BEAR_BLOCKS))
-        in_bear = rng.random(months) < bear_prob
+        in_bear = rng.random(months) < BEAR_PROB
         z = rng.standard_normal((months, n_assets))
         data = np.empty((months, n_assets))
         calm_rows = z[~in_bear] @ calm.T
@@ -218,4 +207,4 @@ def synth_panel(
 
     first = _month_ordinal(start)
     dates = [month_label(first + i) for i in range(months)]
-    return ReturnPanel(asset_names=list(names), dates=dates, returns=data)
+    return ReturnPanel(asset_names=names, dates=dates, returns=data)

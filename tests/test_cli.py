@@ -320,6 +320,37 @@ class TestErrorHandling:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "--input", "p.csv", "--out", "o", "--gamma", "abc"], "--gamma"),
+            (["synth", "--out", "s.csv", "--months", "1.5"], "--months"),
+            (["run", "--out", "o"], "--input"),
+            (["describe", "--input", "p.csv", "--bogus"], "--bogus"),
+            ([], "command"),
+        ],
+    )
+    def test_usage_error_reports_json(self, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, captured.err
+        err = json.loads(lines[0])
+        assert err["error"] == "ConfigError"
+        assert message in err["message"]
+        assert "usage" not in captured.err and captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("quantile", ["1e-320", "5e-324", "1e-300"])
+    def test_subnormal_grid_quantile_reports_json(self, panel_file, capsys, quantile):
+        assert run_cli("describe", "--input", str(panel_file), "--grid-quantile", quantile) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, captured.err
+        assert len(lines[0]) < 200
+        assert json.loads(lines[0])["error"] == "InsufficientDataError"
+        assert captured.out == ""
 
 class TestDefaultsComeFromTheLibrary:
     """Options have no defaults of their own: an option left out takes the

@@ -198,6 +198,13 @@ class TestPercentileGrid:
         with pytest.raises(InsufficientDataError):
             percentile_grid(np.zeros((3, 10, 2)), 0.05)
 
+    @pytest.mark.parametrize("q", [1e-320, 5e-324, 1e-300])
+    def test_subnormal_quantile_leaves_too_few_tail_observations(self, q):
+        # 1 / q is inf or a 301-digit count: the message states the tail instead.
+        with pytest.raises(InsufficientDataError, match="tail of quantile") as info:
+            percentile_grid(np.zeros((120, 2)), q)
+        assert len(str(info.value)) < 100
+
     @pytest.mark.parametrize("window", [24, 120])
     @pytest.mark.parametrize("q", [0.05, 0.1, 0.5, 0.95])
     def test_stack_matches_per_date_quantiles(self, window, q):

@@ -12,7 +12,9 @@ from scipy import special, stats
 
 import lgcport
 from lgcport.synth import (
+    DEFAULT_MEANS,
     DEFAULT_NAMES,
+    DEFAULT_SDS,
     clayton_normal_sample,
     ndtri,
     sample_clayton_uniforms,
@@ -56,19 +58,15 @@ class TestShapeAndLabels:
         assert p.asset_names[7] == "A08"
         assert len(set(p.asset_names)) == 8
 
-    def test_custom_names_and_moments(self):
-        p = synth_panel(
-            months=2000,
-            n_assets=2,
-            model="gaussian",
-            seed=4,
-            means=(1.0, -1.0),
-            sds=(2.0, 6.0),
-            names=("X", "Y"),
-        )
-        assert p.asset_names == ["X", "Y"]
-        assert p.returns[:, 0].mean() == pytest.approx(1.0, abs=0.15)
-        assert p.returns[:, 1].std(ddof=1) == pytest.approx(6.0, rel=0.1)
+    @pytest.mark.parametrize("n_assets", [2, 8])
+    def test_default_names_and_moments(self, n_assets):
+        # Asset i takes the moments of DEFAULT_MEANS / DEFAULT_SDS entry i % 6.
+        p = synth_panel(months=20000, n_assets=n_assets, model="gaussian", seed=4)
+        if n_assets == 2:
+            assert p.asset_names == ["STK1", "STK2"]
+        for i in range(n_assets):
+            assert p.returns[:, i].mean() == pytest.approx(DEFAULT_MEANS[i % 6], abs=0.15)
+            assert p.returns[:, i].std(ddof=1) == pytest.approx(DEFAULT_SDS[i % 6], rel=0.05)
 
 
 class TestGaussianModel:
@@ -129,14 +127,6 @@ class TestBearModel:
         assert corr[4, 10] > 0.4
         if n_assets == 12:
             assert corr[5, 11] > 0.4
-
-    def test_bear_prob_zero_is_calm_only(self):
-        p = synth_panel(months=50000, seed=6, model="bear", bear_prob=0.0)
-        r = p.returns[:, 0]
-        assert r.mean() == pytest.approx(0.6, abs=0.1)
-        dev = r - r.mean()
-        skew = np.mean(dev**3) / np.mean(dev**2) ** 1.5
-        assert abs(skew) < 0.1
 
 
 class TestClaytonModel:
@@ -215,11 +205,3 @@ class TestValidation:
     def test_too_short(self):
         with pytest.raises(ValueError):
             synth_panel(months=1)
-
-    def test_moment_length_mismatch(self):
-        with pytest.raises(ValueError):
-            synth_panel(months=10, n_assets=3, means=(0.1, 0.2))
-
-    def test_nonpositive_sd(self):
-        with pytest.raises(ValueError):
-            synth_panel(months=10, n_assets=2, sds=(1.0, 0.0))

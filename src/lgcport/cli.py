@@ -131,12 +131,12 @@ def _cmd_describe(options: dict) -> int:
     out = options.pop("out", None)
     # --input and --mode are load_panel's; the rest are asset_table's.
     panel = load_panel(**{k: options.pop(k) for k in ("path", "mode") if k in options})
-    text = describe_text(panel, **options)
+    data = describe_text(panel, **options).encode("utf-8")
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        with open(out, "wb") as fh:
+            fh.write(data)
     else:
-        sys.stdout.write(text)
+        sys.stdout.buffer.write(data)
     return 0
 
 

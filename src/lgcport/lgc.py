@@ -795,8 +795,8 @@ def estimate_local_params(
     r, b : pairs of floats
         Grid point and positive bandwidths.
     init : LocalParams, optional
-        Starting point; defaults to the global Gaussian MLE. Passing the
-        previous month's fit warm-starts rolling estimation.
+        Starting point of the Newton iteration; defaults to the global
+        Gaussian MLE of `sample`, the start every fit of a backtest uses.
 
     Returns
     -------

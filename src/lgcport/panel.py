@@ -146,9 +146,9 @@ def load_panel(path, mode: str = "returns") -> ReturnPanel:
 
 
 def write_panel(panel: ReturnPanel, path) -> None:
-    """Write a returns-mode panel file that load_panel reads back bit-exactly."""
-    with open(path, "w", newline="") as fh:
+    """Write a returns-mode UTF-8 panel file that load_panel reads back bit-exactly."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["date"] + list(panel.asset_names))
         for date, row in zip(panel.dates, panel.returns):
-            writer.writerow([date] + [repr(float(v)) for v in row])
+            writer.writerow([date] + row.tolist())

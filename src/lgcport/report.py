@@ -10,8 +10,9 @@ refused, before anything is written, so no report file of the earlier run
 is left beside a manifest that does not list it.
 
 Column names and order are part of the package contract: bump
-REPORT_SCHEMA_VERSION when they change. Numbers are written with repr so
-files round-trip exactly and reruns diff clean.
+REPORT_SCHEMA_VERSION when they change. A table's cells are Python str, int
+and float values, and every file is UTF-8. The csv module writes a float as
+its repr, so files round-trip exactly and reruns diff clean.
 """
 
 from __future__ import annotations
@@ -105,14 +106,6 @@ WEALTH_HEADER = (
 )
 
 
-def _fmt(v) -> str:
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (int,)) and not isinstance(v, bool):
-        return str(v)
-    return repr(float(v))
-
-
 def _bp_tag(bp: float) -> str:
     return ("%g" % bp) + "bp"
 
@@ -126,8 +119,7 @@ def _cells(header: Sequence[str], record, **named) -> list:
 def _write_rows(fh, header: Sequence[str], rows, lineterminator: str) -> None:
     writer = csv.writer(fh, lineterminator=lineterminator)
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+    writer.writerows(rows)
 
 
 def asset_table(panel: ReturnPanel, quantile: float = 0.05, bandwidth_scale=BANDWIDTH_SCALE):
@@ -153,13 +145,13 @@ def asset_table(panel: ReturnPanel, quantile: float = 0.05, bandwidth_scale=BAND
 
     gcorr = global_covariance(panel).correlations
     for i, name in enumerate(panel.asset_names):
-        rows.append(["global_correlation", name] + list(gcorr[i]))
+        rows.append(["global_correlation", name] + gcorr[i].tolist())
 
     grid = percentile_grid(panel.returns, quantile)
     lcorr = pairwise_local_covariance(panel.returns, grid, bandwidth_scale).correlations
     section = "local_correlation_q%g" % quantile
     for i, name in enumerate(panel.asset_names):
-        rows.append([section, name] + list(lcorr[i]))
+        rows.append([section, name] + lcorr[i].tolist())
     return header, rows
 
 
@@ -223,7 +215,8 @@ def wealth_table(result: BacktestResult, label: str):
     dates = [result.inception_date] + list(result.dates)
     dd_g = drawdowns(sr.gross_returns)
     dd_n = drawdowns(sr.net_returns)
-    rows = [list(row) for row in zip(dates, sr.wealth_gross, dd_g, sr.wealth_net, dd_n)]
+    columns = (sr.wealth_gross, dd_g, sr.wealth_net, dd_n)
+    rows = [list(row) for row in zip(dates, *(c.tolist() for c in columns))]
     return list(WEALTH_HEADER), rows
 
 
@@ -255,6 +248,11 @@ class RunConfig:
             raise ConfigError("window length %d is repeated" % repeated[0])
         if not self.tcosts_bp or any(not 0.0 <= bp < math.inf for bp in self.tcosts_bp):
             raise ConfigError("transaction costs must be nonnegative and finite")
+        # Each cost names its columns and panels by its tag.
+        tags = [_bp_tag(bp) for bp in self.tcosts_bp]
+        repeated = [tag for i, tag in enumerate(tags) if tag in tags[:i]]
+        if repeated:
+            raise ConfigError("transaction cost %s is repeated" % repeated[0])
         if not 0.0 < self.var_alpha < 1.0:
             raise ConfigError("var_alpha must lie in (0, 1)")
         for m in self.windows:
@@ -337,10 +335,11 @@ def execute_run(config: RunConfig) -> dict:
     _refuse_stale_files(config.output_dir, tables)
     os.makedirs(config.output_dir, exist_ok=True)
     for name, (header, rows) in tables.items():
-        with open(os.path.join(config.output_dir, name), "w", newline="") as fh:
+        with open(os.path.join(config.output_dir, name), "w", newline="", encoding="utf-8") as fh:
             _write_rows(fh, header, rows, "\r\n")
-    with open(os.path.join(config.output_dir, "manifest.json"), "w") as fh:
-        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    with open(os.path.join(config.output_dir, "manifest.json"), "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     return manifest
 
 
@@ -351,7 +350,7 @@ def _refuse_stale_files(output_dir: str, names) -> None:
     files its new manifest does not list. Nothing is deleted. A manifest
     that does not parse, or lists no files, lists nothing."""
     try:
-        with open(os.path.join(output_dir, "manifest.json")) as fh:
+        with open(os.path.join(output_dir, "manifest.json"), encoding="utf-8") as fh:
             listed = json.load(fh)["files"]
     except (OSError, ValueError, KeyError, TypeError):
         return

@@ -3,12 +3,14 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from dataclasses import asdict
 
 import pytest
 
+import lgcport.backtest
 import lgcport.cli
 from lgcport.cli import main
 from lgcport.errors import ConfigError
@@ -19,7 +21,13 @@ from lgcport.report import (
     STRATEGY_STATS_HEADER,
     WEALTH_HEADER,
     RunConfig,
+    asset_table,
     describe_text,
+    execute_run,
+    performance_table,
+    rebalancing_table,
+    strategy_stats_table,
+    wealth_table,
 )
 from lgcport.synth import synth_panel
 
@@ -209,6 +217,50 @@ class TestDescribeCommand:
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
         assert rows[0] == ["section", "row"] + names
         assert all(len(row) == len(rows[0]) for row in rows)
+
+
+class TestCellTypes:
+    """A table holds only Python str, int and float cells, so the csv module
+    writes each float as its repr: a numpy scalar would be written as numpy's
+    str, and a bool as True or False."""
+
+    def test_every_cell_is_a_python_value(self, panel_file):
+        panel = load_panel(panel_file)
+        config = RunConfig("in.csv", "out", windows=[24], strategies=["EW", "MIN", "MIN-L"])
+        result = lgcport.backtest.run_backtest(panel, config.backtest_config(24))
+        tables = [
+            asset_table(panel),
+            asset_table(panel, quantile=0.1),  # describe --grid-quantile 0.1
+            strategy_stats_table(result),
+            rebalancing_table(result, config.tcosts_bp),
+            performance_table(result, config.tcosts_bp, config.gamma, config.var_alpha),
+        ] + [wealth_table(result, label) for label in result.strategies]
+        for header, rows in tables:
+            for row in [header] + rows:
+                assert all(type(v) in (str, int, float) for v in row), row
+
+    def test_written_numbers_are_reprs(self, panel_file, tmp_path):
+        out = tmp_path / "rep"
+        config = RunConfig(
+            str(panel_file), str(out), windows=[24], strategies=["EW", "MIN", "MIN-L"]
+        )
+        execute_run(config)
+        texts = [p.read_text(encoding="utf-8") for p in sorted(out.glob("*.csv"))]
+        texts.append(describe_text(load_panel(panel_file)))
+        assert len(texts) == 8
+        floats = 0
+        for text in texts:
+            for row in list(csv.reader(io.StringIO(text)))[1:]:
+                for cell in row:
+                    if cell.isdigit():  # an observation count
+                        continue
+                    try:
+                        value = float(cell)
+                    except ValueError:  # a label or a date
+                        continue
+                    assert repr(value) == cell
+                    floats += 1
+        assert floats > 400
 
 
 class TestErrorHandling:
@@ -471,6 +523,17 @@ class TestFailedRun:
         assert run_cli(*argv, "--windows", "120,240") == 0
         assert {p.name: p.read_bytes() for p in out.iterdir()} == first
 
+    # Each cost names its own columns and panel, by its %g tag: two costs
+    # with one tag are refused, as two equal windows are.
+    @pytest.mark.parametrize("costs, tag", [("0,1,1", "1bp"), ("0.5,0.50000000001", "0.5bp")])
+    def test_repeated_cost_refused(self, panel_file, tmp_path, capsys, costs, tag):
+        out = tmp_path / "rep"
+        argv = ["run", "--input", str(panel_file), "--out", str(out), "--tcost", costs]
+        assert run_cli(*argv, "--windows", "24", "--strategies", "EW") == 1
+        err = self._assert_one_json_line(capsys)
+        assert err == {"error": "ConfigError", "message": "transaction cost %s is repeated" % tag}
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["inf", "nan", "0"])
     def test_bad_gamma_refused_before_loading(self, tmp_path, capsys, value):
         missing = tmp_path / "missing.csv"
@@ -551,6 +614,64 @@ class TestMalformedInput:
         assert captured.out == ""
         # Nothing would print between the command and its one line either.
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+class TestNonUtf8Locale:
+    """Every file and stdout is UTF-8 whatever the locale: under the C locale,
+    a panel with non-ASCII asset names gives the bytes of a UTF-8 locale."""
+
+    NAMES = ["Äpfel", "Bär"]
+
+    @staticmethod
+    def _python(cwd, lc_all, *argv):
+        src = os.path.dirname(os.path.dirname(lgcport.cli.__file__))
+        env = dict(os.environ, LC_ALL=lc_all, PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+        env.pop("PYTHONIOENCODING", None)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, *argv], cwd=cwd, env=env, capture_output=True)
+
+    def test_c_locale_writes_the_bytes_of_a_utf8_locale(self, tmp_path):
+        probe = (
+            "import codecs, locale\n"
+            "assert codecs.lookup(locale.getpreferredencoding(False)).name == 'ascii'"
+        )
+        if self._python(tmp_path, "C", "-c", probe).returncode != 0:
+            pytest.skip("this platform gives the C locale a non-ASCII preferred encoding")
+        panel = synth_panel(months=60, n_assets=2, seed=5)
+        panel = ReturnPanel(self.NAMES, panel.dates, panel.returns)
+        write_panel(panel, tmp_path / "p.csv")
+        cli = ["-m", "lgcport.cli"]
+        commands = {
+            "run": cli + ["run", "--input", "../p.csv", "--out", "rep"]
+            + ["--windows", "30", "--strategies", "EW,MIN"],
+            "describe --out": cli + ["describe", "--input", "../p.csv", "--out", "d.csv"],
+            "describe": cli + ["describe", "--input", "../p.csv"],
+            "write_panel": [
+                "-c",
+                "import sys\n"
+                "from lgcport.panel import load_panel, write_panel\n"
+                "write_panel(load_panel(sys.argv[1]), sys.argv[2])",
+                "../p.csv",
+                "q.csv",
+            ],
+        }
+        outputs = {}
+        for lc_all in ("C", "C.UTF-8"):
+            cwd = tmp_path / lc_all
+            cwd.mkdir()
+            seen = outputs[lc_all] = {}
+            for name, argv in commands.items():
+                proc = self._python(cwd, lc_all, *argv)
+                assert (proc.returncode, proc.stderr) == (0, b""), (lc_all, name)
+                seen[name] = proc.stdout
+            seen.update({str(p.relative_to(cwd)): p.read_bytes() for p in cwd.rglob("*.*")})
+        assert outputs["C"] == outputs["C.UTF-8"]
+        assert len(outputs["C"]) == 4 + 7 + 2  # stdouts, run files, d.csv and q.csv
+        assert outputs["C"]["describe"] == outputs["C"]["d.csv"]
+        assert outputs["C"]["describe"].startswith("section,row,Äpfel,Bär\n".encode("utf-8"))
+        back = load_panel(tmp_path / "C" / "q.csv")
+        assert (back.asset_names, back.dates) == (panel.asset_names, panel.dates)
+        assert back.returns.tobytes() == panel.returns.tobytes()
 
 
 class TestConsoleEntry:

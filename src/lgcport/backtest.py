@@ -15,7 +15,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, LgcportError, PortfolioWipeoutError
+from .errors import ConfigError, PortfolioWipeoutError
 from .lgc import BANDWIDTH_SCALE
 # global_covariance and pairwise_local_covariance are unused here but stay
 # importable from this module: external code (e.g. the span tracer in
@@ -33,9 +33,9 @@ from .localcov import (  # noqa: F401
 from .optimizer import (  # noqa: F401
     StrategySpec,
     equal_weights,
-    solve_batch,
     solve_minvar,
     solve_mv,
+    solve_strategies,
 )
 from .panel import ReturnPanel
 
@@ -206,37 +206,37 @@ def _date_diagnostics(dates, stacks) -> List[dict]:
     return out
 
 
-def _solve_targets(spec: StrategySpec, means, stack):
-    """Target weights of every date from one batched solve over the CovStack.
+def _solve_targets(specs, means, stack):
+    """Target weights of every date for each of `specs`, from one solve over
+    the CovStack.
 
-    Returns (targets, failures): targets is (n_dates, N), and failures maps
-    each date without a target to its error, estimation errors included.
+    Returns one (targets, failures) per spec: targets is (n_dates, N), and
+    failures maps each date without a target to its error, estimation
+    errors included.
     """
     errors = stack.errors
     ok = np.array([step for step in range(len(means)) if step not in errors], dtype=int)
-    targets = np.full(means.shape, np.nan)
-    failures = dict(errors)
-    if ok.size:
-        try:
-            weights, failed = solve_batch(
-                spec, stack.matrices[ok] if errors else stack.matrices, means[ok]
-            )
-        except LgcportError as err:
-            weights, failed = targets[ok], dict.fromkeys(range(ok.size), err)
+    sigma = stack.matrices[ok] if errors else stack.matrices
+    out = []
+    for weights, failed in solve_strategies(specs, sigma, means[ok]):
+        targets = np.full(means.shape, np.nan)
         targets[ok] = weights
+        failures = dict(errors)
         failures.update((int(ok[row]), err) for row, err in failed.items())
-    return targets, failures
+        out.append((targets, failures))
+    return out
 
 
 def run_backtest(panel: ReturnPanel, config: BacktestConfig) -> BacktestResult:
     """Run every configured strategy over the rolling window.
 
     Three passes: estimate the mean and covariances of every date (one stack
-    per covariance source, shared by its strategies), then per strategy solve
-    the weights of all dates in one batched call (targets depend only on the
-    date's estimates) and account drift, turnover and costs over the whole
-    window at once. Strategies are independent: adding or removing one never
-    changes the numbers of another.
+    per covariance source, shared by its strategies), then solve the weights
+    of every date for all the strategies of a stack in one call (targets
+    depend only on the date's estimates), and per strategy account drift,
+    turnover and costs over the whole window at once. Strategies are
+    independent: adding or removing one never changes the numbers of
+    another.
 
     A date whose covariance or solve fails keeps the previous month's target
     for the strategies concerned, recorded in their `fallbacks`; a failure at
@@ -253,6 +253,10 @@ def run_backtest(panel: ReturnPanel, config: BacktestConfig) -> BacktestResult:
     dates = [panel.dates[t] for t in range(m, n)]
     sources = {s.covariance_source for s in config.strategies if s.kind != "EW"}
     means, stacks = _estimate(x, config, sources)
+    solved = {}
+    for source, stack in stacks.items():
+        specs = [s for s in config.strategies if s.kind != "EW" and s.covariance_source == source]
+        solved.update(zip(specs, _solve_targets(specs, means, stack)))
     strategies: Dict[str, StrategyResult] = {}
     for spec in config.strategies:
         failures = {}
@@ -264,7 +268,7 @@ def run_backtest(panel: ReturnPanel, config: BacktestConfig) -> BacktestResult:
             for step in range(1, n - m):
                 held[step] = drifted_weights(held[step - 1], x[m + step - 1])
         else:
-            held, failures = _solve_targets(spec, means, stacks[spec.covariance_source])
+            held, failures = solved[spec]
         if 0 in failures:
             err = failures[0]
             raise type(err)("%s at inception %s for %s" % (err, dates[0], spec.label)) from err

@@ -720,11 +720,11 @@ def fit_local_moments(moments: np.ndarray, theta0: np.ndarray) -> Tuple[np.ndarr
     returns the (P, 5) parameters and the pairs' FitDiagnostics.
 
     Pairs whose scale-free local mass is below WEIGHT_FLOOR, and pairs
-    whose kernel-weighted sample correlation reaches the cap +-(1 - 1e-9),
-    are not fitted (iterations 0, gradient norm inf, their start as
-    parameters). The others run a modified Newton iteration with an
-    analytic Hessian and an Armijo line search in (mu1, mu2, log sigma1,
-    log sigma2, atanh rho), and converge once the max-norm of the
+    whose kernel-weighted sample correlation reaches the cap +-(1 - 1e-9)
+    or is not a number, are not fitted (iterations 0, gradient norm inf,
+    their start as parameters). The others run a modified Newton iteration
+    with an analytic Hessian and an Armijo line search in (mu1, mu2, log
+    sigma1, log sigma2, atanh rho), and converge once the max-norm of the
     wbar-normalized gradient is at most GRADIENT_TOL. A pair whose gradient
     is not finite, whose line search fails, or that reaches MAX_ITERATIONS
     stops. Every pair that does not converge falls back to its global
@@ -742,10 +742,12 @@ def fit_local_moments(moments: np.ndarray, theta0: np.ndarray) -> Tuple[np.ndarr
     )
     # At a kernel-weighted sample correlation of +-1 (up to the cap) the
     # likelihood keeps rising as |rho| -> 1, so there is no finite optimum:
-    # such a pair is not fitted, like a pair without local mass.
+    # such a pair is not fitted, like a pair without local mass. A
+    # correlation that is not a number (variances that vanish or underflow)
+    # counts as collinear too.
     s11, s22, s12 = moments[2:5]
     with np.errstate(divide="ignore", invalid="ignore"):
-        collinear = np.abs(s12 / np.sqrt(s11 * s22)) >= _RHO_CAP
+        collinear = ~(np.abs(s12 / np.sqrt(s11 * s22)) < _RHO_CAP)
     fitted = np.flatnonzero((mass >= WEIGHT_FLOOR) & ~collinear)
     if not fitted.size:
         return params, fits

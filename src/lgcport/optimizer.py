@@ -3,17 +3,23 @@
 Both problems are convex QPs over the budget constraint sum(w) = 1 with a
 common lower bound per asset. They are solved by a primal active-set
 method on the (ridge-regularized) KKT system and the result is verified
-against the KKT conditions before it is returned. `solve_batch` solves a
-stack of problems in lockstep; `solve_mv` and `solve_minvar` are its
-one-problem case, and a batch of P gives bit for bit P single solves.
+against the KKT conditions before it is returned. `solve_strategies`
+solves the problems of several strategies over one covariance stack:
+strategies with the same scale share Q, strategies with the same (Q, c)
+share the budget-only solve, the curvature guard runs once per Q, and as
+many whole strategies as fit one block run as one lockstep. `solve_batch`
+(one strategy) and `solve_mv` and `solve_minvar` (one problem) are its
+special cases, and every problem gets bit for bit the weights it would get
+alone.
 
-Every problem starts at equal weights with all assets free. A problem whose
-budget-only optimum breaks more than n/3 of the bounds, and whose Q has its
-smallest eigenvalue at or above KKT_TOL, then restarts at its best vertex
-(every weight at lb but one), which is close to an optimum where most bounds
-bind. Below that curvature two different points can both pass the KKT_TOL
-check, so the start could change which one is returned; those problems keep
-the path from equal weights.
+Every problem's first step goes from equal weights toward its budget-only
+optimum. A problem whose optimum breaks a bound, and whose Q has its
+smallest eigenvalue at or above KKT_TOL, instead starts from the clamped
+solve: every broken bound pinned, re-solved until feasible. Where most
+bounds bind, that is a few releases from the optimum. Below that curvature
+two different points can both pass the KKT_TOL check, so the start could
+change which one is returned; those problems keep the path from equal
+weights.
 """
 
 from __future__ import annotations
@@ -33,13 +39,14 @@ DEFAULT_LOWER_BOUND = {"MVS": -0.5, "MIN": -0.5, "MVSC": 0.0, "MINC": 0.0, "EW":
 
 KKT_TOL = 1e-8
 _RIDGE = 1e-12
-# Elements per working array of one lockstep run of solve_batch, at
+# Elements per working array of one lockstep run of solve_strategies, at
 # (n + 1)^2 per problem (one KKT system): the run's few (problems, n + 1,
 # n + 1) arrays stay near 2 MB each, however many dates a window has. A
-# window of 343 dates is one lockstep up to n = 26.
+# window of 343 dates is one lockstep up to n = 26, and a lockstep takes as
+# many whole strategies as fit: four of 343 dates up to n = 12.
 _BLOCK_KKT = 2**18
-# Elements per stacked Cholesky of the vertex-start guard, at n^2 per
-# problem: its shifted copies of Q stay near 128 kB (28 problems at n = 24).
+# Elements per stacked Cholesky of the curvature guard, at n^2 per problem:
+# its shifted copies of Q stay near 128 kB (28 problems at n = 24).
 _BLOCK_GUARD = 2**14
 
 
@@ -92,7 +99,7 @@ def equal_weights(n_assets: int) -> np.ndarray:
     return np.full(n_assets, 1.0 / n_assets)
 
 
-def _check_inputs(sigma, mu, lower_bound):
+def _check_inputs(sigma, mu):
     """Validate a (P, n, n) covariance stack and, if given, a (P, n) mean stack."""
     s = np.asarray(sigma, dtype=float)
     if s.ndim != 3 or s.shape[1] != s.shape[2]:
@@ -104,10 +111,6 @@ def _check_inputs(sigma, mu, lower_bound):
         mu = np.asarray(mu, dtype=float)
         if mu.shape != s.shape[:2] or not np.all(np.isfinite(mu)):
             raise ValueError("mean vectors must be finite with shape %r" % (s.shape[:2],))
-    if n * lower_bound > 1.0 + 1e-12:
-        raise InfeasibleError(
-            "lower bound %g infeasible for %d assets" % (lower_bound, n)
-        )
     return s, mu, n
 
 
@@ -205,34 +208,87 @@ def _curved(q, rows):
     return rows[keep]
 
 
-def _vertex_starts(q, c, lb, w0):
-    """The problems that restart at their best vertex, and that vertex's free asset.
+def _kkt_systems(count, size):
+    """`count` KKT systems on `size` free assets: (count, size + 1, size + 1)
+    matrices, zero but for the budget row and column, and right-hand sides
+    to fill."""
+    kkt = np.zeros((count, size + 1, size + 1))
+    kkt[:, :size, size] = -1.0
+    kkt[:, size, :size] = 1.0
+    return kkt, np.empty((count, size + 1, 1))
 
-    `w0` is each problem's budget-only optimum. A problem restarts when w0
-    breaks more than n/3 of the bounds and the smallest eigenvalue of Q is at
-    least KKT_TOL. Its best vertex puts every weight at lb except one asset
-    j, which takes 1 - (n - 1)*lb = lb + t with t = 1 - n*lb. Up to a
-    constant, the objective there is lb*t*(Q1)_j + t^2/2*Q_jj + t*c_j, and j
-    is its argmin (ties to the lowest index).
+
+def _start(q, cs, strategies):
+    """Where the active-set run of each strategy's problems starts.
+
+    `q` is an (S, d, n, n) stack: q[i, t] is date t's Q at the i-th scale.
+    Strategy (i, k, lb) has the Q of q[i], the c of cs[k], a (d, n) stack,
+    and lower bound lb. The budget row of the all-free KKT system is 1
+    whatever the bound, so its solution, the budget-only optimum, depends on
+    (Q, c) alone: strategies with the same (i, k) share one stacked solve. A
+    problem starts from the clamped solve when that optimum breaks one of
+    its bounds and its Q passes the curvature guard (`_curved`), which runs
+    once per Q.
+
+    Returns (w0, lam0, singular, clamp) over the strategies' problems in
+    turn, problem j*d + t being date t of strategy j: the budget-only
+    optimum and its multiplier (NaN where singular), whether that system is
+    singular, and whether the problem starts from the clamped solve.
     """
-    n = q.shape[1]
-    rows = _curved(q, np.flatnonzero(3 * (w0 < lb).sum(axis=1) > n))
-    t = 1.0 - n * lb
-    diag = np.diagonal(q, axis1=1, axis2=2)[rows]
-    cost = lb * t * q.sum(axis=2)[rows] + 0.5 * t * t * diag + t * c[rows]
-    return rows, np.argmin(cost, axis=1)
+    n = q.shape[-1]
+    solved = {}
+    for i, k, _ in strategies:
+        if (i, k) not in solved:
+            kkt, rhs = _kkt_systems(q.shape[1], n)
+            kkt[:, :n, :n] = q[i]
+            rhs[:, :n, 0] = -cs[k]
+            rhs[:, n, 0] = 1.0
+            solved[i, k] = _stacked(np.linalg.solve, kkt, rhs)
+    sols = [solved[i, k] for i, k, _ in strategies]
+    broken = [(sol[:, :n, 0] < lb).any(axis=1) for (sol, _), (_, _, lb) in zip(sols, strategies)]
+    # The dates where some strategy on Q = q[i] breaks a bound, per i.
+    need = {}
+    for b, (i, _, _) in zip(broken, strategies):
+        need[i] = need.get(i, False) | b
+    curved = {}
+    for i, dates in need.items():
+        curved[i] = np.zeros(dates.size, dtype=bool)
+        curved[i][_curved(q[i], np.flatnonzero(dates))] = True
+    return (
+        np.concatenate([sol[:, :n, 0] for sol, _ in sols]),
+        np.concatenate([sol[:, n, 0] for sol, _ in sols]),
+        np.concatenate([failed for _, failed in sols]),
+        np.concatenate([b & curved[i] for b, (i, _, _) in zip(broken, strategies)]),
+    )
 
 
-def _active_set_qp(q, c, lb):
+def _active_set_qp(q, qi, c, lb, start):
     """Minimize 0.5 w'Qw + c'w subject to sum(w) = 1 and w >= lb, P times.
 
-    `q` is a (P, n, n) stack of symmetric positive definite matrices (the
-    caller adds a tiny ridge so ties resolve to the minimum-norm point) and
-    `c` is (P, n). Every problem runs the primal active-set method from
-    w = 1/n, in lockstep: each iteration groups the live problems by free-set
+    Problem i has Q = q[qi[i]], a symmetric positive definite matrix (the
+    caller adds a tiny ridge so ties resolve to the minimum-norm point),
+    c[i] and lower bound lb[i]; `start` is `_start`'s (w0, lam0, singular,
+    clamp) for the P problems. Every problem runs the primal active-set
+    method in lockstep: each iteration groups the live problems by free-set
     size k and solves their (k+1) x (k+1) reduced KKT systems in one stacked
-    call, so each problem takes the same iterate path and the same LAPACK call
-    it would take alone. Deterministic: ties break at the lowest index.
+    call, so each problem takes the same iterate path and the same LAPACK
+    call it would take alone. Deterministic: ties break at the lowest index.
+
+    A problem starts at w = 1/n with every asset free, and its first step
+    goes toward its budget-only optimum w0, which `_start` solved. A clamped
+    problem instead pins every bound w0 breaks at lb and re-solves on the
+    free set left, pinning every bound each solution breaks (by more than
+    the ratio test's 1e-15 tie), until a solution is feasible. That point is the optimum of its working set, the
+    classical feasible initial working set of a convex QP (Nocedal & Wright,
+    Numerical Optimization, 2006, 16.5), so it goes to the release rule
+    below, as a problem does after its last bound addition. Where most
+    bounds bind at the optimum, it is a few releases away, in place of one
+    iteration per bound from the centre. `_start` clamps only problems whose
+    Q has its smallest eigenvalue at or above KKT_TOL: below that curvature
+    the optimum is flat to within the tolerance `_verify_kkt` applies, two
+    points with different active sets can both pass it, and the start would
+    pick between them. Every other problem keeps the path from w = 1/n bit
+    for bit.
 
     Each KKT system is solved once. After a full step (no bound blocks) the
     free set and w_A are unchanged, so the next iteration would solve the
@@ -241,27 +297,18 @@ def _active_set_qp(q, c, lb):
     rule in the same iteration, with the multiplier just solved for, as it
     would one iteration later. The all-free systems copy Q whole.
 
-    The first iteration's all-free solve gives each problem's budget-only
-    optimum w0. A problem restarts at its best vertex (`_vertex_starts`)
-    when w0 breaks more than n/3 of the bounds and the smallest eigenvalue of
-    Q is at least KKT_TOL. Where most bounds bind at the optimum, that start
-    is a few releases from it, in place of one iteration per bound from the
-    centre. The guard uses KKT_TOL because below that curvature the optimum
-    is flat to within the tolerance `_verify_kkt` applies: two points with
-    different active sets can both pass it, and the start would pick between
-    them. Every other problem keeps the path from w = 1/n bit for bit.
-
     Returns (w, budget multipliers, bound multipliers, active sets, failures);
     `failures` maps the index of each problem that failed to its SolverError.
     """
+    w0, lam, singular, clamping = (np.array(x) for x in start)
     p, n = c.shape
     w = np.full((p, n), 1.0 / n)
     active = np.zeros((p, n), dtype=bool)
-    lam = np.zeros(p)
     pi = np.zeros((p, n))
-    failures = {}
-    live = np.arange(p)
+    failures = {int(i): SolverError("singular KKT system") for i in np.flatnonzero(singular)}
+    live = np.flatnonzero(~singular)
     flat_q = np.ascontiguousarray(q).reshape(-1)
+    offset = qi * (n * n)
 
     for it in range(60 * (n + 1)):
         if not live.size:
@@ -269,30 +316,28 @@ def _active_set_qp(q, c, lb):
         free = ~active[live]
         k = free.sum(axis=1)
         # Each problem's equality-constrained optimum on its free set, with
-        # its bound weights as they are.
-        target = w[live]
+        # its bound weights as they are. In the first iteration every
+        # problem is all-free, and `_start` solved its system.
+        target = w0[live] if it == 0 else w[live]
         singular = np.zeros(live.size, dtype=bool)
-        for size in np.unique(k[k > 0]):
+        for size in np.unique(k[k > 0]) if it else ():
             # Stationarity rows solve Q_FF w_F - lam = -c_F - Q_FA w_A, so the
             # recovered lam satisfies grad = lam + pi directly.
             rows = np.flatnonzero(k == size)
             idx = live[rows]
-            kkt = np.zeros((rows.size, size + 1, size + 1))
-            kkt[:, :size, size] = -1.0
-            kkt[:, size, :size] = 1.0
-            rhs = np.empty((rows.size, size + 1, 1))
-            rhs[:, size, 0] = 1.0 - lb * float(n - size)
+            kkt, rhs = _kkt_systems(rows.size, size)
+            rhs[:, size, 0] = 1.0 - lb[idx] * float(n - size)
             if size == n:
                 # All free: Q_FA w_A is empty, and -c - 0.0 is -c bit for bit.
                 fi = np.broadcast_to(np.arange(n), (rows.size, n))
-                kkt[:, :n, :n] = q[idx]
+                kkt[:, :n, :n] = q[qi[idx]]
                 rhs[:, :n, 0] = -c[idx]
             else:
                 fi = np.nonzero(free[rows])[1].reshape(rows.size, size)
                 ai = np.nonzero(~free[rows])[1].reshape(rows.size, n - size)
                 # Rows F of each Q, as offsets into the flat stack: one
                 # gather each for Q_FF and Q_FA.
-                row_f = (idx * (n * n))[:, None, None] + (fi * n)[:, :, None]
+                row_f = offset[idx][:, None, None] + (fi * n)[:, :, None]
                 kkt[:, :size, :size] = flat_q[row_f + fi[:, None, :]]
                 q_fa = flat_q[row_f + ai[:, None, :]]
                 rhs[:, :size, 0] = -c[idx[:, None], fi] - (q_fa @ w[idx[:, None], ai, None])[:, :, 0]
@@ -302,30 +347,31 @@ def _active_set_qp(q, c, lb):
         step = target - w[live]
         for i in live[singular]:
             failures[int(i)] = SolverError("singular KKT system")
-        if it == 0:
-            # Every problem is live and all-free here, so w + step is its
-            # budget-only optimum (NaN, never below lb, where singular). A
-            # restarted problem sits at its vertex with step 0, and lam is
-            # the one free asset's gradient, as its 1-free KKT solve would
-            # give: it goes straight to the release rule below.
-            rows, j = _vertex_starts(q, c, lb, w + step)
-            w[rows] = lb
-            w[rows, j] = 1.0 - lb * float(n - 1)
-            active[rows] = True
-            active[rows, j] = False
-            step[rows] = 0.0
-            lam[rows] = np.einsum("pi,pi->p", q[rows, j], w[rows]) + c[rows, j]
 
         moving = ~singular & (np.max(np.abs(step), axis=1) > 1e-13)
         settled = ~singular & ~moving
+        rows = np.flatnonzero(clamping[live] & ~singular)
+        if rows.size:
+            # A clamped problem takes its solution, with every bound that
+            # solution breaks pinned at lb; one that breaks none is the
+            # optimum of its working set and goes to the release rule. As in
+            # the ratio test, a bound broken by 1e-15 or less is a tie.
+            idx = live[rows]
+            broken = free[rows] & (target[rows] < lb[idx, None] - 1e-15)
+            w[idx] = np.where(broken, lb[idx, None], target[rows])
+            active[idx] |= broken
+            feasible = ~broken.any(axis=1)
+            clamping[idx[feasible]] = False
+            moving[rows] = False
+            settled[rows] = feasible
         if moving.any():
             # Walk toward the equality-constrained optimum, stopping at the
             # first bound that blocks.
             idx = live[moving]
-            alpha, block = _ratio_test(w[idx], step[moving], free[moving], lb)
+            alpha, block = _ratio_test(w[idx], step[moving], free[moving], lb[idx, None])
             w[idx] = w[idx] + alpha[:, None] * step[moving]
             hit = block >= 0
-            w[idx[hit], block[hit]] = lb
+            w[idx[hit], block[hit]] = lb[idx[hit]]
             active[idx[hit], block[hit]] = True
             # A full step leaves the free set and w_A as they were, so the
             # next iteration would solve this same system and step by
@@ -337,7 +383,7 @@ def _active_set_qp(q, c, lb):
         finished = np.zeros(live.size, dtype=bool)
         if settled.size:
             idx = live[settled]
-            grad = (q[idx] @ w[idx, :, None])[:, :, 0] + c[idx]
+            grad = (q[qi[idx]] @ w[idx, :, None])[:, :, 0] + c[idx]
             # Everything pinned: only feasible when n*lb == 1.
             pinned = k[settled] == 0
             lam[idx[pinned]] = grad[pinned].min(axis=1)
@@ -358,7 +404,8 @@ def _active_set_qp(q, c, lb):
 
 def _verify_kkt(w, lam, pi, q, c, lb, failures):
     """Record a SolverError in `failures` for each KKT residual that is not
-    at most KKT_TOL, NaN included."""
+    at most KKT_TOL, NaN included. `lb` holds each problem's lower bound."""
+    lb = lb[:, None]
     station = (q @ w[:, :, None])[:, :, 0] + c - lam[:, None] - pi
     terms = (
         np.max(np.abs(station), axis=1),
@@ -376,42 +423,117 @@ def _verify_kkt(w, lam, pi, q, c, lb, failures):
         )
 
 
-def solve_batch(spec: StrategySpec, sigma, mu=None):
-    """Solve one strategy's weight problem for a stack of P inputs at once.
+def _solve_pass(s, mu, strategies, together):
+    """Weights and failures of `strategies` over one block of d dates.
+
+    `s` is the block's (d, n, n) covariance stack and `mu` its (d, n) means
+    (None when no strategy reads them). Strategy (scale, needs_mean, lb) has
+    Q = scale*Sigma + 1e-12*I, c = -mu or 0, and lower bound lb; Q is built
+    once per distinct scale, and `together` strategies run as one lockstep.
+    Returns one ((d, n) weights, failures) per strategy.
+    """
+    d, n = s.shape[:2]
+    scales = list(dict.fromkeys(x for x, _, _ in strategies))
+    q = np.empty((len(scales), d, n, n))
+    for i, x in enumerate(scales):
+        q[i] = x * s
+        q[i] += _RIDGE * np.eye(n)
+    cs = [np.zeros((d, n)), None if mu is None else -mu]
+    which = [scales.index(x) for x, _, _ in strategies]
+    start = _start(q, cs, [(i, k, lb) for i, (_, k, lb) in zip(which, strategies)])
+    # Every problem of the block, strategy by strategy: problem t*d + i is
+    # date i of strategy t, and its Q is row qi of flat.
+    flat = q.reshape(-1, n, n)
+    qi = np.concatenate([i * d + np.arange(d) for i in which])
+    c = np.concatenate([cs[k] for _, k, _ in strategies])
+    lb = np.repeat([lb for _, _, lb in strategies], d).astype(float)
+    out = []
+    for g in range(0, len(strategies), together):
+        run = slice(g * d, (g + together) * d)
+        w, lam, pi, _, failed = _active_set_qp(
+            flat, qi[run], c[run], lb[run], [x[run] for x in start]
+        )
+        for t in range(len(strategies[g : g + together])):
+            # Strategy g + t is `part` of the run and `whole` of the block.
+            part = slice(t * d, (t + 1) * d)
+            whole = slice((g + t) * d, (g + t + 1) * d)
+            mine = {i - t * d: err for i, err in failed.items() if t * d <= i < (t + 1) * d}
+            _verify_kkt(w[part], lam[part], pi[part], q[which[g + t]], c[whole], lb[whole], mine)
+            out.append((w[part], mine))
+    return out
+
+
+def solve_strategies(specs, sigma, mu):
+    """Solve the weight problems of several strategies over one stack of P inputs.
 
     `sigma` is a (P, n, n) covariance stack and `mu` a (P, n) stack of mean
-    vectors, required for MVS/MVSC and unused by MIN/MINC. Each problem gets
-    exactly the weights it would get alone: a batch of P is bit-for-bit P
-    batches of one.
+    vectors, or None when no spec is MVS or MVSC (MIN and MINC do not read
+    it). The stack is validated once. Q = scale*Sigma + 1e-12*I is built
+    once per distinct scale (gamma for MVS and MVSC, 2 for MIN and MINC),
+    and `_start` solves each distinct budget-only system once and runs the
+    curvature guard once per Q. As many whole strategies as fit in
+    _BLOCK_KKT elements run as one lockstep (`_active_set_qp`); a strategy
+    that does not fit alone runs in blocks of dates. Each problem gets
+    exactly the weights it would get alone: a strategy gets what solving it
+    alone gives, and a batch of P is bit for bit P batches of one.
 
-    Returns (weights, failures): weights is (P, n) with NaN rows for failed
-    problems, and failures maps each failed problem's index to its
-    SolverError. Malformed input raises ValueError and an infeasible lower
-    bound raises InfeasibleError, for the whole batch.
+    Returns one (weights, failures) per spec: weights is (P, n) with NaN
+    rows for failed problems, and failures maps each failed problem's index
+    to its SolverError, or every index to an InfeasibleError where the
+    spec's lower bound is infeasible for n assets. Malformed input raises
+    ValueError for the whole call.
     """
-    if spec.kind in ("MVS", "MVSC"):
-        if mu is None:
+    mv = [spec.kind in ("MVS", "MVSC") for spec in specs]
+    for spec, needs_mean in zip(specs, mv):
+        if spec.kind == "EW":
+            raise ValueError("the weight solvers expect an optimized strategy, got 'EW'")
+        if needs_mean and mu is None:
             raise ValueError("%s weights need mean vectors" % spec.kind)
-        s, mu, n = _check_inputs(sigma, mu, spec.lower_bound)
-        scale, c = spec.gamma, -mu
-    elif spec.kind in ("MIN", "MINC"):
-        s, _, n = _check_inputs(sigma, None, spec.lower_bound)
-        scale, c = 2.0, np.zeros(s.shape[:2])
-    else:
-        raise ValueError("solve_batch expects an optimized strategy, got %r" % spec.kind)
-    w = np.empty(c.shape)
-    failures = {}
-    ridge = _RIDGE * np.eye(n)
+    s, mu, n = _check_inputs(sigma, mu if any(mv) else None)
+    p = len(s)
+    out = [(np.full((p, n), np.nan), {}) for _ in specs]
+    todo = []
+    for j, spec in enumerate(specs):
+        if n * spec.lower_bound > 1.0 + 1e-12:
+            err = InfeasibleError(
+                "lower bound %g infeasible for %d assets" % (spec.lower_bound, n)
+            )
+            out[j][1].update(dict.fromkeys(range(p), err))
+        else:
+            todo.append(j)
+    strategies = {j: (specs[j].gamma if mv[j] else 2.0, mv[j], specs[j].lower_bound) for j in todo}
     per_run = max(1, _BLOCK_KKT // (n + 1) ** 2)
-    for lo in range(0, len(s), per_run):
-        part = slice(lo, lo + per_run)
-        q = scale * s[part]
-        q += ridge
-        w[part], lam, pi, _, failed = _active_set_qp(q, c[part], spec.lower_bound)
-        _verify_kkt(w[part], lam, pi, q, c[part], spec.lower_bound, failed)
-        failures.update((lo + i, err) for i, err in failed.items())
-    w[list(failures)] = np.nan
-    return w, failures
+    m = max(1, min(p, per_run))  # dates per block
+    together = max(1, per_run // m)  # strategies per lockstep
+    # Where a lockstep holds one strategy, the strategies of one scale are
+    # solved before the next scale's Q is built, so one Q stack is held at a
+    # time. Where it holds more, every scale's Q is held at once, each at
+    # most half a block.
+    passes = [todo]
+    if together == 1:
+        scales = dict.fromkeys(strategies[j][0] for j in todo)
+        passes = [[j for j in todo if strategies[j][0] == x] for x in scales]
+    for lo in range(0, p if todo else 0, m):
+        for group in passes:
+            solved = _solve_pass(
+                s[lo : lo + m],
+                None if mu is None else mu[lo : lo + m],
+                [strategies[j] for j in group],
+                together,
+            )
+            for j, (w, failed) in zip(group, solved):
+                out[j][0][lo : lo + m] = w
+                out[j][1].update((lo + i, err) for i, err in failed.items())
+    for weights, failures in out:
+        weights[list(failures)] = np.nan
+    return out
+
+
+def solve_batch(spec: StrategySpec, sigma, mu=None):
+    """Solve one strategy's weight problem for a stack of P inputs at once:
+    the one-strategy case of `solve_strategies`, with its (weights,
+    failures)."""
+    return solve_strategies([spec], sigma, mu)[0]
 
 
 def _solve_one(spec: StrategySpec, sigma, mu) -> np.ndarray:
@@ -419,7 +541,7 @@ def _solve_one(spec: StrategySpec, sigma, mu) -> np.ndarray:
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError("covariance must be square, got shape %r" % (s.shape,))
     mus = None if mu is None else np.reshape(np.asarray(mu, dtype=float), (1, -1))
-    w, failures = solve_batch(spec, s[None], mus)
+    w, failures = solve_strategies([spec], s[None], mus)[0]
     if failures:
         raise failures[0]
     return w[0]

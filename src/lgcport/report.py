@@ -315,11 +315,16 @@ def execute_run(config: RunConfig) -> dict:
 
     with open(config.input_path, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
+    echo = asdict(config)
+    for key in ("input_path", "output_dir"):
+        # The path's bytes read as UTF-8, whatever locale decoded them from
+        # argv: under the C locale a non-ASCII name arrives as surrogates.
+        echo[key] = os.fsencode(echo[key]).decode("utf-8", "surrogateescape")
     manifest = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "package": "lgcport",
         "version": __version__,
-        "config": asdict(config),
+        "config": echo,
         "input": {
             "sha256": digest,
             "n_months": panel.n_months,

@@ -108,10 +108,11 @@ def record_targets(monkeypatch):
     solved = {}
     real = backtest_mod._solve_targets
 
-    def recording(spec, means, stack):
-        targets, failures = real(spec, means, stack)
-        solved[spec.label] = (targets.copy(), dict(failures))
-        return targets, failures
+    def recording(specs, means, stack):
+        out = real(specs, means, stack)
+        for spec, (targets, failures) in zip(specs, out):
+            solved[spec.label] = (targets.copy(), dict(failures))
+        return out
 
     monkeypatch.setattr(backtest_mod, "_solve_targets", recording)
     return solved
@@ -119,16 +120,17 @@ def record_targets(monkeypatch):
 
 def fail_rows(monkeypatch, rows):
     """Make every batched solve fail at the dates `rows`."""
-    real = backtest_mod.solve_batch
+    real = backtest_mod.solve_strategies
 
-    def flaky(spec, sigma, mu=None):
-        weights, failures = real(spec, sigma, mu)
-        for row in rows:
-            weights[row] = np.nan
-            failures[row] = SolverError("synthetic failure")
-        return weights, failures
+    def flaky(specs, sigma, mu):
+        out = real(specs, sigma, mu)
+        for weights, failures in out:
+            for row in rows:
+                weights[row] = np.nan
+                failures[row] = SolverError("synthetic failure")
+        return out
 
-    monkeypatch.setattr(backtest_mod, "solve_batch", flaky)
+    monkeypatch.setattr(backtest_mod, "solve_strategies", flaky)
 
 
 class TestDriftedWeights:
@@ -541,6 +543,37 @@ class TestGlobalEstimate:
             assert np.array_equal(res.strategies[spec.label].target_weights, want)
 
 
+class TestStrategyIndependence:
+    def test_adding_or_removing_a_strategy_changes_no_other(self):
+        # The strategies of a covariance stack are solved in one call, which
+        # shares their Q, budget-only solves and curvature guards and runs
+        # them in one lockstep: dropping any one strategy from the run leaves
+        # every number of every other strategy as it was, bit for bit.
+        panel = synth_panel(months=70, n_assets=5, model="clayton", seed=4)
+        labels = ("EW", "MVS", "MVSC", "MIN", "MINC", "MVSC-L", "MIN-L")
+        full = run_backtest(panel, BacktestConfig(window=40, strategies=specs(*labels)))
+        fields = (
+            "target_weights",
+            "drifted_weights",
+            "gross_returns",
+            "net_returns",
+            "turnover",
+            "wealth_gross",
+            "wealth_net",
+        )
+        for dropped in labels:
+            rest = [label for label in labels if label != dropped]
+            res = run_backtest(panel, BacktestConfig(window=40, strategies=specs(*rest)))
+            assert list(res.strategies) == rest
+            for label in rest:
+                got, want = res.strategies[label], full.strategies[label]
+                for name in fields:
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (
+                        dropped, label, name
+                    )
+                assert got.fallbacks == want.fallbacks
+
+
 class TestSolverFallback:
     def test_midstream_failure_reuses_previous_target(self, monkeypatch):
         panel = small_panel(months=30, n_assets=3, seed=13)
@@ -556,11 +589,12 @@ class TestSolverFallback:
     def test_inception_failure_raises_with_context(self, monkeypatch):
         panel = small_panel(months=30, n_assets=3, seed=13)
 
-        def broken(spec, sigma, mu=None):
+        def broken(specs, sigma, mu):
             weights = np.full((len(sigma), sigma.shape[1]), np.nan)
-            return weights, {i: SolverError("no solution") for i in range(len(sigma))}
+            failures = {i: SolverError("no solution") for i in range(len(sigma))}
+            return [(weights, failures)] * len(specs)
 
-        monkeypatch.setattr(backtest_mod, "solve_batch", broken)
+        monkeypatch.setattr(backtest_mod, "solve_strategies", broken)
         with pytest.raises(SolverError, match="inception"):
             run_backtest(panel, BacktestConfig(window=20, strategies=specs("MVSC")))
 

@@ -1,14 +1,20 @@
 """Command line interface and report files: schema, determinism, errors."""
 
+import contextlib
 import csv
 import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from dataclasses import asdict
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lgcport.backtest
 import lgcport.cli
@@ -16,6 +22,7 @@ from lgcport.cli import main
 from lgcport.errors import ConfigError
 from lgcport.panel import ReturnPanel, load_panel, write_panel
 from lgcport.report import (
+    ALL_STRATEGY_LABELS,
     PERFORMANCE_HEADER,
     REPORT_SCHEMA_VERSION,
     STRATEGY_STATS_HEADER,
@@ -616,9 +623,105 @@ class TestMalformedInput:
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+@st.composite
+def contract_runs(draw):
+    """A small valid panel and the argv of a `run` on it.
+
+    The panel has 1-5 assets and 20-89 months. Each column is scaled by 10^k
+    for k in -8..3, one in some panels by a further 1e-150, and some are
+    copies of another column, hold a flat stretch or lose 99.999 % in a
+    month.
+    """
+    n_assets = draw(st.integers(1, 5))
+    months = draw(st.integers(20, 89))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = 0.5 + 4.0 * rng.standard_normal((months, n_assets))
+    # A 1e-150 column stalls its pairs' local fits for their 200 iterations
+    # (their convergence test carries units), so at most one column has it.
+    tiny = draw(st.integers(0, 4 * n_assets))
+    for j in range(n_assets):
+        x[:, j] *= 10.0 ** draw(st.integers(-8, 3)) * (1e-150 if j == tiny else 1.0)
+        if j and draw(st.integers(0, 4)) == 0:
+            x[:, j] = x[:, draw(st.integers(0, j - 1))]
+        if draw(st.integers(0, 4)) == 0:
+            first = draw(st.integers(0, months - 1))
+            x[first : first + draw(st.integers(1, months)), j] = x[first, j]
+        if draw(st.integers(0, 4)) == 0:
+            x[draw(st.integers(0, months - 1)), j] = -99.999
+    # The statistics need 20 out-of-sample months, the percentile grid a
+    # window of 20 and the moving grid one of 3: half the windows are drawn
+    # where all hold, if any do, and at least half the panel long, which
+    # keeps the local fits few. The others sit at the edges of those rules.
+    longest = max(2, months - 20)
+    edges = [w for w in (2, 19, 20, months - 20, months - 19, months - 1, months) if w >= 2]
+    window = st.integers(min(max(20, months // 2), longest), longest) | st.sampled_from(edges)
+    windows = draw(st.lists(window, min_size=1, max_size=2, unique=True))
+    labels = draw(
+        st.lists(st.sampled_from(ALL_STRATEGY_LABELS), min_size=1, max_size=3, unique=True)
+    )
+    costs = draw(
+        st.lists(st.sampled_from(["0", "1", "2.5", "10"]), min_size=1, max_size=2, unique=True)
+    )
+    argv = [
+        "--windows", ",".join(map(str, windows)),
+        "--strategies", ",".join(labels),
+        "--tcost", ",".join(costs),
+        "--grid", draw(st.sampled_from(["moving", "percentile"])),
+        "--gamma", repr(draw(st.sampled_from([1.0, 2.0]) | st.floats(0.1, 50.0))),
+    ]
+    dates = synth_panel(months=months, n_assets=1, seed=0).dates
+    return ReturnPanel(["A%d" % j for j in range(n_assets)], dates, x), argv
+
+
+def run_quietly(argv):
+    """cli.main(argv) in process with warnings as errors: (code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestCliContract:
+    """Any valid panel and options end in one of two ways: exit 0 with exactly
+    the files the manifest lists, which a rerun writes again byte for byte,
+    or exit 1 with one JSON line on stderr and nothing written."""
+
+    # 25 examples take 2-10 s. An example can take 2 s: on a column scaled
+    # far from 1 the local fits, the asset table's included, can run all
+    # their 200 Newton iterations.
+    @settings(max_examples=25, deadline=None)
+    @given(contract_runs())
+    def test_exit_0_with_the_manifest_files_or_exit_1_with_one_json_line(self, case):
+        panel, options = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "p.csv")
+            write_panel(panel, path)
+            first, second = (os.path.join(tmp, name) for name in ("rep", "again"))
+            code, _, err = run_quietly(["run", "--input", path, "--out", first] + options)
+            if code == 1:
+                lines = err.splitlines()
+                assert len(lines) == 1, err
+                assert set(json.loads(lines[0])) == {"error", "message"}
+                assert not os.path.exists(first) or not os.listdir(first)
+                return
+            assert (code, err) == (0, "")
+            with open(os.path.join(first, "manifest.json"), encoding="utf-8") as fh:
+                files = json.load(fh)["files"]
+            assert sorted(os.listdir(first)) == sorted(files + ["manifest.json"])
+            assert run_quietly(["run", "--input", path, "--out", second] + options)[0] == 0
+            for name in files:
+                with open(os.path.join(first, name), "rb") as fh:
+                    written = fh.read()
+                with open(os.path.join(second, name), "rb") as fh:
+                    assert fh.read() == written, name
+
+
 class TestNonUtf8Locale:
     """Every file and stdout is UTF-8 whatever the locale: under the C locale,
-    a panel with non-ASCII asset names gives the bytes of a UTF-8 locale."""
+    a panel with non-ASCII asset names, read from and reported into
+    directories with non-ASCII names, gives the bytes of a UTF-8 locale."""
 
     NAMES = ["Äpfel", "Bär"]
 
@@ -640,9 +743,13 @@ class TestNonUtf8Locale:
         panel = synth_panel(months=60, n_assets=2, seed=5)
         panel = ReturnPanel(self.NAMES, panel.dates, panel.returns)
         write_panel(panel, tmp_path / "p.csv")
+        (tmp_path / "Äpfel").mkdir()
+        write_panel(panel, tmp_path / "Äpfel" / "p.csv")
         cli = ["-m", "lgcport.cli"]
         commands = {
             "run": cli + ["run", "--input", "../p.csv", "--out", "rep"]
+            + ["--windows", "30", "--strategies", "EW,MIN"],
+            "run, non-ASCII paths": cli + ["run", "--input", "../Äpfel/p.csv", "--out", "Bär"]
             + ["--windows", "30", "--strategies", "EW,MIN"],
             "describe --out": cli + ["describe", "--input", "../p.csv", "--out", "d.csv"],
             "describe": cli + ["describe", "--input", "../p.csv"],
@@ -666,7 +773,10 @@ class TestNonUtf8Locale:
                 seen[name] = proc.stdout
             seen.update({str(p.relative_to(cwd)): p.read_bytes() for p in cwd.rglob("*.*")})
         assert outputs["C"] == outputs["C.UTF-8"]
-        assert len(outputs["C"]) == 4 + 7 + 2  # stdouts, run files, d.csv and q.csv
+        # stdouts, two runs' files, d.csv and q.csv
+        assert len(outputs["C"]) == 5 + 2 * 7 + 2
+        config = json.loads(outputs["C"][os.path.join("Bär", "manifest.json")])["config"]
+        assert (config["input_path"], config["output_dir"]) == ("../Äpfel/p.csv", "Bär")
         assert outputs["C"]["describe"] == outputs["C"]["d.csv"]
         assert outputs["C"]["describe"].startswith("section,row,Äpfel,Bär\n".encode("utf-8"))
         back = load_panel(tmp_path / "C" / "q.csv")

@@ -5,7 +5,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad
 from scipy.stats import multivariate_normal, norm
@@ -607,6 +607,10 @@ class TestLocalMomentsOracle:
         beyond=st.floats(0.0, 4.0),
         seed=st.integers(0, 2**32 - 1),
     )
+    # One pair's kernel weight sits on one observation (plus 3e-320 on
+    # another): the stack's s11 is 1.9e-320 and its s22 and s12 are 0, so its
+    # correlation is NaN, while the reference's subnormal variances give inf.
+    @example(n_assets=3, n=97, kind="below", log_scale=-1.9541779826179855, beyond=2.75, seed=42619)
     def test_matches_the_per_pair_reference(self, n_assets, n, kind, log_scale, beyond, seed):
         # Summed about the grid point, a covariance carries a rounding error
         # of about eps |c - r|^2, up to 1e3 times its size before its pair is
@@ -624,15 +628,15 @@ class TestLocalMomentsOracle:
         variances = got[2:4][:, np.isfinite(got[2:4]).all(axis=0)]
         assert np.all(variances >= 0.0)
         # The same pairs are fitted, for the same reason: no local mass, or
-        # a weighted correlation at the cap.
+        # a weighted correlation at the cap or not a number.
         has_mass = mass >= WEIGHT_FLOOR
         assert np.array_equal(got[11] >= WEIGHT_FLOOR, has_mass)
         with np.errstate(divide="ignore", invalid="ignore"):
             got_corr = got[4] / np.sqrt(got[2] * got[3])
             ref_corr = cov[:, 0, 1] / np.sqrt(cov[:, 0, 0] * cov[:, 1, 1])
         cap = 1.0 - 1e-9
-        collinear = np.abs(got_corr) >= cap
-        assert np.array_equal(collinear[has_mass], (np.abs(ref_corr) >= cap)[has_mass])
+        collinear = ~(np.abs(got_corr) < cap)
+        assert np.array_equal(collinear[has_mass], ~(np.abs(ref_corr) < cap)[has_mass])
         if not has_mass.any():
             return
         got, w, center, cov = got[:, has_mass], w[has_mass], center[has_mass], cov[has_mass]
@@ -646,6 +650,22 @@ class TestLocalMomentsOracle:
         assert np.all(np.abs(got[2] - cov[:, 0, 0]) <= 1e-10 * cov[:, 0, 0] + tiny)
         assert np.all(np.abs(got[3] - cov[:, 1, 1]) <= 1e-10 * cov[:, 1, 1] + tiny)
         assert np.all(np.abs(got[4] - cov[:, 0, 1]) <= 1e-10 * sd[:, 0] * sd[:, 1] + tiny)
+
+    def test_pair_with_nan_correlation_is_not_fitted(self):
+        # The input recorded on the per-pair reference above: one pair has
+        # local mass and a NaN correlation. It is not fitted, like a pair at
+        # the cap: no iteration, its start as parameters, and a fallback.
+        rng = np.random.default_rng(42619)
+        windows, grids, bandwidths = oracle_draw(rng, 3, 97, "below", -1.9541779826179855, 2.75)
+        moments = local_moments_stack(windows, grids, bandwidths).reshape(12, -1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            corr = moments[4] / np.sqrt(moments[2] * moments[3])
+        nan = np.isnan(corr) & (moments[11] >= WEIGHT_FLOOR)
+        assert nan.sum() == 1
+        theta0 = np.tile([0.0, 0.0, 1.0, 1.0, 0.0], (moments.shape[1], 1))
+        params, fits = lgc.fit_local_moments(moments, theta0)
+        assert fits.iterations[nan].tolist() == [0] and fits.fallback[nan].all()
+        assert np.array_equal(params[nan], theta0[nan])
 
     @settings(max_examples=100, deadline=None)
     @given(n_assets=st.integers(2, 8), n=st.integers(2, 300), seed=st.integers(0, 2**32 - 1))

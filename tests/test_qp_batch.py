@@ -4,15 +4,16 @@
 the batched one, kept as the oracle (it also returns its final active set,
 and its ratio test is split out). It starts every problem at equal weights:
 the batched solver must follow that exact iterate path wherever it does not
-restart a problem at its best vertex, and reach the same active set where it
-does. `enumerated_optimum` is an oracle that shares no code with either.
+start a problem from the clamped solve, and reach the same active set where
+it does. `enumerated_optimum` is an oracle that shares no code with either.
 """
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lgcport.backtest import BacktestConfig, _estimate, run_backtest
@@ -23,8 +24,9 @@ from lgcport.optimizer import (
     StrategySpec,
     _active_set_qp,
     _ratio_test,
-    _vertex_starts,
+    _start,
     solve_batch,
+    solve_strategies,
 )
 from lgcport.synth import synth_panel
 
@@ -126,6 +128,18 @@ def qp_stacks(draw):
     return spec, sigma, mu
 
 
+def lockstep(q, c, lb):
+    """`_active_set_qp` on P problems, each with its own Q and c, all with
+    lower bound lb, from the start `_start` gives them."""
+    p = len(c)
+    return _active_set_qp(q, np.arange(p), c, np.full(p, float(lb)), clamped_start(q, c, lb))
+
+
+def clamped_start(q, c, lb):
+    """`_start` for P problems of one strategy: (w0, lam0, singular, clamp)."""
+    return _start(q[None], [c], [(0, 0, lb)])
+
+
 def objective_terms(spec, sigma, mu):
     """The (q, c) of the stack, built as solve_batch builds them."""
     n = sigma.shape[1]
@@ -136,10 +150,22 @@ def objective_terms(spec, sigma, mu):
 
 @settings(max_examples=150, deadline=None)
 @given(qp_stacks())
+# n * lb = 1, so (0.5, 0.5) is the only feasible point. Clamping asset 1 left
+# asset 0's solution 6e-17 below its bound, which must count as a tie, as in
+# the ratio test, for the reference's active set.
+@example(
+    (
+        StrategySpec("MVS", gamma=1.0, lower_bound=0.5),
+        np.array(
+            [[[2.4856229956794524, 1.7370054886957351], [1.7370054886957351, 3.4961044107573476]]]
+        ),
+        np.array([[0.0, -0.0]]),
+    )
+)
 def test_batch_follows_reference_path(problem):
     spec, sigma, mu = problem
     q, c = objective_terms(spec, sigma, mu)
-    w, _, pi, active, failures = _active_set_qp(q, c, spec.lower_bound)
+    w, _, pi, active, failures = lockstep(q, c, spec.lower_bound)
     for i in range(len(q)):
         try:
             w_ref, _, pi_ref, active_ref = reference_active_set_qp(q[i], c[i], spec.lower_bound)
@@ -150,6 +176,51 @@ def test_batch_follows_reference_path(problem):
         assert np.max(np.abs(w[i] - w_ref)) <= 1e-12
         assert np.array_equal(active[i], active_ref)
         assert np.max(np.abs(pi[i] - pi_ref)) <= 1e-12
+
+
+@st.composite
+def strategy_stacks(draw):
+    """Several strategies on one stack of P problems: (specs, sigma, mu).
+
+    Kinds, bounds and gamma are mixed. Gamma 2 gives MVS and MVSC the Q of
+    MIN and MINC, and a bound above 1/n is infeasible.
+    """
+    _, sigma, mu = draw(qp_stacks())
+    n = sigma.shape[1]
+    spec = st.builds(
+        StrategySpec,
+        kind=st.sampled_from(["MVS", "MVSC", "MIN", "MINC"]),
+        gamma=st.sampled_from([1.0, 2.0]) | st.floats(0.5, 4.0),
+        lower_bound=st.sampled_from([-0.5, 0.0]) | st.floats(-1.0, min(1.0, 1.5 / n)),
+    )
+    return draw(st.lists(spec, min_size=1, max_size=6)), sigma, mu
+
+
+def failure_messages(failures):
+    return {i: (type(err), str(err)) for i, err in failures.items()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(strategy_stacks(), st.sampled_from([None, 1, 3, 40]))
+def test_strategies_solved_together_as_alone(problem, block):
+    # One call over several strategies shares Q, the budget-only solves and
+    # the curvature guard, and runs whole strategies in one lockstep; each
+    # strategy gets the weights and failure map of solving it alone, bit for
+    # bit. A block of `block` KKT systems (None: the package's) splits the
+    # dates into blocks and the strategies into locksteps.
+    specs, sigma, mu = problem
+    n = sigma.shape[1]
+    size = optimizer._BLOCK_KKT if block is None else block * (n + 1) ** 2
+    with mock.patch.object(optimizer, "_BLOCK_KKT", size):
+        together = solve_strategies(specs, sigma, mu)
+    assert len(together) == len(specs)
+    for spec, (w, failures) in zip(specs, together):
+        w_one, failed_one = solve_batch(spec, sigma, mu)
+        assert np.array_equal(w, w_one, equal_nan=True)
+        assert failure_messages(failures) == failure_messages(failed_one)
+        if n * spec.lower_bound > 1.0 + 1e-12:
+            assert sorted(failures) == list(range(len(sigma)))
+            assert all(isinstance(err, InfeasibleError) for err in failures.values())
 
 
 @settings(max_examples=100, deadline=None)
@@ -290,7 +361,7 @@ def test_tiny_scale_paths_match_reference(kind, lb):
     sigma = 1e-10 * (a @ a.transpose(0, 2, 1)) / n
     mu = 1e-10 * rng.standard_normal((p, n))
     q, c = objective_terms(StrategySpec(kind, lower_bound=lb), sigma, mu)
-    w, _, _, active, failures = _active_set_qp(q, c, lb)
+    w, _, _, active, failures = lockstep(q, c, lb)
     assert not failures
     for i in range(p):
         w_ref, _, _, active_ref = reference_active_set_qp(q[i], c[i], lb)
@@ -304,11 +375,11 @@ def test_batch_across_chunks_matches_single_solves(rng, monkeypatch):
     p, n = 65, 5
     monkeypatch.setattr(optimizer, "_BLOCK_KKT", 32 * (n + 1) ** 2 + 35)
     runs = []
-    lockstep = optimizer._active_set_qp
+    run = optimizer._active_set_qp
 
-    def recorded(q, c, lb):
+    def recorded(q, qi, c, lb, start):
         runs.append(len(c))
-        return lockstep(q, c, lb)
+        return run(q, qi, c, lb, start)
 
     monkeypatch.setattr(optimizer, "_active_set_qp", recorded)
     a = rng.standard_normal((p, n, n))
@@ -356,9 +427,10 @@ def wide_window(n_dates=343, n=24):
 def test_window_of_wide_problems_matches_reference(kind):
     # A strategy-window of the global_wide benchmark: 343 dates of 24 Clayton
     # assets, window 120, solved as one lockstep. MVSC's budget-only optimum
-    # breaks most bounds, so every date restarts at its best vertex: the same
-    # active set by a shorter path, with weights that agree within 1e-14.
-    # MIN binds no bound and keeps the reference's path bit for bit.
+    # breaks bounds on every date, so every date starts from the clamped
+    # solve: the same active set by a shorter path, with weights that agree
+    # within 1e-14. MIN binds no bound and keeps the reference's path bit for
+    # bit.
     sigma, mu = wide_window()
     n_dates, n = mu.shape
     assert optimizer._BLOCK_KKT // (n + 1) ** 2 >= n_dates
@@ -366,7 +438,9 @@ def test_window_of_wide_problems_matches_reference(kind):
     w, failures = solve_batch(spec, sigma, mu)
     assert not failures
     q, c = objective_terms(spec, sigma, mu)
-    active = _active_set_qp(q, c, spec.lower_bound)[3]
+    clamped = clamped_start(q, c, spec.lower_bound)[3]
+    assert clamped.all() if kind == "MVSC" else not clamped.any()
+    active = lockstep(q, c, spec.lower_bound)[3]
     tol = 0.0 if kind == "MIN" else 1e-14
     for i in range(n_dates):
         w_ref, _, _, active_ref = reference_active_set_qp(q[i], c[i], spec.lower_bound)
@@ -374,14 +448,15 @@ def test_window_of_wide_problems_matches_reference(kind):
         assert np.max(np.abs(w[i] - w_ref)) <= tol
 
 
-@pytest.mark.parametrize("kind", ["MVS", "MVSC", "MIN", "MINC"])
-def test_no_kkt_system_is_solved_twice(kind, monkeypatch):
+@pytest.mark.parametrize("kinds", ["MVS", "MVSC", "MIN", "MINC", "MVS,MVSC,MIN,MINC"])
+def test_no_kkt_system_is_solved_twice(kinds, monkeypatch):
     # After a full step the free set and w_A are unchanged, so the next
     # iteration's system would be the one just solved: the problem settles
     # in the same iteration instead. On the wide window no (free set, w_A)
-    # of a problem, hence no KKT system, is solved twice.
+    # of a problem, hence no KKT system, is solved twice, and strategies
+    # with the same (Q, c) share their budget-only solve.
     sigma, mu = wide_window()
-    spec = StrategySpec(kind)
+    specs = [StrategySpec(kind) for kind in kinds.split(",")]
     solved = []
     stacked = optimizer._stacked
 
@@ -391,8 +466,8 @@ def test_no_kkt_system_is_solved_twice(kind, monkeypatch):
         return stacked(lapack, *stacks)
 
     monkeypatch.setattr(optimizer, "_stacked", recorded)
-    w, failures = solve_batch(spec, sigma, mu)
-    assert not failures
+    for w, failures in solve_strategies(specs, sigma, mu):
+        assert not failures
     assert len(solved) >= len(mu)
     assert len(set(solved)) == len(solved)
 
@@ -440,7 +515,8 @@ def test_matches_active_set_enumeration(n, p, floor, kind, data):
     # Well-conditioned problems only (smallest eigenvalue of Q far above
     # KKT_TOL), where the optimum and, away from degeneracy, its active set
     # are unique. Means up to 10x the covariance's scale push the budget-only
-    # optimum across many bounds, so many problems restart.
+    # optimum across many bounds, so many problems start from the clamped
+    # solve.
     if floor == "random":
         lb = data.draw(st.floats(-1.0, 1.0 / n, allow_nan=False, exclude_max=True))
     else:
@@ -457,7 +533,7 @@ def test_matches_active_set_enumeration(n, p, floor, kind, data):
     assert np.all(np.linalg.eigvalsh(q)[:, 0] >= KKT_TOL)
     w, failures = solve_batch(spec, sigma, mu)
     assert not failures
-    active = _active_set_qp(q, c, lb)[3]
+    active = lockstep(q, c, lb)[3]
     for i in range(p):
         kept = enumerated_optimum(q[i], c[i], lb)
         assert kept
@@ -479,19 +555,20 @@ def budget_only_optimum(q, c):
 @pytest.mark.parametrize(
     "kind, v",
     [
-        # Two copies of one asset: the budget-only optimum breaks 1 of 3 bounds,
-        # so the n/3 rule alone keeps it from the vertex start.
+        # Two copies of one asset: the budget-only optimum breaks 1 of 3
+        # bounds, and only the curvature guard keeps it from the clamped start.
         ("MVS", [2.37e-5, 2.37e-5, 4.48e-5]),
         # This one breaks 2 of 4, and only the curvature guard keeps it from
-        # the vertex (1, 0, 0, 0). That point's KKT residual also passes
-        # KKT_TOL: the two differ in the 1e-12 ridge term alone, so the weights
-        # would move by 0.5.
+        # the clamped start. The vertex (1, 0, 0, 0) also passes KKT_TOL: it
+        # differs from the reference's optimum in the 1e-12 ridge term alone,
+        # so a start that reached it would move the weights by 0.5.
         ("MVSC", [1e-6, 1e-6, 1.156e-5, 1.681e-5]),
     ],
 )
 def test_rank_one_covariance_keeps_reference_path(kind, v):
     # Sigma = v v' exactly (v is the square root of its diagonal), so the
-    # smallest eigenvalue of Q is the 1e-12 ridge.
+    # smallest eigenvalue of Q is the 1e-12 ridge, and the problem keeps the
+    # path from equal weights.
     root = np.sqrt(np.array(v))
     sigma = np.outer(root, root)[None]
     mu = np.zeros((1, len(v)))
@@ -500,6 +577,7 @@ def test_rank_one_covariance_keeps_reference_path(kind, v):
     assert np.linalg.eigvalsh(q[0])[0] < KKT_TOL
     broken = (budget_only_optimum(q, c) < spec.lower_bound).sum()
     assert broken == (1 if kind == "MVS" else 2)
+    assert not clamped_start(q, c, spec.lower_bound)[3].any()
     w, failures = solve_batch(spec, sigma, mu)
     assert not failures
     assert np.array_equal(w[0], reference_active_set_qp(q[0], c[0], spec.lower_bound)[0])
@@ -508,16 +586,19 @@ def test_rank_one_covariance_keeps_reference_path(kind, v):
 def test_repaired_tail_stack_keeps_reference_path():
     # The local stack of the tail_wide benchmark at panel seed 5: 12 Clayton
     # assets, window 120, a 5% percentile grid. Every date is PD-repaired to a
-    # smallest eigenvalue near 1e-12, under KKT_TOL, so no problem restarts.
+    # smallest eigenvalue near 1e-12, under KKT_TOL, so no problem starts from
+    # the clamped solve, solved alone or with the other strategies.
     panel = synth_panel(months=140, n_assets=12, model="clayton", seed=5)
     specs = [StrategySpec.from_label(label) for label in ("MIN-L", "MVS-L")]
     config = BacktestConfig(window=120, strategies=specs, grid_method="percentile")
     means, stacks = _estimate(panel.returns, config, {"local"})
     sigma = stacks["local"].matrices
     assert not stacks["local"].errors and stacks["local"].pd_repaired.all()
-    for spec in specs:
+    together = solve_strategies(specs, sigma, means)
+    for spec, (w_all, failed_all) in zip(specs, together):
         w, failures = solve_batch(spec, sigma, means)
-        assert not failures
+        assert not failures and not failed_all
+        assert np.array_equal(w, w_all)
         q, c = objective_terms(spec, sigma, means)
         for i in range(len(sigma)):
             assert np.array_equal(w[i], reference_active_set_qp(q[i], c[i], spec.lower_bound)[0])
@@ -525,8 +606,9 @@ def test_repaired_tail_stack_keeps_reference_path():
 
 def test_mixed_stack_solves_each_problem_as_alone(rng):
     # Long-only mean-variance problems whose budget-only optimum breaks most
-    # bounds: the full-rank half restarts at its best vertex, the rank-two
-    # half (smallest eigenvalue the 1e-12 ridge) keeps the reference path.
+    # bounds: the full-rank half starts from the clamped solve and reaches
+    # the reference's active set, and the rank-two half (smallest eigenvalue
+    # the 1e-12 ridge) keeps the reference path bit for bit.
     p, n = 12, 8
     full = np.arange(p) % 2 == 0
     a = rng.standard_normal((p, n, n))
@@ -536,15 +618,20 @@ def test_mixed_stack_solves_each_problem_as_alone(rng):
     mu = 3e-3 * rng.standard_normal((p, n))
     spec = StrategySpec("MVSC")
     q, c = objective_terms(spec, sigma, mu)
-    restarted, _ = _vertex_starts(q, c, spec.lower_bound, budget_only_optimum(q, c))
-    assert restarted.tolist() == list(range(0, p, 2))
+    clamped = clamped_start(q, c, 0.0)[3]
+    assert np.flatnonzero(clamped).tolist() == list(range(0, p, 2))
     assert np.all(3 * (budget_only_optimum(q, c) < 0.0).sum(axis=1) > n)
     w, failures = solve_batch(spec, sigma, mu)
     assert not failures
+    active = lockstep(q, c, 0.0)[3]
     for i in range(p):
         assert np.array_equal(w[i], solve_batch(spec, sigma[i : i + 1], mu[i : i + 1])[0][0])
+        w_ref, _, _, active_ref = reference_active_set_qp(q[i], c[i], 0.0)
         if i % 2:
-            assert np.array_equal(w[i], reference_active_set_qp(q[i], c[i], 0.0)[0])
+            assert np.array_equal(w[i], w_ref)
+        else:
+            assert np.array_equal(active[i], active_ref)
+            assert np.max(np.abs(w[i] - w_ref)) <= 1e-14
 
 
 @settings(max_examples=100, deadline=None)

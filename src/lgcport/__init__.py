@@ -41,8 +41,8 @@ from .lgc import (
     plugin_bandwidth,
 )
 from .localcov import (
+    CovStack,
     LocalCovMatrix,
-    LocalCovStack,
     global_covariance,
     local_covariance_stack,
     moving_grid,

@@ -21,6 +21,7 @@ from .lgc import BANDWIDTH_SCALE
 # importable from this module: external code (e.g. the span tracer in
 # perfbench/) looks them up here.
 from .localcov import (  # noqa: F401
+    _ok_dates,
     global_covariance,
     global_covariance_stack,
     local_covariance_stack,
@@ -165,11 +166,14 @@ def wealth_path(returns_pct) -> np.ndarray:
 
 
 def _estimate(x, config: BacktestConfig, sources):
-    """(means, stacks) of every date, in decimal units: means is (n_dates, N),
-    and `stacks` maps each source in `sources` ("global", "local") to its
-    CovStack over all dates, without its `correlations`. A date whose estimate
-    failed has its LgcportError in the stack's `errors`; no date's estimate
-    depends on another's."""
+    """(means, covariances, diagnostics) of every date, in decimal units.
+
+    means is (n_dates, N). `covariances` maps each source in `sources`
+    ("global", "local") to its (n_dates, N, N) matrices and its errors: the
+    LgcportError of each date whose estimate failed. `diagnostics` holds
+    _date_diagnostics's entry of each date. Nothing else of the CovStacks
+    is kept, their correlations included. No date's estimate depends on
+    another's."""
     n = x.shape[0]
     m = config.window
     # windows[step] is x[t - m : t] with t = m + step, as a view.
@@ -183,18 +187,17 @@ def _estimate(x, config: BacktestConfig, sources):
         else:
             grids = percentile_grid(windows, config.grid_quantile)
         stacks["local"] = local_covariance_stack(windows, grids, config.bandwidth_scale)
-    for stack in stacks.values():
+    covariances = {}
+    for source, stack in stacks.items():
         stack.matrices /= 1e4
-        # Nothing here reads the pre-repair correlations: free them before
-        # the solves.
-        stack.correlations = None
-    return windows.mean(axis=1) / 100.0, stacks
+        covariances[source] = stack.matrices, stack.errors
+    return windows.mean(axis=1) / 100.0, covariances, _date_diagnostics(n - m, stacks)
 
 
-def _date_diagnostics(dates, stacks) -> List[dict]:
+def _date_diagnostics(n_dates, stacks) -> List[dict]:
     """Per date: each source's error, or whether its matrix was PD-repaired
     (and, for the local source, how many pairs fell back)."""
-    out = [{"date": date} for date in dates]
+    out = [{} for _ in range(n_dates)]
     for source, stack in stacks.items():
         for step, entry in enumerate(out):
             if step in stack.errors:
@@ -206,17 +209,16 @@ def _date_diagnostics(dates, stacks) -> List[dict]:
     return out
 
 
-def _solve_targets(specs, means, stack):
+def _solve_targets(specs, means, matrices, errors):
     """Target weights of every date for each of `specs`, from one solve over
-    the CovStack.
+    the covariances of the dates without an estimation error.
 
     Returns one (targets, failures) per spec: targets is (n_dates, N), and
     failures maps each date without a target to its error, estimation
     errors included.
     """
-    errors = stack.errors
-    ok = np.array([step for step in range(len(means)) if step not in errors], dtype=int)
-    sigma = stack.matrices[ok] if errors else stack.matrices
+    ok = _ok_dates(len(means), errors)
+    sigma = matrices[ok] if errors else matrices
     out = []
     for weights, failed in solve_strategies(specs, sigma, means[ok]):
         targets = np.full(means.shape, np.nan)
@@ -252,11 +254,11 @@ def run_backtest(panel: ReturnPanel, config: BacktestConfig) -> BacktestResult:
 
     dates = [panel.dates[t] for t in range(m, n)]
     sources = {s.covariance_source for s in config.strategies if s.kind != "EW"}
-    means, stacks = _estimate(x, config, sources)
+    means, covariances, diagnostics = _estimate(x, config, sources)
     solved = {}
-    for source, stack in stacks.items():
+    for source, (matrices, errors) in covariances.items():
         specs = [s for s in config.strategies if s.kind != "EW" and s.covariance_source == source]
-        solved.update(zip(specs, _solve_targets(specs, means, stack)))
+        solved.update(zip(specs, _solve_targets(specs, means, matrices, errors)))
     strategies: Dict[str, StrategyResult] = {}
     for spec in config.strategies:
         failures = {}
@@ -302,5 +304,5 @@ def run_backtest(panel: ReturnPanel, config: BacktestConfig) -> BacktestResult:
         dates=dates,
         inception_date=panel.dates[m - 1],
         strategies=strategies,
-        date_diagnostics=_date_diagnostics(dates, stacks),
+        date_diagnostics=[{"date": d, **entry} for d, entry in zip(dates, diagnostics)],
     )

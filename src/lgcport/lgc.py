@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -100,8 +100,8 @@ class LocalParams:
 @dataclass
 class FitDiagnostics:
     """How the local fit of one pair went, or arrays of it over pairs: (P,)
-    from fit_local_moments, (D, P) in a LocalCovStack. Indexing an array
-    record at one pair gives that pair's record, with Python scalars."""
+    from fit_local_moments, (D, P) in a CovStack. Indexing an array record
+    at one pair gives that pair's record, with Python scalars."""
 
     converged: bool
     iterations: int  # Newton steps
@@ -782,12 +782,7 @@ def fit_local_moments(moments: np.ndarray, theta0: np.ndarray) -> Tuple[np.ndarr
     return params, fits
 
 
-def estimate_local_params(
-    sample,
-    r,
-    b,
-    init: Optional[LocalParams] = None,
-) -> Tuple[LocalParams, FitDiagnostics]:
+def estimate_local_params(sample, r, b) -> Tuple[LocalParams, FitDiagnostics]:
     """Maximize the local log-likelihood at grid point r.
 
     Parameters
@@ -796,9 +791,6 @@ def estimate_local_params(
         Bivariate observations, n >= 2.
     r, b : pairs of floats
         Grid point and positive bandwidths.
-    init : LocalParams, optional
-        Starting point of the Newton iteration; defaults to the global
-        Gaussian MLE of `sample`, the start every fit of a backtest uses.
 
     Returns
     -------
@@ -816,16 +808,18 @@ def estimate_local_params(
     This is the single-pair case of local_moments_stack and
     fit_local_moments: a damped Newton iteration in (mu1, mu2, log sigma1,
     log sigma2, atanh rho) with an analytic Hessian, eigenvalue-modified
-    where it is not positive definite, and an Armijo line search. The objective is normalized by the
-    mean kernel weight so the 1e-6 gradient tolerance means the same thing at
-    every grid point and bandwidth. `iterations` counts Newton steps.
+    where it is not positive definite, and an Armijo line search. It starts
+    from the global Gaussian MLE of `sample`, as every fit of a covariance
+    stack does. The objective is normalized by the mean kernel weight so the
+    1e-6 gradient tolerance means the same thing at every grid point and
+    bandwidth. `iterations` counts Newton steps.
     """
     s = _as_sample(sample)
     if s.shape[0] < 2:
         raise ValueError("estimation needs at least 2 observations")
     b1, b2 = _check_bandwidth(b)
     r1, r2 = _check_point(r)
-    theta0 = init if init is not None else global_gaussian_mle(s)
+    theta0 = global_gaussian_mle(s)
 
     moments = local_moments_stack(s[None], np.array([[r1, r2]]), np.array([[b1, b2]]))[:, 0]
     params, fits = fit_local_moments(moments, theta0.as_array()[None])

@@ -12,7 +12,7 @@ pair. Both stacks end in the same blocked PD repair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Tuple
 
 import numpy as np
@@ -65,12 +65,12 @@ _BLOCK_REPAIR = 2**16
 
 @dataclass
 class LocalCovMatrix:
-    """A covariance matrix plus the bookkeeping of how it was built."""
+    """The covariance of one date of a CovStack (see CovStack.date)."""
 
     matrix: np.ndarray
     pd_repaired: bool
     correlations: np.ndarray  # before repair
-    pair_diagnostics: Dict[Tuple[int, int], FitDiagnostics] = field(default_factory=dict)
+    pair_diagnostics: Dict[Tuple[int, int], FitDiagnostics]
 
     @property
     def n_fallbacks(self) -> int:
@@ -214,42 +214,40 @@ def nearest_pd(matrix) -> Tuple[np.ndarray, bool]:
 class CovStack:
     """Covariances of a stack of dates, each field with a leading (D,) axis.
 
-    A date in `errors` has no estimate: its matrices are zero and its flag
-    False.
+    `correlations` are the sample correlations, or the pairwise local ones,
+    before repair. `fits` holds (D, P) arrays of each pair's local fit,
+    pairs in np.triu_indices order within a date; the sample covariance fits
+    no pair, so its P is 0. A date in `errors` has no estimate: its matrices
+    are zero, its flag False and its fits False or 0.
     """
 
     matrices: np.ndarray  # (D, N, N), repaired to positive definite
     correlations: np.ndarray  # (D, N, N), before repair
     pd_repaired: np.ndarray  # (D,) bool
     errors: Dict[int, LgcportError]
+    fits: FitDiagnostics
 
     @classmethod
-    def empty(cls, n_dates: int, n_assets: int, **extra):
-        """A stack with no estimate written yet; `extra` are a subclass's fields."""
+    def empty(cls, n_dates: int, n_assets: int, n_pairs: int) -> "CovStack":
+        """A stack with no estimate written yet."""
         shape = (n_dates, n_assets, n_assets)
-        return cls(np.zeros(shape), np.zeros(shape), np.zeros(n_dates, dtype=bool), {}, **extra)
-
-
-@dataclass
-class LocalCovStack(CovStack):
-    """Local covariances of a stack of dates, plus the fit of each pair.
-
-    `correlations` are the pairwise local correlations. `fits` holds (D, P)
-    arrays, pairs in np.triu_indices order within a date; a date in
-    `errors` has them False or 0.
-    """
-
-    fits: FitDiagnostics
+        fits = FitDiagnostics.zeros((n_dates, n_pairs))
+        return cls(np.zeros(shape), np.zeros(shape), np.zeros(n_dates, dtype=bool), {}, fits)
 
     @property
     def n_fallbacks(self) -> np.ndarray:
         """(D,) number of pairs of each date that fell back."""
         return self.fits.fallback.sum(axis=1)
 
-    def pair_diagnostics(self, d: int) -> Dict[Tuple[int, int], FitDiagnostics]:
-        """The fit of each pair (i, j) of date d."""
-        first, second = np.triu_indices(self.matrices.shape[1], 1)
-        return {(int(i), int(j)): self.fits[d, k] for k, (i, j) in enumerate(zip(first, second))}
+    def date(self, d: int) -> LocalCovMatrix:
+        """The estimate of date d, with the fit of each of its pairs (i, j);
+        raises the date's error if it has one."""
+        if d in self.errors:
+            raise self.errors[d]
+        n_pairs = self.fits.fallback.shape[1]
+        first, second = (k[:n_pairs].tolist() for k in np.triu_indices(self.matrices.shape[1], 1))
+        fits = {pair: self.fits[d, k] for k, pair in enumerate(zip(first, second))}
+        return LocalCovMatrix(self.matrices[d], bool(self.pd_repaired[d]), self.correlations[d], fits)
 
 
 def _as_windows(windows) -> np.ndarray:
@@ -259,14 +257,16 @@ def _as_windows(windows) -> np.ndarray:
     return w
 
 
-def _ok_dates(out: CovStack) -> np.ndarray:
-    """The dates of `out` without an error."""
-    return np.flatnonzero(~np.isin(np.arange(len(out.matrices)), list(out.errors)))
+def _ok_dates(n_dates: int, errors) -> np.ndarray:
+    """The dates of range(n_dates) without an error in `errors`."""
+    return np.flatnonzero(~np.isin(np.arange(n_dates), list(errors)))
 
 
-def _repair_dates(out: CovStack, ok) -> None:
-    """Repair the assembled covariances of the dates `ok` of `out` in place,
-    in blocks of at most _BLOCK_REPAIR matrix elements (see _repair)."""
+def _repair_dates(out: CovStack) -> None:
+    """Repair the assembled covariances of the dates of `out` without an
+    error in place, in blocks of at most _BLOCK_REPAIR matrix elements (see
+    _repair)."""
+    ok = _ok_dates(len(out.matrices), out.errors)
     per_block = max(1, _BLOCK_REPAIR // out.matrices.shape[1] ** 2)
     for lo in range(0, ok.size, per_block):
         idx = ok[lo : lo + per_block]
@@ -313,7 +313,7 @@ def global_covariance_stack(windows) -> CovStack:
     """
     w = _as_windows(windows)
     n_dates, n, n_assets = w.shape
-    out = CovStack.empty(n_dates, n_assets)
+    out = CovStack.empty(n_dates, n_assets, 0)
     if n < 2:
         err = InsufficientDataError("covariance needs at least 2 observations")
         out.errors = dict.fromkeys(range(n_dates), err)
@@ -322,25 +322,17 @@ def global_covariance_stack(windows) -> CovStack:
         cov *= 1.0 / (n - 1)
         out.correlations[idx] = cov / (sd[:, :, None] * sd[:, None, :])
         out.matrices[idx] = cov
-    _repair_dates(out, _ok_dates(out))
+    _repair_dates(out)
     return out
-
-
-def _only_date(stack: CovStack, **extra) -> LocalCovMatrix:
-    """The estimate of a one-date stack; raises the date's error if it has one."""
-    if stack.errors:
-        raise stack.errors[0]
-    matrix, correlations = stack.matrices[0], stack.correlations[0]
-    return LocalCovMatrix(matrix, bool(stack.pd_repaired[0]), correlations, **extra)
 
 
 def global_covariance(panel) -> LocalCovMatrix:
     """Ordinary sample covariance (n-1 denominator), PD-repaired if needed:
     the one-date case of global_covariance_stack, raising the date's error."""
-    return _only_date(global_covariance_stack(_as_matrix(panel)[None]))
+    return global_covariance_stack(_as_matrix(panel)[None]).date(0)
 
 
-def local_covariance_stack(windows, grids, bandwidth_scale=BANDWIDTH_SCALE) -> LocalCovStack:
+def local_covariance_stack(windows, grids, bandwidth_scale=BANDWIDTH_SCALE) -> CovStack:
     """Assemble an N x N covariance per date from bivariate local fits.
 
     `windows` is (D, n, N) and `grids` is (D, N): date d is estimated from
@@ -351,7 +343,8 @@ def local_covariance_stack(windows, grids, bandwidth_scale=BANDWIDTH_SCALE) -> L
     i is the mean of its sigma estimates across the N-1 pairs containing i.
     The result is scaled by n/(n - 1) so the wide-bandwidth limit matches the
     n-1 sample covariance, then repaired to positive definiteness. A single
-    asset, or a window shorter than 2, is left to global_covariance_stack.
+    asset, or a window shorter than 2, gets global_covariance_stack's stack,
+    which fits no pair.
     A pair that fit_local_moments marks as a fallback (no local mass, a
     collinear sample, or no convergence) takes its global Gaussian MLE; each
     pair's FitDiagnostics is in `fits`.
@@ -376,16 +369,15 @@ def local_covariance_stack(windows, grids, bandwidth_scale=BANDWIDTH_SCALE) -> L
         raise ValueError("grids must hold one finite coordinate per date and asset")
     if not 0.0 < bandwidth_scale < math.inf:
         raise ValueError("scale must be positive and finite, got %g" % bandwidth_scale)
-    n_pairs = n_assets * (n_assets - 1) // 2
-    fits = FitDiagnostics.zeros((n_dates, n_pairs))
     if n < 2 or n_assets == 1:
-        return LocalCovStack(**vars(global_covariance_stack(w)), fits=fits)
+        return global_covariance_stack(w)
 
-    out = LocalCovStack.empty(n_dates, n_assets, fits=fits)
+    n_pairs = n_assets * (n_assets - 1) // 2
+    out = CovStack.empty(n_dates, n_assets, n_pairs)
     per_block = max(1, _BLOCK_PAIRS // n_pairs)
     for lo in range(0, n_dates, per_block):
         _fit_block(out, range(lo, min(lo + per_block, n_dates)), w, g, bandwidth_scale)
-    _repair_dates(out, _ok_dates(out))
+    _repair_dates(out)
     return out
 
 
@@ -408,7 +400,7 @@ def _block_moments(dates: range, windows, grids, scale: float, errors: dict):
     return np.concatenate(kept), np.concatenate(moments, axis=1), np.concatenate(starts)
 
 
-def _fit_block(out: LocalCovStack, dates: range, windows, grids, scale: float) -> None:
+def _fit_block(out: CovStack, dates: range, windows, grids, scale: float) -> None:
     """Fit every pair of the dates `dates` in one Newton pass and write the
     dates' estimates, or their errors, into `out`, the covariances before
     repair (see local_covariance_stack)."""
@@ -451,11 +443,8 @@ def pairwise_local_covariance(panel, grid, bandwidth_scale=BANDWIDTH_SCALE) -> L
     would record for the date is raised, and each pair's fit is reported in
     `pair_diagnostics`.
     """
-    x = _as_matrix(panel)
-    stack = local_covariance_stack(
-        x[None], np.asarray(grid, dtype=float).reshape(1, -1), bandwidth_scale
-    )
-    return _only_date(stack, pair_diagnostics=stack.pair_diagnostics(0))
+    grids = np.asarray(grid, dtype=float).reshape(1, -1)
+    return local_covariance_stack(_as_matrix(panel)[None], grids, bandwidth_scale).date(0)
 
 
 def moving_grid(panel, t, lookback: int = 3) -> np.ndarray:

@@ -7,10 +7,9 @@ against the KKT conditions before it is returned. `solve_strategies`
 solves the problems of several strategies over one covariance stack:
 strategies with the same scale share Q, strategies with the same (Q, c)
 share the budget-only solve, the curvature guard runs once per Q, and as
-many whole strategies as fit one block run as one lockstep. `solve_batch`
-(one strategy) and `solve_mv` and `solve_minvar` (one problem) are its
-special cases, and every problem gets bit for bit the weights it would get
-alone.
+many whole strategies as fit one block run as one lockstep. `solve_mv` and
+`solve_minvar` (one problem) are its special cases, and every problem gets
+bit for bit the weights it would get alone.
 
 Every problem's first step goes from equal weights toward its budget-only
 optimum. A problem whose optimum breaks a bound, and whose Q has its
@@ -295,7 +294,7 @@ def _active_set_qp(q, qi, c, lb, start):
     same system again and get the same solution, `target`: its step would be
     target - w. Where that is within 1e-13, the problem goes to the release
     rule in the same iteration, with the multiplier just solved for, as it
-    would one iteration later. The all-free systems copy Q whole.
+    would one iteration later.
 
     Returns (w, budget multipliers, bound multipliers, active sets, failures);
     `failures` maps the index of each problem that failed to its SolverError.
@@ -327,20 +326,14 @@ def _active_set_qp(q, qi, c, lb, start):
             idx = live[rows]
             kkt, rhs = _kkt_systems(rows.size, size)
             rhs[:, size, 0] = 1.0 - lb[idx] * float(n - size)
-            if size == n:
-                # All free: Q_FA w_A is empty, and -c - 0.0 is -c bit for bit.
-                fi = np.broadcast_to(np.arange(n), (rows.size, n))
-                kkt[:, :n, :n] = q[qi[idx]]
-                rhs[:, :n, 0] = -c[idx]
-            else:
-                fi = np.nonzero(free[rows])[1].reshape(rows.size, size)
-                ai = np.nonzero(~free[rows])[1].reshape(rows.size, n - size)
-                # Rows F of each Q, as offsets into the flat stack: one
-                # gather each for Q_FF and Q_FA.
-                row_f = offset[idx][:, None, None] + (fi * n)[:, :, None]
-                kkt[:, :size, :size] = flat_q[row_f + fi[:, None, :]]
-                q_fa = flat_q[row_f + ai[:, None, :]]
-                rhs[:, :size, 0] = -c[idx[:, None], fi] - (q_fa @ w[idx[:, None], ai, None])[:, :, 0]
+            fi = np.nonzero(free[rows])[1].reshape(rows.size, size)
+            ai = np.nonzero(~free[rows])[1].reshape(rows.size, n - size)
+            # Rows F of each Q, as offsets into the flat stack: one gather
+            # each for Q_FF and Q_FA.
+            row_f = offset[idx][:, None, None] + (fi * n)[:, :, None]
+            kkt[:, :size, :size] = flat_q[row_f + fi[:, None, :]]
+            q_fa = flat_q[row_f + ai[:, None, :]]
+            rhs[:, :size, 0] = -c[idx[:, None], fi] - (q_fa @ w[idx[:, None], ai, None])[:, :, 0]
             sol, singular[rows] = _stacked(np.linalg.solve, kkt, rhs)
             target[rows[:, None], fi] = sol[:, :size, 0]
             lam[idx] = sol[:, size, 0]
@@ -527,13 +520,6 @@ def solve_strategies(specs, sigma, mu):
     for weights, failures in out:
         weights[list(failures)] = np.nan
     return out
-
-
-def solve_batch(spec: StrategySpec, sigma, mu=None):
-    """Solve one strategy's weight problem for a stack of P inputs at once:
-    the one-strategy case of `solve_strategies`, with its (weights,
-    failures)."""
-    return solve_strategies([spec], sigma, mu)[0]
 
 
 def _solve_one(spec: StrategySpec, sigma, mu) -> np.ndarray:

@@ -823,12 +823,15 @@ class TestEstimateLocalParams:
         assert diag.converged and diag.gradient_norm < 1e-6
 
     def test_wide_bandwidth_reaches_global_mle(self, rng):
-        # Perturbed start, so agreement is earned rather than inherited.
+        # Perturbed start, so agreement is earned rather than inherited:
+        # estimate_local_params's fit, started away from the global MLE.
         sample = gauss_pair(rng, 500, -0.3)
         start = LocalParams(0.5, -0.5, 2.0, 0.4, 0.2)
-        theta, _ = estimate_local_params(sample, (0.3, 0.1), (1e6, 1e6), start)
+        moments = local_moments_stack(sample[None], np.array([[0.3, 0.1]]), np.full((1, 2), 1e6))
+        params, fits = lgc.fit_local_moments(moments[:, 0], start.as_array()[None])
+        assert fits[0].converged
         mle = global_gaussian_mle(sample)
-        assert np.max(np.abs(theta.as_array() - mle.as_array())) < 1e-3
+        assert np.max(np.abs(params[0] - mle.as_array())) < 1e-3
 
     def test_far_grid_point_raises(self, rng):
         sample = gauss_pair(rng, 300, 0.0)
@@ -837,11 +840,11 @@ class TestEstimateLocalParams:
             estimate_local_params(sample, (50.0, 50.0), b)
 
     def test_nonconvergence_carries_diagnostics(self, rng, monkeypatch):
+        # One Newton step from the global MLE leaves a gradient near 1e-3.
         sample = gauss_pair(rng, 400, 0.6)
-        start = LocalParams(3.0, -3.0, 0.1, 9.0, -0.8)
         monkeypatch.setattr(lgc, "MAX_ITERATIONS", 1)
         with pytest.raises(NonConvergenceError) as err:
-            estimate_local_params(sample, (0.0, 0.0), plugin_bandwidth(sample), start)
+            estimate_local_params(sample, (0.0, 0.0), plugin_bandwidth(sample))
         assert isinstance(err.value.diagnostics, FitDiagnostics)
         assert not err.value.diagnostics.converged
         assert err.value.diagnostics.fallback
@@ -874,13 +877,6 @@ class TestEstimateLocalParams:
         assert mirror.rho == pytest.approx(-base.rho, abs=1e-10)
         assert mirror.mu2 == pytest.approx(-base.mu2, abs=1e-10)
         assert mirror.sigma2 == pytest.approx(base.sigma2, abs=1e-10)
-
-    def test_warm_start_agrees_with_cold(self, rng):
-        sample = gauss_pair(rng, 800, 0.3)
-        b = plugin_bandwidth(sample)
-        cold, _ = estimate_local_params(sample, (0.0, 0.0), b)
-        warm, _ = estimate_local_params(sample, (0.0, 0.0), b, init=cold)
-        assert np.max(np.abs(cold.as_array() - warm.as_array())) < 1e-4
 
     @pytest.mark.slow
     def test_gaussian_consistency_improves_with_n(self):

@@ -268,9 +268,9 @@ class TestPairwiseLocalCovariance:
         assert all(d.converged and not d.fallback for d in out.pair_diagnostics.values())
 
     def test_batched_fits_match_single_pair_fits(self):
-        # One batched solve against one estimate_local_params call per pair,
-        # cold and then warm-started, at a lower-tail grid where pairs need
-        # different numbers of Newton steps.
+        # One batched solve against one single-pair fit per pair, cold (by
+        # estimate_local_params) and then warm-started (by fit_from), at a
+        # lower-tail grid where pairs need different numbers of Newton steps.
         rng = np.random.default_rng(4)
         x = clayton_normal_sample(rng, 160, 5, 2.0) * np.array([1.0, 2.0, 0.5, 3.0, 1.5])
         first, second = np.triu_indices(5, 1)
@@ -290,11 +290,12 @@ class TestPairwiseLocalCovariance:
             params, fits = fit_local_moments(moments, cold if warm is None else warm)
             steps = set()
             for k, (i, j) in enumerate(zip(first, second)):
-                pair = window[:, [i, j]]
-                init = None if warm is None else LocalParams.from_array(warm[k])
-                single, diag = estimate_local_params(
-                    pair, (grid[i], grid[j]), plugin_bandwidth(pair), init
-                )
+                pair, r = window[:, [i, j]], grid[[i, j]]
+                if warm is None:
+                    single, diag = estimate_local_params(pair, r, plugin_bandwidth(pair))
+                else:
+                    start = LocalParams.from_array(warm[k])
+                    single, diag = fit_from(pair, r, plugin_bandwidth(pair), start)
                 assert np.max(np.abs(single.as_array() - params[k])) <= 1e-9
                 assert fits.iterations[k] == diag.iterations
                 steps.add(diag.iterations)
@@ -330,12 +331,22 @@ def bfgs_refit(sample, r, b):
 PAPER_PAIRS = list(itertools.combinations(range(6), 2))
 
 
+def fit_from(pair, r, b, start):
+    """(LocalParams, FitDiagnostics) of estimate_local_params's Newton fit of
+    one (n, 2) pair at grid point r, started from the LocalParams `start`
+    in place of the pair's global MLE. A fit that does not converge fails."""
+    moments = local_moments_stack(pair[None], np.asarray(r)[None], np.asarray(b)[None])[:, 0]
+    params, fits = fit_local_moments(moments, start.as_array()[None])
+    assert fits[0].converged
+    return LocalParams.from_array(params[0]), fits[0]
+
+
 def warm_chain(months, window=120):
     """Per month index t of the paper's run: (t, {pair: (LocalParams, FitDiagnostics)}).
 
-    Every pair is fitted by its own estimate_local_params call, warm-started
-    from its fit at the month before (the first month from its global MLE).
-    A fit that does not converge raises. The dict is updated in place.
+    Every pair is fitted on its own (fit_from), warm-started from its fit at
+    the month before (the first month from its global MLE). A fit that does
+    not converge fails. The dict is updated in place.
     """
     x = synth_panel().returns
     fits = {}
@@ -343,8 +354,8 @@ def warm_chain(months, window=120):
         w, grid = x[t - window : t], moving_grid(x, t)
         for i, j in PAPER_PAIRS:
             pair = w[:, [i, j]]
-            init = fits[i, j][0] if (i, j) in fits else None
-            fits[i, j] = estimate_local_params(pair, grid[[i, j]], plugin_bandwidth(pair), init)
+            start = fits[i, j][0] if (i, j) in fits else global_gaussian_mle(pair)
+            fits[i, j] = fit_from(pair, grid[[i, j]], plugin_bandwidth(pair), start)
         yield t, fits
 
 
@@ -390,7 +401,7 @@ class TestNewtonOnPaperPanel:
             return real(grad, hess)
 
         monkeypatch.setattr(lgc, "_eigen_direction", spy)
-        _, diag = estimate_local_params(pair, r, b, fits[1, 4][0])
+        _, diag = fit_from(pair, r, b, fits[1, 4][0])
         assert diag.converged
         assert diag.gradient_norm <= GRADIENT_TOL
         assert np.array_equal(fallbacks[0], hess[None])
@@ -444,7 +455,7 @@ class TestLocalCovarianceStack:
         for d in (0, 13, 29):
             alone = local_covariance_stack(windows[d : d + 1], grids[d : d + 1])
             assert np.array_equal(alone.matrices[0], runs[0].matrices[d])
-            assert alone.pair_diagnostics(0) == runs[0].pair_diagnostics(d)
+            assert alone.date(0).pair_diagnostics == runs[0].date(d).pair_diagnostics
 
     def test_a_date_does_not_depend_on_its_newton_pass(self, monkeypatch):
         # The same 30 dates in Newton passes of 1, 7 or all 30 dates, each
@@ -498,7 +509,7 @@ class TestLocalCovarianceStack:
             assert np.array_equal(one.correlations, stack.correlations[d])
             assert one.pd_repaired == stack.pd_repaired[d]
             assert one.n_fallbacks == stack.n_fallbacks[d]
-            assert one.pair_diagnostics == stack.pair_diagnostics(d)
+            assert one.pair_diagnostics == stack.date(d).pair_diagnostics
 
     def test_agrees_with_the_warm_started_chain(self):
         # Cold and warm starts reach the same optimum up to the 1e-6 gradient
@@ -584,14 +595,14 @@ class TestLocalCovarianceStack:
         x = gauss_pair(rng, 80, 0.4)
         windows = np.stack([x, x])
         grids = np.array([[0.0, 40.0], percentile_grid(x, 0.1)])
-        assert local_covariance_stack(windows, grids).pair_diagnostics(1)[(0, 1)].converged
+        assert local_covariance_stack(windows, grids).date(1).pair_diagnostics[(0, 1)].converged
         monkeypatch.setattr(lgc, "MAX_ITERATIONS", 1)
         stack = local_covariance_stack(windows, grids)
         mle = global_gaussian_mle(x)
         off = mle.rho * mle.sigma1 * mle.sigma2
         want = nearest_pd(np.array([[mle.sigma1**2, off], [off, mle.sigma2**2]]) * (80 / 79))[0]
         for d, iterations in ((0, 0), (1, 1)):
-            diag = stack.pair_diagnostics(d)[(0, 1)]
+            diag = stack.date(d).pair_diagnostics[(0, 1)]
             assert diag.fallback and not diag.converged
             assert diag.iterations == iterations
             assert np.array_equal(stack.matrices[d], want)
@@ -603,7 +614,7 @@ class TestLocalCovarianceStack:
             estimate_local_params(x, grids[0], b)
         with pytest.raises(NonConvergenceError) as err:
             estimate_local_params(x, grids[1], b)
-        assert err.value.diagnostics == stack.pair_diagnostics(1)[(0, 1)]
+        assert err.value.diagnostics == stack.date(1).pair_diagnostics[(0, 1)]
 
     def test_single_asset_dates_use_the_sample_variance(self, rng):
         x = rng.standard_normal((30, 1))
@@ -699,6 +710,10 @@ class TestGlobalCovarianceStack:
         assert isinstance(stack.errors[4], DegenerateSampleError)
         assert str(stack.errors[4]) == "a column has zero variance"
         assert not stack.matrices[4].any() and not stack.pd_repaired[4]
+        with pytest.raises(DegenerateSampleError, match="zero variance"):
+            stack.date(4)
+        # The sample covariance fits no pair.
+        assert stack.fits.fallback.shape == (6, 0) and stack.date(3).pair_diagnostics == {}
         rest = [0, 1, 2, 3, 5]
         clean = global_covariance_stack(windows[rest])
         assert np.array_equal(stack.matrices[rest], clean.matrices)

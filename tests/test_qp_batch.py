@@ -25,7 +25,6 @@ from lgcport.optimizer import (
     _active_set_qp,
     _ratio_test,
     _start,
-    solve_batch,
     solve_strategies,
 )
 from lgcport.synth import synth_panel
@@ -141,7 +140,7 @@ def clamped_start(q, c, lb):
 
 
 def objective_terms(spec, sigma, mu):
-    """The (q, c) of the stack, built as solve_batch builds them."""
+    """The (q, c) of the stack, built as solve_strategies builds them."""
     n = sigma.shape[1]
     if spec.kind in ("MVS", "MVSC"):
         return spec.gamma * sigma + 1e-12 * np.eye(n), -mu
@@ -215,7 +214,7 @@ def test_strategies_solved_together_as_alone(problem, block):
         together = solve_strategies(specs, sigma, mu)
     assert len(together) == len(specs)
     for spec, (w, failures) in zip(specs, together):
-        w_one, failed_one = solve_batch(spec, sigma, mu)
+        w_one, failed_one = solve_strategies([spec], sigma, mu)[0]
         assert np.array_equal(w, w_one, equal_nan=True)
         assert failure_messages(failures) == failure_messages(failed_one)
         if n * spec.lower_bound > 1.0 + 1e-12:
@@ -227,9 +226,9 @@ def test_strategies_solved_together_as_alone(problem, block):
 @given(qp_stacks())
 def test_batch_of_p_equals_p_batches_of_one(problem):
     spec, sigma, mu = problem
-    w, failures = solve_batch(spec, sigma, mu)
+    w, failures = solve_strategies([spec], sigma, mu)[0]
     for i in range(len(sigma)):
-        w_one, failed_one = solve_batch(spec, sigma[i : i + 1], mu[i : i + 1])
+        w_one, failed_one = solve_strategies([spec], sigma[i : i + 1], mu[i : i + 1])[0]
         assert np.array_equal(w[i], w_one[0], equal_nan=True)
         assert {k: str(e) for k, e in failed_one.items()} == (
             {0: str(failures[i])} if i in failures else {}
@@ -387,10 +386,10 @@ def test_batch_across_chunks_matches_single_solves(rng, monkeypatch):
     mu = 0.3 * rng.standard_normal((p, n))
     spec = StrategySpec("MVSC")
     singles = np.concatenate(
-        [solve_batch(spec, sigma[i : i + 1], mu[i : i + 1])[0] for i in range(p)]
+        [solve_strategies([spec], sigma[i : i + 1], mu[i : i + 1])[0][0] for i in range(p)]
     )
     runs.clear()
-    w, failures = solve_batch(spec, sigma, mu)
+    w, failures = solve_strategies([spec], sigma, mu)[0]
     assert runs == [32, 32, 1]
     assert not failures
     assert np.array_equal(w, singles)
@@ -404,7 +403,7 @@ def test_batch_across_chunks_matches_single_solves(rng, monkeypatch):
             failures.setdefault(int(i), SolverError("rejected"))
 
     monkeypatch.setattr(optimizer, "_verify_kkt", strict)
-    w, failures = solve_batch(spec, sigma, mu)
+    w, failures = solve_strategies([spec], sigma, mu)[0]
     rejected = singles[:, 0] > 0.3
     assert 0 < rejected.sum() < p
     assert sorted(failures) == np.flatnonzero(rejected).tolist()
@@ -435,7 +434,7 @@ def test_window_of_wide_problems_matches_reference(kind):
     n_dates, n = mu.shape
     assert optimizer._BLOCK_KKT // (n + 1) ** 2 >= n_dates
     spec = StrategySpec(kind)
-    w, failures = solve_batch(spec, sigma, mu)
+    w, failures = solve_strategies([spec], sigma, mu)[0]
     assert not failures
     q, c = objective_terms(spec, sigma, mu)
     clamped = clamped_start(q, c, spec.lower_bound)[3]
@@ -531,7 +530,7 @@ def test_matches_active_set_enumeration(n, p, floor, kind, data):
     spec = StrategySpec(kind, gamma=data.draw(st.floats(0.5, 4.0)), lower_bound=lb)
     q, c = objective_terms(spec, sigma, mu)
     assert np.all(np.linalg.eigvalsh(q)[:, 0] >= KKT_TOL)
-    w, failures = solve_batch(spec, sigma, mu)
+    w, failures = solve_strategies([spec], sigma, mu)[0]
     assert not failures
     active = lockstep(q, c, lb)[3]
     for i in range(p):
@@ -578,7 +577,7 @@ def test_rank_one_covariance_keeps_reference_path(kind, v):
     broken = (budget_only_optimum(q, c) < spec.lower_bound).sum()
     assert broken == (1 if kind == "MVS" else 2)
     assert not clamped_start(q, c, spec.lower_bound)[3].any()
-    w, failures = solve_batch(spec, sigma, mu)
+    w, failures = solve_strategies([spec], sigma, mu)[0]
     assert not failures
     assert np.array_equal(w[0], reference_active_set_qp(q[0], c[0], spec.lower_bound)[0])
 
@@ -591,12 +590,12 @@ def test_repaired_tail_stack_keeps_reference_path():
     panel = synth_panel(months=140, n_assets=12, model="clayton", seed=5)
     specs = [StrategySpec.from_label(label) for label in ("MIN-L", "MVS-L")]
     config = BacktestConfig(window=120, strategies=specs, grid_method="percentile")
-    means, stacks = _estimate(panel.returns, config, {"local"})
-    sigma = stacks["local"].matrices
-    assert not stacks["local"].errors and stacks["local"].pd_repaired.all()
+    means, covariances, diagnostics = _estimate(panel.returns, config, {"local"})
+    sigma, errors = covariances["local"]
+    assert not errors and all(d["local_pd_repaired"] for d in diagnostics)
     together = solve_strategies(specs, sigma, means)
     for spec, (w_all, failed_all) in zip(specs, together):
-        w, failures = solve_batch(spec, sigma, means)
+        w, failures = solve_strategies([spec], sigma, means)[0]
         assert not failures and not failed_all
         assert np.array_equal(w, w_all)
         q, c = objective_terms(spec, sigma, means)
@@ -621,11 +620,12 @@ def test_mixed_stack_solves_each_problem_as_alone(rng):
     clamped = clamped_start(q, c, 0.0)[3]
     assert np.flatnonzero(clamped).tolist() == list(range(0, p, 2))
     assert np.all(3 * (budget_only_optimum(q, c) < 0.0).sum(axis=1) > n)
-    w, failures = solve_batch(spec, sigma, mu)
+    w, failures = solve_strategies([spec], sigma, mu)[0]
     assert not failures
     active = lockstep(q, c, 0.0)[3]
     for i in range(p):
-        assert np.array_equal(w[i], solve_batch(spec, sigma[i : i + 1], mu[i : i + 1])[0][0])
+        w_one = solve_strategies([spec], sigma[i : i + 1], mu[i : i + 1])[0][0]
+        assert np.array_equal(w[i], w_one[0])
         w_ref, _, _, active_ref = reference_active_set_qp(q[i], c[i], 0.0)
         if i % 2:
             assert np.array_equal(w[i], w_ref)
@@ -640,7 +640,7 @@ def test_solutions_satisfy_kkt(problem):
     spec, sigma, mu = problem
     q, c = objective_terms(spec, sigma, mu)
     lb = spec.lower_bound
-    w, failures = solve_batch(spec, sigma, mu)
+    w, failures = solve_strategies([spec], sigma, mu)[0]
     scale = 1.0 + np.max(np.abs(q), axis=(1, 2)) + np.max(np.abs(c), axis=1)
     for i in range(len(q)):
         if i in failures:
@@ -663,11 +663,12 @@ def test_nan_kkt_residual_fails_the_problem():
     # residual is NaN; only the well-scaled problem beside it is solved.
     sigma = np.array([[[1.0, 1.7e308], [1.7e308, 1e308]], [[2.0, 0.5], [0.5, 1.0]]])
     with np.errstate(over="ignore", invalid="ignore"):
-        w, failures = solve_batch(StrategySpec("MIN"), sigma)
+        w, failures = solve_strategies([StrategySpec("MIN")], sigma, None)[0]
     assert list(failures) == [0] and isinstance(failures[0], SolverError)
     assert "nan" in str(failures[0])
     assert np.isnan(w[0]).all()
-    assert np.array_equal(w[1], solve_batch(StrategySpec("MIN"), sigma[1:])[0][0])
+    w_one = solve_strategies([StrategySpec("MIN")], sigma[1:], None)[0][0]
+    assert np.array_equal(w[1], w_one[0])
 
 
 @settings(max_examples=20, deadline=None)

@@ -171,42 +171,43 @@ def _estimate(x, config: BacktestConfig, sources):
     means is (n_dates, N). `covariances` maps each source in `sources`
     ("global", "local") to its (n_dates, N, N) matrices and its errors: the
     LgcportError of each date whose estimate failed. `diagnostics` holds
-    _date_diagnostics's entry of each date. Nothing else of the CovStacks
-    is kept, their correlations included. No date's estimate depends on
-    another's."""
+    _add_diagnostics's entries of each date. Each CovStack is reduced to
+    these as soon as it is estimated, so nothing else of it is kept, its
+    correlations included, while the next is estimated. No date's estimate
+    depends on another's."""
     n = x.shape[0]
     m = config.window
     # windows[step] is x[t - m : t] with t = m + step, as a view.
     windows = sliding_window_view(x, m, axis=0)[: n - m].transpose(0, 2, 1)
-    stacks = {}
+    covariances = {}
+    diagnostics = [{} for _ in range(n - m)]
+
+    def keep(source, stack):
+        stack.matrices /= 1e4
+        covariances[source] = stack.matrices, stack.errors
+        _add_diagnostics(diagnostics, source, stack)
+
     if "global" in sources:
-        stacks["global"] = global_covariance_stack(windows)
+        keep("global", global_covariance_stack(windows))
     if "local" in sources:
         if config.grid_method == "moving":
             grids = moving_grid(x, np.arange(m, n), config.grid_lookback)
         else:
             grids = percentile_grid(windows, config.grid_quantile)
-        stacks["local"] = local_covariance_stack(windows, grids, config.bandwidth_scale)
-    covariances = {}
-    for source, stack in stacks.items():
-        stack.matrices /= 1e4
-        covariances[source] = stack.matrices, stack.errors
-    return windows.mean(axis=1) / 100.0, covariances, _date_diagnostics(n - m, stacks)
+        keep("local", local_covariance_stack(windows, grids, config.bandwidth_scale))
+    return windows.mean(axis=1) / 100.0, covariances, diagnostics
 
 
-def _date_diagnostics(n_dates, stacks) -> List[dict]:
-    """Per date: each source's error, or whether its matrix was PD-repaired
-    (and, for the local source, how many pairs fell back)."""
-    out = [{} for _ in range(n_dates)]
-    for source, stack in stacks.items():
-        for step, entry in enumerate(out):
-            if step in stack.errors:
-                entry[source + "_error"] = str(stack.errors[step])
-            else:
-                entry[source + "_pd_repaired"] = bool(stack.pd_repaired[step])
-                if source == "local":
-                    entry["pair_fallbacks"] = int(stack.n_fallbacks[step])
-    return out
+def _add_diagnostics(diagnostics: List[dict], source: str, stack) -> None:
+    """Add to each date's entry the source's error, or whether its matrix was
+    PD-repaired (and, for the local source, how many pairs fell back)."""
+    for step, entry in enumerate(diagnostics):
+        if step in stack.errors:
+            entry[source + "_error"] = str(stack.errors[step])
+        else:
+            entry[source + "_pd_repaired"] = bool(stack.repair.repaired[step])
+            if source == "local":
+                entry["pair_fallbacks"] = int(stack.n_fallbacks[step])
 
 
 def _solve_targets(specs, means, matrices, errors):

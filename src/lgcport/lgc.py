@@ -20,7 +20,9 @@ Many pairs are fitted at once in two stages. local_moments_stack reduces
 each window of assets to the moments of all its pairs: the kernel weight of
 pair (i, j) is the product of one factor per asset, so every kernel-weighted
 sum over the window is an entry of a few matrix products per date. Then
-fit_local_moments runs a damped Newton iteration on the moments alone. Its
+fit_local_moments runs a damped Newton iteration on the moments alone, from
+the starts of _local_starts: each pair's weighted moments deconvolved by its
+kernel, or its global Gaussian MLE where that is no better. Its
 step comes from a vectorized 5 x 5 LDL' factorization, with an
 eigenvalue-modified step (a Gill-Murray-style modified Newton method) as the
 fallback where the Hessian is indefinite or nearly singular.
@@ -714,6 +716,43 @@ def _line_search(mom, eta, value, grad, step):
     return new, accepted
 
 
+def _local_starts(moments: np.ndarray, mle: np.ndarray) -> np.ndarray:
+    """(P, 5) starting parameters of the local fits of P pairs, from their
+    (12, P) local_moments_stack rows and (P, 5) global Gaussian MLEs.
+
+    Under the kernel, a Gaussian N(mu, Sigma) has weighted mean c and
+    covariance S with S^-1 = Sigma^-1 + B^-1 and S^-1 c = Sigma^-1 mu +
+    B^-1 r, for the grid point r and B = diag(b1^2, b2^2): the weighted
+    moments (rows 0-8) deconvolve to Sigma0 = (S^-1 - B^-1)^-1 and
+    mu0 = Sigma0 (S^-1 c - B^-1 r), the local fit of a Gaussian sample. A
+    pair starts there where Sigma0 is positive definite, its correlation
+    lies inside the cap +-(1 - 1e-9), and the objective is lower there than
+    at the MLE; elsewhere it starts from the MLE. Each pair's start depends
+    only on its own moments and MLE.
+    """
+    c1, c2, s11, s22, s12, r1, r2, k11, k22 = moments[:9]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        det = s11 * s22 - s12 * s12
+        # A = S^-1 - B^-1 = Sigma0^-1, and h = S^-1 c - B^-1 r.
+        a11, a22, a12 = s22 / det - 1.0 / k11, s11 / det - 1.0 / k22, -s12 / det
+        h1 = (s22 * c1 - s12 * c2) / det - r1 / k11
+        h2 = (s11 * c2 - s12 * c1) / det - r2 / k22
+        a_det = a11 * a22 - a12 * a12
+        v11, v22, v12 = a22 / a_det, a11 / a_det, -a12 / a_det
+        sd1, sd2 = np.sqrt(v11), np.sqrt(v22)
+        mu1, mu2 = v11 * h1 + v12 * h2, v12 * h1 + v22 * h2
+        start = np.stack([mu1, mu2, sd1, sd2, v12 / (sd1 * sd2)], axis=1)
+    inside = (a11 > 0.0) & (a_det > 0.0) & (np.abs(start[:, 4]) < _RHO_CAP)
+    ok = np.flatnonzero(inside & np.all(np.isfinite(start), axis=1))
+    out = np.array(mle, dtype=float)
+    if ok.size:
+        mom = moments[:10, ok]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            lower = _objective(mom, _to_eta(start[ok]).T) < _objective(mom, _to_eta(out[ok]).T)
+        out[ok[lower]] = start[ok[lower]]
+    return out
+
+
 def fit_local_moments(moments: np.ndarray, theta0: np.ndarray) -> Tuple[np.ndarray, FitDiagnostics]:
     """Maximize the local log-likelihood of P pairs given their (12, P)
     local_moments_stack rows, from (P, 5) starting parameters `theta0`;
@@ -809,20 +848,21 @@ def estimate_local_params(sample, r, b) -> Tuple[LocalParams, FitDiagnostics]:
     fit_local_moments: a damped Newton iteration in (mu1, mu2, log sigma1,
     log sigma2, atanh rho) with an analytic Hessian, eigenvalue-modified
     where it is not positive definite, and an Armijo line search. It starts
-    from the global Gaussian MLE of `sample`, as every fit of a covariance
-    stack does. The objective is normalized by the mean kernel weight so the
-    1e-6 gradient tolerance means the same thing at every grid point and
-    bandwidth. `iterations` counts Newton steps.
+    where every fit of a covariance stack starts (see _local_starts): from
+    the pair's weighted moments deconvolved by the kernel, or from the
+    global Gaussian MLE of `sample` where that start is no better. The
+    objective is normalized by the mean kernel weight so the 1e-6 gradient
+    tolerance means the same thing at every grid point and bandwidth.
+    `iterations` counts Newton steps.
     """
     s = _as_sample(sample)
     if s.shape[0] < 2:
         raise ValueError("estimation needs at least 2 observations")
     b1, b2 = _check_bandwidth(b)
     r1, r2 = _check_point(r)
-    theta0 = global_gaussian_mle(s)
-
+    mle = global_gaussian_mle(s).as_array()[None]
     moments = local_moments_stack(s[None], np.array([[r1, r2]]), np.array([[b1, b2]]))[:, 0]
-    params, fits = fit_local_moments(moments, theta0.as_array()[None])
+    params, fits = fit_local_moments(moments, _local_starts(moments, mle))
     diag = fits[0]
     if moments[11, 0] < WEIGHT_FLOOR:
         raise InsufficientLocalDataError(

@@ -5,14 +5,19 @@ a slice of dates at a time, checked for non-finite values, reduced by
 lgc._window_stats, and split into the dates with a flat column, which get
 that reader's DegenerateSampleError, and the others. The global stack
 scales the others' cross-products to sample covariances; the local stack
-takes their bandwidths and starts from the same statistics and fits every
-pair. Both stacks end in the same blocked PD repair.
+takes their bandwidths and global Gaussian MLEs from the same statistics and
+fits every pair, from its kernel-deconvolved moments where they make a
+better start (lgc._local_starts). Both stacks end in the same blocked PD
+repair: the nearest correlation matrix by Anderson-accelerated alternating
+projections, run until its unit-diagonal residual is at most 1e-12, and a
+spectrum floored at PD_TOL. Each stack records its repairs in a
+RepairRecord.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, Tuple
 
 import numpy as np
@@ -28,6 +33,7 @@ from .errors import (
 from .lgc import (  # noqa: F401
     BANDWIDTH_SCALE,
     FitDiagnostics,
+    _local_starts,
     _mle_starts,
     _window_stats,
     estimate_local_params,
@@ -39,11 +45,13 @@ from .panel import ReturnPanel
 # Relative eigenvalue floor below which a matrix counts as not positive definite.
 PD_TOL = 1e-10
 
-# The alternating projections of the PD repair stop once a matrix's iterate
-# moves less than _CHANGE_TOL (Frobenius norm), or after
-# _PROJECTION_ITERATIONS.
-_CHANGE_TOL = 1e-9
+# The projections of the PD repair stop once a matrix's unit-diagonal
+# residual ||1 - diag(P_S(R))||_2 is at most _RESIDUAL_TOL, or after
+# _PROJECTION_ITERATIONS; their Anderson acceleration keeps the last
+# _HISTORY steps (see _nearest_correlations).
+_RESIDUAL_TOL = 1e-12
 _PROJECTION_ITERATIONS = 100
+_HISTORY = 5
 
 # Asset-observations (window length x assets per date) that the stacks read
 # at a time, in whole dates (or one date if a date alone holds more): 192 kB
@@ -62,6 +70,23 @@ _BLOCK_PAIRS = 2048
 # takes at a time: 512 kB per (dates, N, N) copy, or 1,820 dates at N = 6,
 # 113 at N = 24 and 28 at N = 48, whatever the blocks of the estimate.
 _BLOCK_REPAIR = 2**16
+
+@dataclass
+class RepairRecord:
+    """How the PD repair of each date of a stack went, as (D,) arrays (see
+    _repair): whether its matrix was repaired, the projections its
+    correlation stage took (0 if it had none), and whether it finished
+    inside _PROJECTION_ITERATIONS. A date with an error keeps False and 0."""
+
+    repaired: bool
+    iterations: int
+    converged: bool
+
+    @classmethod
+    def zeros(cls, n_dates: int) -> "RepairRecord":
+        """A record of n_dates dates, every value False or 0."""
+        return cls(*(np.zeros(n_dates, f.type) for f in fields(cls)))
+
 
 @dataclass
 class LocalCovMatrix:
@@ -86,46 +111,86 @@ def _as_matrix(panel) -> np.ndarray:
     return m
 
 
-def _nearest_correlations(corr: np.ndarray) -> np.ndarray:
-    """Nearest correlation matrix of each matrix of a (k, N, N) stack, by
-    alternating projections (Higham 2002).
+def _nearest_correlations(corr: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nearest correlation matrix of each matrix of a (k, N, N) stack, with
+    the (k,) projections each took and (k,) flags of those that met the
+    tolerance.
 
-    Projects onto the PSD cone and the unit-diagonal subspace in turn, with
-    Dykstra's correction on the cone step. The matrices run in lockstep, one
-    stacked eigh per iteration over those still moving; each stops once the
-    Frobenius change of its iterate drops below _CHANGE_TOL, or after
-    _PROJECTION_ITERATIONS. A matrix's result does not depend on its stack.
+    Alternating projections with Dykstra's correction (Higham 2002), onto
+    the PSD cone (P_S) and the unit-diagonal matrices (P_U), are one
+    fixed-point map in R = Y - dS: R -> R + P_U(P_S(R)) - P_S(R). Its
+    residual P_U(P_S(R)) - P_S(R) is diagonal, f = 1 - diag(P_S(R)), and it
+    vanishes where P_S(R) is the nearest correlation matrix. The map runs
+    with type-II Anderson acceleration over the last _HISTORY steps (Higham
+    & Strabic, Numer. Algorithms 72, 2016): gamma fits f by the changes of f
+    those steps made, least squares by the pseudo-inverse of their Gram
+    matrix (so a singular or empty history takes no step from it), and the
+    step is diag(f) less gamma times those steps' own changes of R and f.
+    The history restarts where ||f|| grows. A matrix stops once
+    ||f||_2 <= _RESIDUAL_TOL, or after _PROJECTION_ITERATIONS, and returns
+    P_U(P_S(R)) of its last projection. The matrices run in lockstep, one
+    stacked eigh per iteration over those still moving; a matrix's result
+    does not depend on its stack.
     """
-    y = np.array(corr, dtype=float)
-    diag = np.arange(y.shape[-1])
-    ds = np.zeros_like(y)
-    live = np.arange(len(y))
-    for _ in range(_PROJECTION_ITERATIONS):
-        if not live.size:
-            break
-        r = y[live] - ds[live]
+    r = np.array(corr, dtype=float)
+    k, n = r.shape[:2]
+    ii = np.arange(n)
+    out = np.empty_like(r)
+    iterations = np.zeros(k, dtype=int)
+    converged = np.zeros(k, dtype=bool)
+    # Over the matrices still moving, `live`: a ring of their last steps of
+    # R and the changes of f those steps made, and their last f and ||f||.
+    live = np.arange(k)
+    d_r = np.zeros((k, _HISTORY, n, n))
+    d_f = np.zeros((k, _HISTORY, n))
+    f_last, norm_last = np.zeros((k, n)), np.full(k, np.inf)
+    for it in range(_PROJECTION_ITERATIONS):
         vals, vecs = np.linalg.eigh((r + r.transpose(0, 2, 1)) / 2.0)
         x = (vecs * np.clip(vals, 0.0, None)[:, None, :]) @ vecs.transpose(0, 2, 1)
-        ds[live] = x - r
-        x[:, diag, diag] = 1.0
-        change = (x - y[live]).reshape(len(live), -1)
-        y[live] = x
-        # One dot product per matrix, as np.linalg.norm(., "fro") takes it.
-        moved = np.sqrt((change[:, None, :] @ change[:, :, None])[:, 0, 0])
-        live = live[~(moved < _CHANGE_TOL)]
-    return (y + y.transpose(0, 2, 1)) / 2.0
+        f = 1.0 - x[:, ii, ii]
+        x[:, ii, ii] = 1.0
+        out[live] = x
+        iterations[live] = it + 1
+        norm = np.sqrt((f[:, None, :] @ f[:, :, None])[:, 0, 0])
+        done = norm <= _RESIDUAL_TOL
+        converged[live[done]] = True
+        if done.any():
+            go = ~done
+            live, r, f, norm, d_r, d_f, f_last, norm_last = (
+                a[go] for a in (live, r, f, norm, d_r, d_f, f_last, norm_last)
+            )
+        if not live.size or it == _PROJECTION_ITERATIONS - 1:
+            break
+        if it:
+            d_f[:, (it - 1) % _HISTORY] = f - f_last
+        grew = norm > norm_last
+        d_r[grew], d_f[grew] = 0.0, 0.0
+        f_last, norm_last = f, norm
+        # gamma = G^+ d_f f for the Gram matrix G = d_f d_f', from its
+        # eigenvalues: those at most _HISTORY eps times the largest count as 0.
+        vals, vecs = np.linalg.eigh(d_f @ d_f.transpose(0, 2, 1))
+        coef = (d_f @ f[:, :, None]).transpose(0, 2, 1) @ vecs
+        kept = vals > _HISTORY * np.finfo(float).eps * vals[:, -1:]
+        coef = np.where(kept, coef[:, 0, :] / np.where(kept, vals, 1.0), 0.0)
+        gamma = coef[:, None, :] @ vecs.transpose(0, 2, 1)
+        step = -(gamma @ d_r.reshape(len(r), _HISTORY, -1)).reshape(r.shape)
+        step[:, ii, ii] += f - (gamma @ d_f)[:, 0, :]
+        d_r[:, it % _HISTORY] = step
+        r += step
+    return (out + out.transpose(0, 2, 1)) / 2.0, iterations, converged
 
 
 def nearest_correlation(corr: np.ndarray) -> np.ndarray:
-    """Nearest correlation matrix by alternating projections (Higham 2002):
-    the one-matrix case of the stacked projection."""
-    return _nearest_correlations(np.asarray(corr, dtype=float)[None])[0]
+    """Nearest correlation matrix by Anderson-accelerated alternating
+    projections: the one-matrix case of the stacked projection (see
+    _nearest_correlations)."""
+    return _nearest_correlations(np.asarray(corr, dtype=float)[None])[0][0]
 
 
-def _repair(cov: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _repair(cov: np.ndarray) -> Tuple[np.ndarray, RepairRecord]:
     """Symmetrize each matrix of a (k, N, N) stack and repair it to positive
-    definiteness, if needed. Returns the (k, N, N) matrices and (k,) flags of
-    those repaired.
+    definiteness, if needed. Returns the (k, N, N) matrices and the
+    RepairRecord of the stack.
 
     A matrix whose smallest eigenvalue is at least PD_TOL times its largest,
     less a rounding margin of N * eps times its largest, is kept as it is.
@@ -161,6 +226,8 @@ def _repair(cov: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     # Halved in place: one (k, N, N) temporary, not two.
     cov = cov + cov.transpose(0, 2, 1)
     cov /= 2.0
+    record = RepairRecord.zeros(len(cov))
+    record.converged[:] = True
     ii = np.arange(cov.shape[-1])
     trace = np.trace(cov, axis1=1, axis2=2)
     if np.all(trace > 0.0):
@@ -168,16 +235,16 @@ def _repair(cov: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         shifted[:, ii, ii] -= 2.0 * PD_TOL * trace[:, None]
         try:
             np.linalg.cholesky(shifted)
-            return cov, np.zeros(len(cov), dtype=bool)
+            return cov, record
         except np.linalg.LinAlgError:
             pass
     vals = np.linalg.eigvalsh(cov)
     top = vals[:, -1]
     least = (PD_TOL - cov.shape[-1] * np.finfo(float).eps) * top
-    repaired = ~((top > 0.0) & (vals[:, 0] >= least))
-    bad = np.flatnonzero(repaired)
+    record.repaired = ~((top > 0.0) & (vals[:, 0] >= least))
+    bad = np.flatnonzero(record.repaired)
     if not bad.size:
-        return cov, repaired
+        return cov, record
     m = cov[bad]
     diag = np.diagonal(m, axis1=1, axis2=2)
     # A matrix with a non-positive variance has no correlation form; only its
@@ -185,14 +252,17 @@ def _repair(cov: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     scalable = np.all(diag > 0.0, axis=1)
     d = np.sqrt(diag[scalable])
     outer = d[:, :, None] * d[:, None, :]
-    m[scalable] = _nearest_correlations(m[scalable] / outer) * outer
+    corr, iterations, converged = _nearest_correlations(m[scalable] / outer)
+    m[scalable] = corr * outer
+    record.iterations[bad[scalable]] = iterations
+    record.converged[bad[scalable]] = converged
     vals, vecs = np.linalg.eigh(m)
     top = vals[:, -1]
     floor = np.where(top > 0.0, PD_TOL * top, PD_TOL)
     m = (vecs * np.clip(vals, floor[:, None], None)[:, None, :]) @ vecs.transpose(0, 2, 1)
     out = cov.copy()
     out[bad] = (m + m.transpose(0, 2, 1)) / 2.0
-    return out, repaired
+    return out, record
 
 
 def nearest_pd(matrix) -> Tuple[np.ndarray, bool]:
@@ -206,8 +276,8 @@ def nearest_pd(matrix) -> Tuple[np.ndarray, bool]:
     scale = float(np.max(np.abs(m))) if m.size else 0.0
     if not np.allclose(m, m.T, rtol=0.0, atol=1e-12 * max(scale, 1.0)):
         raise NonSymmetricError("matrix is not symmetric")
-    out, repaired = _repair(m[None])
-    return out[0], bool(repaired[0])
+    out, record = _repair(m[None])
+    return out[0], bool(record.repaired[0])
 
 
 @dataclass
@@ -215,15 +285,16 @@ class CovStack:
     """Covariances of a stack of dates, each field with a leading (D,) axis.
 
     `correlations` are the sample correlations, or the pairwise local ones,
-    before repair. `fits` holds (D, P) arrays of each pair's local fit,
-    pairs in np.triu_indices order within a date; the sample covariance fits
-    no pair, so its P is 0. A date in `errors` has no estimate: its matrices
-    are zero, its flag False and its fits False or 0.
+    before repair. `repair` records each date's PD repair. `fits` holds
+    (D, P) arrays of each pair's local fit, pairs in np.triu_indices order
+    within a date; the sample covariance fits no pair, so its P is 0. A date
+    in `errors` has no estimate: its matrices are zero and its records False
+    or 0.
     """
 
     matrices: np.ndarray  # (D, N, N), repaired to positive definite
     correlations: np.ndarray  # (D, N, N), before repair
-    pd_repaired: np.ndarray  # (D,) bool
+    repair: RepairRecord
     errors: Dict[int, LgcportError]
     fits: FitDiagnostics
 
@@ -232,7 +303,7 @@ class CovStack:
         """A stack with no estimate written yet."""
         shape = (n_dates, n_assets, n_assets)
         fits = FitDiagnostics.zeros((n_dates, n_pairs))
-        return cls(np.zeros(shape), np.zeros(shape), np.zeros(n_dates, dtype=bool), {}, fits)
+        return cls(np.zeros(shape), np.zeros(shape), RepairRecord.zeros(n_dates), {}, fits)
 
     @property
     def n_fallbacks(self) -> np.ndarray:
@@ -247,7 +318,8 @@ class CovStack:
         n_pairs = self.fits.fallback.shape[1]
         first, second = (k[:n_pairs].tolist() for k in np.triu_indices(self.matrices.shape[1], 1))
         fits = {pair: self.fits[d, k] for k, pair in enumerate(zip(first, second))}
-        return LocalCovMatrix(self.matrices[d], bool(self.pd_repaired[d]), self.correlations[d], fits)
+        repaired = bool(self.repair.repaired[d])
+        return LocalCovMatrix(self.matrices[d], repaired, self.correlations[d], fits)
 
 
 def _as_windows(windows) -> np.ndarray:
@@ -270,7 +342,9 @@ def _repair_dates(out: CovStack) -> None:
     per_block = max(1, _BLOCK_REPAIR // out.matrices.shape[1] ** 2)
     for lo in range(0, ok.size, per_block):
         idx = ok[lo : lo + per_block]
-        out.matrices[idx], out.pd_repaired[idx] = _repair(out.matrices[idx])
+        out.matrices[idx], record = _repair(out.matrices[idx])
+        for name, value in vars(record).items():
+            getattr(out.repair, name)[idx] = value
 
 
 def _window_slices(windows, dates: range, errors: dict):
@@ -338,7 +412,8 @@ def local_covariance_stack(windows, grids, bandwidth_scale=BANDWIDTH_SCALE) -> C
     `windows` is (D, n, N) and `grids` is (D, N): date d is estimated from
     `windows[d]` at `grids[d]`. Each pair (i, j) is fitted at
     (grid[i], grid[j]) with its own plug-in bandwidth, starting from the
-    pair's global Gaussian MLE; the off-diagonal entry is
+    pair's kernel-deconvolved moments, or from its global Gaussian MLE where
+    those are no better (lgc._local_starts); the off-diagonal entry is
     rho * sigma_i * sigma_j from that pair's fit, and the diagonal for asset
     i is the mean of its sigma estimates across the N-1 pairs containing i.
     The result is scaled by n/(n - 1) so the wide-bandwidth limit matches the
@@ -409,7 +484,7 @@ def _fit_block(out: CovStack, dates: range, windows, grids, scale: float) -> Non
         return
     n_dates, n, n_assets = len(idx), windows.shape[1], windows.shape[2]
     first, second = np.triu_indices(n_assets, 1)
-    params, fits = fit_local_moments(moments, mle)
+    params, fits = fit_local_moments(moments, _local_starts(moments, mle))
     params = np.where(fits.fallback[:, None], mle, params).reshape(n_dates, -1, 5)
     sigma1, sigma2, rho = params[..., 2], params[..., 3], params[..., 4]
 

@@ -504,9 +504,9 @@ class TestLocalEstimate:
 
         def repair(cov):
             calls["repair"] += 1
-            matrices, repaired = real_repair(cov)
-            flags.extend(repaired.tolist())
-            return matrices, repaired
+            matrices, record = real_repair(cov)
+            flags.extend(record.repaired.tolist())
+            return matrices, record
 
         monkeypatch.setattr(localcov_mod, "_repair", repair)
         monkeypatch.setattr(localcov_mod, "_BLOCK_PAIR_OBS", 5 * 24 * 4)
@@ -572,19 +572,22 @@ class TestRelabelling:
 class TestMemory:
     def test_no_correlations_are_held_during_the_solves(self, monkeypatch):
         # Nothing after the estimate reads a stack's pre-repair
-        # correlations, so none may be alive when the first solve starts.
+        # correlations, so none may be alive when the first solve starts,
+        # and the global stack's are gone before the local stack is
+        # estimated.
         held = []
 
-        def recording(estimate):
+        def recording(estimate, alive):
             def wrapped(*args):
+                assert [ref() is not None for ref in held] == alive
                 stack = estimate(*args)
                 held.append(weakref.ref(stack.correlations))
                 return stack
 
             return wrapped
 
-        for name in ("global_covariance_stack", "local_covariance_stack"):
-            monkeypatch.setattr(backtest_mod, name, recording(getattr(backtest_mod, name)))
+        for name, alive in (("global_covariance_stack", []), ("local_covariance_stack", [False])):
+            monkeypatch.setattr(backtest_mod, name, recording(getattr(backtest_mod, name), alive))
         real_solve = backtest_mod.solve_strategies
         solves = []
 

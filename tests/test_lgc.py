@@ -349,7 +349,12 @@ def ref_weighted_moments(xs, ys, r, b):
     dev = np.stack([xs, ys], axis=2)
     center = np.einsum("pi,pic->pc", p, dev)
     dev -= center[:, None, :]
-    return w, center, np.einsum("pi,pic,pid->pcd", p, dev, dev)
+    # The corrected two-pass formula (Chan, Golub & LeVeque 1983): the
+    # deviations' own weighted mean, which the rounding of `center` leaves
+    # nonzero, is taken out of the second moment.
+    drift = np.einsum("pi,pic->pc", p, dev)
+    cov = np.einsum("pi,pic,pid->pcd", p, dev, dev) - drift[:, :, None] * drift[:, None, :]
+    return w, center, cov
 
 
 def ref_moments(xs, ys, r, b):
@@ -611,6 +616,14 @@ class TestLocalMomentsOracle:
     # another): the stack's s11 is 1.9e-320 and its s22 and s12 are 0, so its
     # correlation is NaN, while the reference's subnormal variances give inf.
     @example(n_assets=3, n=97, kind="below", log_scale=-1.9541779826179855, beyond=2.75, seed=42619)
+    # Two observations, nearly all the kernel mass on one (bandwidths a
+    # thousandth of the plug-in ones): the variances are of order 1e-17 to
+    # 1e-25, and a reference that leaves the rounding of its centre in them
+    # is off by 1.5e-10, 7.6e-10 and 2.6e-9 of them, and at seed 74 calls no
+    # pair collinear where every two-point pair is.
+    @example(n_assets=2, n=2, kind="spike", log_scale=-3.0, beyond=0.0, seed=10)
+    @example(n_assets=8, n=2, kind="spike", log_scale=-3.0, beyond=0.0, seed=10)
+    @example(n_assets=8, n=2, kind="spike", log_scale=-3.0, beyond=0.0, seed=74)
     def test_matches_the_per_pair_reference(self, n_assets, n, kind, log_scale, beyond, seed):
         # Summed about the grid point, a covariance carries a rounding error
         # of about eps |c - r|^2, up to 1e3 times its size before its pair is
@@ -685,6 +698,73 @@ class TestLocalMomentsOracle:
                 assert abs(got[k, 1] - y.mean()) <= 1e-13 * (abs(y.mean()) + sd2)
                 assert got[k, 2:4] == pytest.approx([sd1, sd2], rel=1e-13)
                 assert abs(got[k, 4] - rho) <= 1e-13
+
+
+def gaussian_local_moments(rng, size):
+    """(theta, moments): the (size, 5) parameters (mu1, mu2, sigma1, sigma2,
+    rho) of `size` bivariate Gaussians N(mu, Sigma), and their (12, size)
+    local_moments_stack rows in the population, at grid points r
+    within two sds of mu and bandwidths b from 0.3 to 3 sds. Under the
+    kernel N(x; r, B), B = diag(b^2), the Gaussian's weighted covariance is
+    S = (Sigma^-1 + B^-1)^-1, its weighted mean S (Sigma^-1 mu + B^-1 r),
+    and its mean kernel weight the density of N(mu, Sigma + B) at r."""
+    mu = rng.uniform(-2.0, 2.0, (size, 2))
+    sd = np.exp(rng.uniform(-1.0, 1.0, (size, 2)))
+    rho = rng.uniform(-0.95, 0.95, size)
+    b = sd * np.exp(rng.uniform(math.log(0.3), math.log(3.0), (size, 2)))
+    r = mu + sd * rng.uniform(-2.0, 2.0, (size, 2))
+    corr = np.ones((size, 2, 2))
+    corr[:, 0, 1] = corr[:, 1, 0] = rho
+    sigma = corr * sd[:, :, None] * sd[:, None, :]
+    kernel = b[:, :, None] ** 2 * np.eye(2)
+    cov = np.linalg.inv(np.linalg.inv(sigma) + np.linalg.inv(kernel))
+    shift = np.linalg.solve(sigma, mu[:, :, None]) + np.linalg.solve(kernel, r[:, :, None])
+    centre = (cov @ shift)[:, :, 0]
+    wbar = np.array([multivariate_normal.pdf(r[k], mu[k], sigma[k] + kernel[k]) for k in range(size)])
+    n = 100
+    moments = np.array([
+        centre[:, 0], centre[:, 1], cov[:, 0, 0], cov[:, 1, 1], cov[:, 0, 1],
+        r[:, 0], r[:, 1], b[:, 0] ** 2, b[:, 1] ** 2,
+        wbar, n * wbar, wbar * 2.0 * np.pi * b[:, 0] * b[:, 1],
+    ])
+    return np.column_stack([mu, sd, rho]), moments
+
+
+class TestLocalStarts:
+    """lgc._local_starts against the Gaussian whose local moments it reads."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_gaussian_moments_give_the_gaussian(self, seed):
+        # The largest errors over 6,000 pairs: 1.7e-14 (mu, relative to
+        # |mu| + sd), 4.7e-15 (sd, relative) and 2.9e-15 (rho); the
+        # objective's gradient there is at most 1.1e-12, so the start is
+        # the local fit of these moments.
+        rng = np.random.default_rng(seed)
+        truth, moments = gaussian_local_moments(rng, 20)
+        sign = rng.choice([-1.0, 1.0], truth.shape)
+        mle = truth + sign * rng.uniform(0.05, 0.2, truth.shape) * [1.0, 1.0, 1.0, 1.0, 0.2]
+        got = lgc._local_starts(moments, mle)
+        mu, sd = truth[:, :2], truth[:, 2:4]
+        assert np.all(np.abs(got[:, :2] - mu) <= 1e-12 * (np.abs(mu) + sd))
+        assert np.all(np.abs(got[:, 2:4] - sd) <= 1e-12 * sd)
+        assert np.all(np.abs(got[:, 4] - truth[:, 4]) <= 1e-12)
+        grad = _objective(moments, lgc._to_eta(got).T, hessian=True)[1]
+        assert np.abs(grad).max() <= 1e-10
+
+    def test_moments_of_no_gaussian_keep_the_mle(self):
+        # A weighted variance above the squared bandwidth deconvolves to no
+        # positive definite Sigma0, and a weighted correlation of 1 - 1e-10
+        # to one of 1 - 3.3e-11, beyond the cap: those pairs start from
+        # their MLE, the third from the deconvolution.
+        rng = np.random.default_rng(5)
+        truth, moments = gaussian_local_moments(rng, 3)
+        mle = truth * [1.0, 1.0, 1.2, 0.8, 0.5] + [0.1, -0.1, 0.0, 0.0, 0.0]
+        moments[2, 0] = 1.5 * moments[7, 0]
+        moments[4, 1] = (1.0 - 1e-10) * np.sqrt(moments[2, 1] * moments[3, 1])
+        got = lgc._local_starts(moments, mle)
+        assert np.array_equal(got[:2], mle[:2])
+        assert np.max(np.abs(got[2] - truth[2])) <= 1e-12 * np.abs(truth[2]).max()
 
 
 def eigen_modified_step(g, h, floor=1e-8):
@@ -840,7 +920,8 @@ class TestEstimateLocalParams:
             estimate_local_params(sample, (50.0, 50.0), b)
 
     def test_nonconvergence_carries_diagnostics(self, rng, monkeypatch):
-        # One Newton step from the global MLE leaves a gradient near 1e-3.
+        # One Newton step from the pair's start (its deconvolved moments)
+        # leaves a gradient of 6.3e-5.
         sample = gauss_pair(rng, 400, 0.6)
         monkeypatch.setattr(lgc, "MAX_ITERATIONS", 1)
         with pytest.raises(NonConvergenceError) as err:

@@ -23,6 +23,7 @@ from lgcport.lgc import (
     GRADIENT_TOL,
     LocalParams,
     _full_hessian,
+    _local_starts,
     _objective,
     _to_eta,
     estimate_local_params,
@@ -269,8 +270,9 @@ class TestPairwiseLocalCovariance:
 
     def test_batched_fits_match_single_pair_fits(self):
         # One batched solve against one single-pair fit per pair, cold (by
-        # estimate_local_params) and then warm-started (by fit_from), at a
-        # lower-tail grid where pairs need different numbers of Newton steps.
+        # estimate_local_params, from the pairs' _local_starts) and then
+        # warm-started (by fit_from), at a lower-tail grid where pairs need
+        # different numbers of Newton steps.
         rng = np.random.default_rng(4)
         x = clayton_normal_sample(rng, 160, 5, 2.0) * np.array([1.0, 2.0, 0.5, 3.0, 1.5])
         first, second = np.triu_indices(5, 1)
@@ -284,9 +286,10 @@ class TestPairwiseLocalCovariance:
                 np.column_stack([grid[first], grid[second]]),
                 np.column_stack([b[first], b[second]]),
             )
-            cold = np.array(
+            mle = np.array(
                 [global_gaussian_mle(window[:, [i, j]]).as_array() for i, j in zip(first, second)]
             )
+            cold = _local_starts(moments, mle)
             params, fits = fit_local_moments(moments, cold if warm is None else warm)
             steps = set()
             for k, (i, j) in enumerate(zip(first, second)):
@@ -448,10 +451,11 @@ class TestLocalCovarianceStack:
             runs.append(local_covariance_stack(windows, grids))
             assert calls == {"moments": n_slices, "newton": 1}
         for run in runs[1:]:
-            for name in ("matrices", "correlations", "pd_repaired", "n_fallbacks"):
+            for name in ("matrices", "correlations", "n_fallbacks"):
                 assert np.array_equal(getattr(run, name), getattr(runs[0], name))
-            for name, value in vars(run.fits).items():
-                assert np.array_equal(value, getattr(runs[0].fits, name))
+            for record in ("fits", "repair"):
+                for name, value in vars(getattr(run, record)).items():
+                    assert np.array_equal(value, getattr(getattr(runs[0], record), name))
         for d in (0, 13, 29):
             alone = local_covariance_stack(windows[d : d + 1], grids[d : d + 1])
             assert np.array_equal(alone.matrices[0], runs[0].matrices[d])
@@ -470,8 +474,10 @@ class TestLocalCovarianceStack:
             runs.append(local_covariance_stack(windows, grids))
             assert calls == {"moments": n_slices, "newton": n_passes}
         for run in runs[1:]:
-            for name in ("matrices", "correlations", "pd_repaired"):
+            for name in ("matrices", "correlations"):
                 assert np.array_equal(getattr(run, name), getattr(runs[0], name))
+            for name, value in vars(run.repair).items():
+                assert np.array_equal(value, getattr(runs[0].repair, name))
             for name in ("iterations", "fallback"):
                 assert np.array_equal(getattr(run.fits, name), getattr(runs[0].fits, name))
 
@@ -495,10 +501,12 @@ class TestLocalCovarianceStack:
             sizes.clear()
             runs.append(local_covariance_stack(windows, grids))
             assert sizes == blocks
-        assert np.flatnonzero(runs[0].pd_repaired).tolist() == [14, 15]
+        assert np.flatnonzero(runs[0].repair.repaired).tolist() == [14, 15]
         for run in runs[1:]:
-            for name in ("matrices", "correlations", "pd_repaired"):
+            for name in ("matrices", "correlations"):
                 assert np.array_equal(getattr(run, name), getattr(runs[0], name))
+            for name, value in vars(run.repair).items():
+                assert np.array_equal(value, getattr(runs[0].repair, name))
 
     def test_one_date_api_is_its_one_date_case(self):
         windows, grids = c11_windows(240, 4)
@@ -507,7 +515,7 @@ class TestLocalCovarianceStack:
             one = pairwise_local_covariance(windows[d], grids[d])
             assert np.array_equal(one.matrix, stack.matrices[d])
             assert np.array_equal(one.correlations, stack.correlations[d])
-            assert one.pd_repaired == stack.pd_repaired[d]
+            assert one.pd_repaired == stack.repair.repaired[d]
             assert one.n_fallbacks == stack.n_fallbacks[d]
             assert one.pair_diagnostics == stack.date(d).pair_diagnostics
 
@@ -558,7 +566,7 @@ class TestLocalCovarianceStack:
         stack = local_covariance_stack(windows, grids)
         assert not stack.errors
         if case == "clayton_tail":
-            assert stack.pd_repaired.all()
+            assert stack.repair.repaired.all()
         for m, corr in zip(stack.matrices, stack.correlations):
             assert np.array_equal(m, m.T)
             assert np.linalg.eigvalsh(m)[0] > 0.0
@@ -674,12 +682,12 @@ class TestGlobalCovarianceStack:
         windows = clayton_windows(window)
         stack = global_covariance_stack(windows)
         assert not stack.errors
-        assert stack.pd_repaired.any() and not stack.pd_repaired.all()
+        assert stack.repair.repaired.any() and not stack.repair.repaired.all()
         for d, w in enumerate(windows):
             cov = np.cov(w, rowvar=False, ddof=1)
             want, repaired = nearest_pd(cov)
             assert np.array_equal(stack.matrices[d], want)
-            assert stack.pd_repaired[d] == repaired
+            assert stack.repair.repaired[d] == repaired
             sd = np.sqrt(np.diag(cov))
             assert np.array_equal(stack.correlations[d], cov / np.outer(sd, sd))
 
@@ -692,14 +700,16 @@ class TestGlobalCovarianceStack:
             monkeypatch.setattr(localcov, "_BLOCK_PAIR_OBS", dates_per_block * 240 * 24)
             monkeypatch.setattr(localcov, "_BLOCK_REPAIR", dates_per_repair * 24 * 24)
             runs.append(global_covariance_stack(windows))
-        assert runs[0].pd_repaired.any() and not runs[0].pd_repaired.all()
+        assert runs[0].repair.repaired.any() and not runs[0].repair.repaired.all()
         for run in runs[1:]:
-            for name in ("matrices", "correlations", "pd_repaired"):
+            for name in ("matrices", "correlations"):
                 assert np.array_equal(getattr(run, name), getattr(runs[0], name))
+            for name, value in vars(run.repair).items():
+                assert np.array_equal(value, getattr(runs[0].repair, name))
         for d in (0, 13, 29):
             alone = global_covariance_stack(windows[d : d + 1])
             assert np.array_equal(alone.matrices[0], runs[0].matrices[d])
-            assert alone.pd_repaired[0] == runs[0].pd_repaired[d]
+            assert alone.repair.repaired[0] == runs[0].repair.repaired[d]
 
     def test_zero_variance_date_fails_alone(self, monkeypatch):
         windows, _ = c11_windows(120, 6)
@@ -709,7 +719,7 @@ class TestGlobalCovarianceStack:
         assert list(stack.errors) == [4]
         assert isinstance(stack.errors[4], DegenerateSampleError)
         assert str(stack.errors[4]) == "a column has zero variance"
-        assert not stack.matrices[4].any() and not stack.pd_repaired[4]
+        assert not stack.matrices[4].any() and not stack.repair.repaired[4]
         with pytest.raises(DegenerateSampleError, match="zero variance"):
             stack.date(4)
         # The sample covariance fits no pair.
@@ -734,12 +744,12 @@ class TestGlobalCovarianceStack:
     def test_one_date_api_is_its_one_date_case(self):
         windows = clayton_windows(120)[[0, 200]]
         stack = global_covariance_stack(windows)
-        assert stack.pd_repaired.tolist() == [True, False]
+        assert stack.repair.repaired.tolist() == [True, False]
         for d in range(2):
             one = global_covariance(windows[d])
             assert np.array_equal(one.matrix, stack.matrices[d])
             assert np.array_equal(one.correlations, stack.correlations[d])
-            assert one.pd_repaired == stack.pd_repaired[d]
+            assert one.pd_repaired == stack.repair.repaired[d]
 
 
 class TestFlatColumns:

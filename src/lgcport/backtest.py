@@ -173,8 +173,8 @@ def _estimate(x, config: BacktestConfig, sources):
     LgcportError of each date whose estimate failed. `diagnostics` holds
     _add_diagnostics's entries of each date. Each CovStack is reduced to
     these as soon as it is estimated, so nothing else of it is kept, its
-    correlations included, while the next is estimated. No date's estimate
-    depends on another's."""
+    pair correlations included, while the next is estimated. No date's
+    estimate depends on another's."""
     n = x.shape[0]
     m = config.window
     # windows[step] is x[t - m : t] with t = m + step, as a view.
@@ -201,13 +201,14 @@ def _estimate(x, config: BacktestConfig, sources):
 def _add_diagnostics(diagnostics: List[dict], source: str, stack) -> None:
     """Add to each date's entry the source's error, or whether its matrix was
     PD-repaired (and, for the local source, how many pairs fell back)."""
-    for step, entry in enumerate(diagnostics):
+    per_date = zip(diagnostics, stack.repair.repaired.tolist(), stack.n_fallbacks.tolist())
+    for step, (entry, repaired, fallbacks) in enumerate(per_date):
         if step in stack.errors:
             entry[source + "_error"] = str(stack.errors[step])
         else:
-            entry[source + "_pd_repaired"] = bool(stack.repair.repaired[step])
+            entry[source + "_pd_repaired"] = repaired
             if source == "local":
-                entry["pair_fallbacks"] = int(stack.n_fallbacks[step])
+                entry["pair_fallbacks"] = fallbacks
 
 
 def _solve_targets(specs, means, matrices, errors):

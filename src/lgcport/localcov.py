@@ -94,7 +94,7 @@ class LocalCovMatrix:
 
     matrix: np.ndarray
     pd_repaired: bool
-    correlations: np.ndarray  # before repair
+    correlations: np.ndarray  # before repair, with a diagonal of exactly 1
     pair_diagnostics: Dict[Tuple[int, int], FitDiagnostics]
 
     @property
@@ -284,26 +284,26 @@ def nearest_pd(matrix) -> Tuple[np.ndarray, bool]:
 class CovStack:
     """Covariances of a stack of dates, each field with a leading (D,) axis.
 
-    `correlations` are the sample correlations, or the pairwise local ones,
-    before repair. `repair` records each date's PD repair. `fits` holds
-    (D, P) arrays of each pair's local fit, pairs in np.triu_indices order
-    within a date; the sample covariance fits no pair, so its P is 0. A date
-    in `errors` has no estimate: its matrices are zero and its records False
-    or 0.
+    `pair_correlations` are each pair's sample or local correlation before
+    repair, pairs in np.triu_indices order within a date; only `date` forms
+    a date's N x N correlations. `repair` records each date's PD repair.
+    `fits` holds (D, P) arrays of each pair's local fit; the sample
+    covariance fits no pair, so its P is 0. A date in `errors` has no
+    estimate: its arrays are zero and its records False or 0.
     """
 
     matrices: np.ndarray  # (D, N, N), repaired to positive definite
-    correlations: np.ndarray  # (D, N, N), before repair
+    pair_correlations: np.ndarray  # (D, N(N-1)/2), before repair
     repair: RepairRecord
     errors: Dict[int, LgcportError]
     fits: FitDiagnostics
 
     @classmethod
-    def empty(cls, n_dates: int, n_assets: int, n_pairs: int) -> "CovStack":
-        """A stack with no estimate written yet."""
-        shape = (n_dates, n_assets, n_assets)
-        fits = FitDiagnostics.zeros((n_dates, n_pairs))
-        return cls(np.zeros(shape), np.zeros(shape), RepairRecord.zeros(n_dates), {}, fits)
+    def empty(cls, n_dates: int, n_assets: int, fitted: bool) -> "CovStack":
+        """A stack with no estimate written yet, with a fit per pair if `fitted`."""
+        shape, pairs = (n_dates, n_assets, n_assets), (n_dates, n_assets * (n_assets - 1) // 2)
+        fits = FitDiagnostics.zeros(pairs if fitted else (n_dates, 0))
+        return cls(np.zeros(shape), np.zeros(pairs), RepairRecord.zeros(n_dates), {}, fits)
 
     @property
     def n_fallbacks(self) -> np.ndarray:
@@ -311,15 +311,18 @@ class CovStack:
         return self.fits.fallback.sum(axis=1)
 
     def date(self, d: int) -> LocalCovMatrix:
-        """The estimate of date d, with the fit of each of its pairs (i, j);
-        raises the date's error if it has one."""
+        """The estimate of date d, which may count from the end, with a unit
+        diagonal in its correlations and each pair's fit keyed (i, j); raises
+        the date's error if it has one."""
+        d = range(len(self.matrices))[d]
         if d in self.errors:
             raise self.errors[d]
-        n_pairs = self.fits.fallback.shape[1]
-        first, second = (k[:n_pairs].tolist() for k in np.triu_indices(self.matrices.shape[1], 1))
-        fits = {pair: self.fits[d, k] for k, pair in enumerate(zip(first, second))}
-        repaired = bool(self.repair.repaired[d])
-        return LocalCovMatrix(self.matrices[d], repaired, self.correlations[d], fits)
+        first, second = np.triu_indices(self.matrices.shape[1], 1)
+        corr = np.eye(self.matrices.shape[1])
+        corr[first, second] = corr[second, first] = self.pair_correlations[d]
+        fitted = zip(first.tolist(), second.tolist(), range(self.fits.fallback.shape[1]))
+        fits = {(i, j): self.fits[d, k] for i, j, k in fitted}
+        return LocalCovMatrix(self.matrices[d], bool(self.repair.repaired[d]), corr, fits)
 
 
 def _as_windows(windows) -> np.ndarray:
@@ -375,7 +378,7 @@ def _window_slices(windows, dates: range, errors: dict):
 
 def global_covariance_stack(windows) -> CovStack:
     """Sample covariance (n-1 denominator) of each (n, N) window of the
-    (D, n, N) stack, PD-repaired if needed.
+    (D, n, N) stack, PD-repaired if needed, and each pair's cov_ij / (sd_i sd_j).
 
     A date with a flat column (see lgc._window_stats: no spread beyond
     rounding, or a variance that overflows) gets a DegenerateSampleError in
@@ -387,14 +390,15 @@ def global_covariance_stack(windows) -> CovStack:
     """
     w = _as_windows(windows)
     n_dates, n, n_assets = w.shape
-    out = CovStack.empty(n_dates, n_assets, 0)
+    out = CovStack.empty(n_dates, n_assets, fitted=False)
     if n < 2:
         err = InsufficientDataError("covariance needs at least 2 observations")
         out.errors = dict.fromkeys(range(n_dates), err)
         return out
+    first, second = np.triu_indices(n_assets, 1)
     for idx, _, _, cov, sd in _window_slices(w, range(n_dates), out.errors):
         cov *= 1.0 / (n - 1)
-        out.correlations[idx] = cov / (sd[:, :, None] * sd[:, None, :])
+        out.pair_correlations[idx] = cov[:, first, second] / (sd[:, first] * sd[:, second])
         out.matrices[idx] = cov
     _repair_dates(out)
     return out
@@ -447,9 +451,8 @@ def local_covariance_stack(windows, grids, bandwidth_scale=BANDWIDTH_SCALE) -> C
     if n < 2 or n_assets == 1:
         return global_covariance_stack(w)
 
-    n_pairs = n_assets * (n_assets - 1) // 2
-    out = CovStack.empty(n_dates, n_assets, n_pairs)
-    per_block = max(1, _BLOCK_PAIRS // n_pairs)
+    out = CovStack.empty(n_dates, n_assets, fitted=True)
+    per_block = max(1, _BLOCK_PAIRS // out.pair_correlations.shape[1])
     for lo in range(0, n_dates, per_block):
         _fit_block(out, range(lo, min(lo + per_block, n_dates)), w, g, bandwidth_scale)
     _repair_dates(out)
@@ -476,9 +479,9 @@ def _block_moments(dates: range, windows, grids, scale: float, errors: dict):
 
 
 def _fit_block(out: CovStack, dates: range, windows, grids, scale: float) -> None:
-    """Fit every pair of the dates `dates` in one Newton pass and write the
-    dates' estimates, or their errors, into `out`, the covariances before
-    repair (see local_covariance_stack)."""
+    """Fit every pair of the dates `dates` in one Newton pass and write into
+    `out` the dates' errors, or their covariances before repair and each
+    pair's correlation, after fallback (see local_covariance_stack)."""
     idx, moments, mle = _block_moments(dates, windows, grids, scale, out.errors)
     if not idx.size:
         return
@@ -488,25 +491,21 @@ def _fit_block(out: CovStack, dates: range, windows, grids, scale: float) -> Non
     params = np.where(fits.fallback[:, None], mle, params).reshape(n_dates, -1, 5)
     sigma1, sigma2, rho = params[..., 2], params[..., 3], params[..., 4]
 
-    shape = (n_dates, n_assets, n_assets)
     assets = np.arange(n_assets)
-    corr = np.zeros(shape)
-    corr[:, first, second] = corr[:, second, first] = rho
-    corr[:, assets, assets] = 1.0
     # sigmas[:, i, j] is asset i's sigma from the fit of pair {i, j}; row i
     # without its diagonal lists them in the order of the pairs containing i.
-    sigmas = np.zeros(shape)
+    sigmas = np.zeros((n_dates, n_assets, n_assets))
     sigmas[:, first, second] = sigma1
     sigmas[:, second, first] = sigma2
     per_asset = sigmas[:, ~np.eye(n_assets, dtype=bool)].reshape(n_dates, n_assets, -1)
     sd = per_asset.mean(axis=2)
-    cov = np.zeros(shape)
+    cov = np.zeros_like(sigmas)
     cov[:, first, second] = cov[:, second, first] = rho * sigma1 * sigma2
     cov[:, assets, assets] = sd * sd
     cov *= n / (n - 1)
 
     out.matrices[idx] = cov
-    out.correlations[idx] = corr
+    out.pair_correlations[idx] = rho
     for name, value in vars(fits).items():
         getattr(out.fits, name)[idx] = value.reshape(n_dates, -1)
 

@@ -581,7 +581,7 @@ class TestMemory:
             def wrapped(*args):
                 assert [ref() is not None for ref in held] == alive
                 stack = estimate(*args)
-                held.append(weakref.ref(stack.correlations))
+                held.append(weakref.ref(stack.pair_correlations))
                 return stack
 
             return wrapped
@@ -689,6 +689,43 @@ class TestDegenerateWindows:
             assert ("global_error" in diag) == flat
             assert ("local_error" in diag) == flat
             assert ("pair_fallbacks" in diag) != flat
+
+    def test_date_diagnostics_are_each_stacks_date_records(self, monkeypatch):
+        # Asset 2 repeats asset 0 in months 0..39, so the windows that end by
+        # then (dates 0..16) have a singular sample covariance and a
+        # collinear pair that falls back; asset 1 is flat in months 50..79,
+        # so dates 50..56 have no estimate.
+        panel = flat_panel(100, slice(50, 80))
+        panel.returns[:40, 2] = panel.returns[:40, 0]
+        stacks = {}
+
+        def recording(source, estimate):
+            def wrapped(*args):
+                stacks[source] = estimate(*args)
+                return stacks[source]
+
+            return wrapped
+
+        for source in ("global", "local"):
+            name = source + "_covariance_stack"
+            monkeypatch.setattr(backtest_mod, name, recording(source, getattr(backtest_mod, name)))
+        res = run_backtest(panel, BacktestConfig(window=24, strategies=specs("MINC", "MINC-L")))
+        diagnostics = res.date_diagnostics
+        fell_back = [step for step, diag in enumerate(diagnostics) if diag.get("pair_fallbacks")]
+        assert fell_back == list(range(17))
+        assert [diag.get("global_pd_repaired") for diag in diagnostics[:17]] == [True] * 17
+        for source, stack in stacks.items():
+            assert list(stack.errors) == list(range(50, 57))
+            for step, diag in enumerate(diagnostics):
+                if step in stack.errors:
+                    assert diag[source + "_error"] == str(stack.errors[step])
+                    continue
+                one = stack.date(step)
+                repaired = diag[source + "_pd_repaired"]
+                assert type(repaired) is bool and repaired == one.pd_repaired
+                if source == "local":
+                    fallbacks = diag["pair_fallbacks"]
+                    assert type(fallbacks) is int and fallbacks == one.n_fallbacks
 
     @pytest.mark.parametrize("value", [0.5, 0.1])
     @pytest.mark.parametrize("label", ["MIN", "MIN-L"])

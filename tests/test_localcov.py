@@ -45,6 +45,7 @@ from lgcport.localcov import (
     pairwise_local_covariance,
     percentile_grid,
 )
+from lgcport.report import asset_table
 from lgcport.synth import clayton_normal_sample, synth_panel
 
 from conftest import eta_score, gauss_pair, pair_moments
@@ -451,7 +452,7 @@ class TestLocalCovarianceStack:
             runs.append(local_covariance_stack(windows, grids))
             assert calls == {"moments": n_slices, "newton": 1}
         for run in runs[1:]:
-            for name in ("matrices", "correlations", "n_fallbacks"):
+            for name in ("matrices", "pair_correlations", "n_fallbacks"):
                 assert np.array_equal(getattr(run, name), getattr(runs[0], name))
             for record in ("fits", "repair"):
                 for name, value in vars(getattr(run, record)).items():
@@ -474,7 +475,7 @@ class TestLocalCovarianceStack:
             runs.append(local_covariance_stack(windows, grids))
             assert calls == {"moments": n_slices, "newton": n_passes}
         for run in runs[1:]:
-            for name in ("matrices", "correlations"):
+            for name in ("matrices", "pair_correlations"):
                 assert np.array_equal(getattr(run, name), getattr(runs[0], name))
             for name, value in vars(run.repair).items():
                 assert np.array_equal(value, getattr(runs[0].repair, name))
@@ -503,7 +504,7 @@ class TestLocalCovarianceStack:
             assert sizes == blocks
         assert np.flatnonzero(runs[0].repair.repaired).tolist() == [14, 15]
         for run in runs[1:]:
-            for name in ("matrices", "correlations"):
+            for name in ("matrices", "pair_correlations"):
                 assert np.array_equal(getattr(run, name), getattr(runs[0], name))
             for name, value in vars(run.repair).items():
                 assert np.array_equal(value, getattr(runs[0].repair, name))
@@ -514,7 +515,7 @@ class TestLocalCovarianceStack:
         for d in range(4):
             one = pairwise_local_covariance(windows[d], grids[d])
             assert np.array_equal(one.matrix, stack.matrices[d])
-            assert np.array_equal(one.correlations, stack.correlations[d])
+            assert np.array_equal(one.correlations, stack.date(d).correlations)
             assert one.pd_repaired == stack.repair.repaired[d]
             assert one.n_fallbacks == stack.n_fallbacks[d]
             assert one.pair_diagnostics == stack.date(d).pair_diagnostics
@@ -527,7 +528,7 @@ class TestLocalCovarianceStack:
         worst = 0.0
         for d, (_, fits) in enumerate(warm_chain(range(120, 180))):
             for (i, j), (theta, _) in fits.items():
-                worst = max(worst, abs(theta.rho - stack.correlations[d][i, j]))
+                worst = max(worst, abs(theta.rho - stack.date(d).correlations[i, j]))
         assert worst <= 2e-5
 
     @pytest.mark.parametrize("case", ["paper", "clayton_tail"])
@@ -567,7 +568,7 @@ class TestLocalCovarianceStack:
         assert not stack.errors
         if case == "clayton_tail":
             assert stack.repair.repaired.all()
-        for m, corr in zip(stack.matrices, stack.correlations):
+        for m, corr in zip(stack.matrices, stack.pair_correlations):
             assert np.array_equal(m, m.T)
             assert np.linalg.eigvalsh(m)[0] > 0.0
             assert np.max(np.abs(corr)) <= 1.0
@@ -594,7 +595,7 @@ class TestLocalCovarianceStack:
         assert stack.n_fallbacks.tolist() == [1, 1]
         for d in range(2):
             mle = global_gaussian_mle(windows[d][:, [0, 2]])
-            assert stack.correlations[d][0, 2] == mle.rho
+            assert stack.date(d).correlations[0, 2] == mle.rho
 
     def test_unfitted_and_unconverged_pairs_fall_back_to_their_global_mle(self, rng, monkeypatch):
         # One pair per date: date 0's grid point lies far in asset 1's tail,
@@ -614,7 +615,7 @@ class TestLocalCovarianceStack:
             assert diag.fallback and not diag.converged
             assert diag.iterations == iterations
             assert np.array_equal(stack.matrices[d], want)
-            assert stack.correlations[d][0, 1] == mle.rho
+            assert stack.date(d).correlations[0, 1] == mle.rho
         assert stack.n_fallbacks.tolist() == [1, 1]
         # The one-pair API raises for each, with the same record.
         b = plugin_bandwidth(x)
@@ -688,8 +689,11 @@ class TestGlobalCovarianceStack:
             want, repaired = nearest_pd(cov)
             assert np.array_equal(stack.matrices[d], want)
             assert stack.repair.repaired[d] == repaired
+            # Bit for bit off the diagonal, and exactly 1 on it.
             sd = np.sqrt(np.diag(cov))
-            assert np.array_equal(stack.correlations[d], cov / np.outer(sd, sd))
+            want = cov / np.outer(sd, sd)
+            np.fill_diagonal(want, 1.0)
+            assert np.array_equal(stack.date(d).correlations, want)
 
     def test_a_date_does_not_depend_on_its_block(self, monkeypatch):
         # The first 11 of these 30 dates are singular and repaired. The
@@ -702,7 +706,7 @@ class TestGlobalCovarianceStack:
             runs.append(global_covariance_stack(windows))
         assert runs[0].repair.repaired.any() and not runs[0].repair.repaired.all()
         for run in runs[1:]:
-            for name in ("matrices", "correlations"):
+            for name in ("matrices", "pair_correlations"):
                 assert np.array_equal(getattr(run, name), getattr(runs[0], name))
             for name, value in vars(run.repair).items():
                 assert np.array_equal(value, getattr(runs[0].repair, name))
@@ -748,8 +752,54 @@ class TestGlobalCovarianceStack:
         for d in range(2):
             one = global_covariance(windows[d])
             assert np.array_equal(one.matrix, stack.matrices[d])
-            assert np.array_equal(one.correlations, stack.correlations[d])
+            assert np.array_equal(one.correlations, stack.date(d).correlations)
             assert one.pd_repaired == stack.repair.repaired[d]
+
+
+class TestCorrelationMatrices:
+    """Each date's correlations are formed in one place, CovStack.date, from
+    the pair correlations the stacks keep."""
+
+    def test_symmetric_with_a_unit_diagonal(self):
+        # At window 120 of the paper's run, cov / np.outer(sd, sd) rounds
+        # about half the global diagonal to 1 +- 1 ulp.
+        windows, grids = c11_windows(120, 343)
+        stacks = (global_covariance_stack(windows), local_covariance_stack(windows, grids))
+        first, second = np.triu_indices(6, 1)
+        for stack in stacks:
+            assert not stack.errors and stack.pair_correlations.shape == (343, 15)
+            for d in range(343):
+                corr = stack.date(d).correlations
+                assert np.array_equal(corr, corr.T)
+                assert np.all(np.diag(corr) == 1.0)
+                assert np.array_equal(corr[first, second], stack.pair_correlations[d])
+        header, rows = asset_table(synth_panel())
+        for section in ("global_correlation", "local_correlation_q0.05"):
+            corr = np.array([row[2:] for row in rows if row[0] == section])
+            assert corr.shape == (6, 6)
+            assert np.array_equal(corr, corr.T)
+            assert np.all(np.diag(corr) == 1.0)
+
+    @pytest.mark.parametrize("source", ["global", "local"])
+    def test_a_date_may_count_from_the_end(self, source):
+        windows, grids = c11_windows(120, 6)
+        windows[5][:, 1] = 0.5
+        if source == "global":
+            stack = global_covariance_stack(windows)
+        else:
+            stack = local_covariance_stack(windows, grids)
+        assert list(stack.errors) == [5]
+        with pytest.raises(DegenerateSampleError, match="zero variance") as info:
+            stack.date(-1)
+        assert info.value is stack.errors[5]
+        for d in range(-6, -1):
+            got, want = stack.date(d), stack.date(6 + d)
+            assert np.array_equal(got.matrix, want.matrix)
+            assert np.array_equal(got.correlations, want.correlations)
+            assert got.pair_diagnostics == want.pair_diagnostics
+        for d in (-7, 6):
+            with pytest.raises(IndexError):
+                stack.date(d)
 
 
 class TestFlatColumns:

@@ -6,19 +6,16 @@ method on the (ridge-regularized) KKT system and the result is verified
 against the KKT conditions before it is returned. `solve_strategies`
 solves the problems of several strategies over one covariance stack:
 strategies with the same scale share Q, strategies with the same (Q, c)
-share the budget-only solve, the curvature guard runs once per Q, and as
-many whole strategies as fit one block run as one lockstep. `solve_mv` and
-`solve_minvar` (one problem) are its special cases, and every problem gets
-bit for bit the weights it would get alone.
+share the budget-only solve, and as many whole strategies as fit one
+block run as one lockstep. `solve_mv` and `solve_minvar` (one problem) are
+its special cases, and every problem gets bit for bit the weights it would
+get alone.
 
-Every problem's first step goes from equal weights toward its budget-only
-optimum. A problem whose optimum breaks a bound, and whose Q has its
-smallest eigenvalue at or above KKT_TOL, instead starts from the clamped
-solve: every broken bound pinned, re-solved until feasible. Where most
-bounds bind, that is a few releases from the optimum. Below that curvature
-two different points can both pass the KKT_TOL check, so the start could
-change which one is returned; those problems keep the path from equal
-weights.
+Q carries a ridge of 1e-9 times its mean diagonal, so even a PD-repaired
+Q, flat to within KKT_TOL, has one optimum that the path to it does not
+change. Every problem starts from the clamped solve: its budget-only
+optimum with every broken bound pinned, re-solved until feasible. Where
+most bounds bind, that is a few releases from the optimum.
 """
 
 from __future__ import annotations
@@ -37,16 +34,15 @@ COVARIANCE_SOURCES = ("global", "local")
 DEFAULT_LOWER_BOUND = {"MVS": -0.5, "MIN": -0.5, "MVSC": 0.0, "MINC": 0.0, "EW": 0.0}
 
 KKT_TOL = 1e-8
-_RIDGE = 1e-12
+# Q's ridge, relative to the mean diagonal of scale*Sigma. Where that is not
+# positive, as for a zero Sigma, the ridge is I: MIN then gets equal weights.
+_RIDGE = 1e-9
 # Elements per working array of one lockstep run of solve_strategies, at
 # (n + 1)^2 per problem (one KKT system): the run's few (problems, n + 1,
 # n + 1) arrays stay near 2 MB each, however many dates a window has. A
 # window of 343 dates is one lockstep up to n = 26, and a lockstep takes as
 # many whole strategies as fit: four of 343 dates up to n = 12.
 _BLOCK_KKT = 2**18
-# Elements per stacked Cholesky of the curvature guard, at n^2 per problem:
-# its shifted copies of Q stay near 128 kB (28 problems at n = 24).
-_BLOCK_GUARD = 2**14
 
 
 @dataclass(frozen=True)
@@ -191,22 +187,6 @@ def _ratio_test(w, step, free, lb):
     return alpha, block
 
 
-def _curved(q, rows):
-    """The `rows` of the stack `q` whose smallest eigenvalue is at least KKT_TOL.
-
-    The test is a Cholesky of Q - KKT_TOL*I, stacked over blocks of
-    _BLOCK_GUARD elements (see _stacked).
-    """
-    n = q.shape[1]
-    shift = KKT_TOL * np.eye(n)
-    per_block = max(1, _BLOCK_GUARD // (n * n))
-    keep = np.ones(rows.size, dtype=bool)
-    for lo in range(0, rows.size, per_block):
-        _, failed = _stacked(np.linalg.cholesky, q[rows[lo : lo + per_block]] - shift)
-        keep[lo : lo + per_block] = ~failed
-    return rows[keep]
-
-
 def _kkt_systems(count, size):
     """`count` KKT systems on `size` free assets: (count, size + 1, size + 1)
     matrices, zero but for the budget row and column, and right-hand sides
@@ -218,46 +198,32 @@ def _kkt_systems(count, size):
 
 
 def _start(q, cs, strategies):
-    """Where the active-set run of each strategy's problems starts.
+    """Each strategy's budget-only optimum, where its active-set run starts.
 
     `q` is an (S, d, n, n) stack: q[i, t] is date t's Q at the i-th scale.
-    Strategy (i, k, lb) has the Q of q[i], the c of cs[k], a (d, n) stack,
-    and lower bound lb. The budget row of the all-free KKT system is 1
-    whatever the bound, so its solution, the budget-only optimum, depends on
-    (Q, c) alone: strategies with the same (i, k) share one stacked solve. A
-    problem starts from the clamped solve when that optimum breaks one of
-    its bounds and its Q passes the curvature guard (`_curved`), which runs
-    once per Q.
+    Strategy (i, k) has the Q of q[i] and the c of cs[k], a (d, n) stack.
+    The budget row of the all-free KKT system is 1 whatever the lower bound,
+    so its solution depends on (Q, c) alone: strategies with the same (i, k)
+    share one stacked solve.
 
-    Returns (w0, lam0, singular, clamp) over the strategies' problems in
-    turn, problem j*d + t being date t of strategy j: the budget-only
-    optimum and its multiplier (NaN where singular), whether that system is
-    singular, and whether the problem starts from the clamped solve.
+    Returns (w0, lam0, singular) over the strategies' problems in turn,
+    problem j*d + t being date t of strategy j: the budget-only optimum and
+    its multiplier (NaN where singular), and whether that system is singular.
     """
     n = q.shape[-1]
     solved = {}
-    for i, k, _ in strategies:
+    for i, k in strategies:
         if (i, k) not in solved:
             kkt, rhs = _kkt_systems(q.shape[1], n)
             kkt[:, :n, :n] = q[i]
             rhs[:, :n, 0] = -cs[k]
             rhs[:, n, 0] = 1.0
             solved[i, k] = _stacked(np.linalg.solve, kkt, rhs)
-    sols = [solved[i, k] for i, k, _ in strategies]
-    broken = [(sol[:, :n, 0] < lb).any(axis=1) for (sol, _), (_, _, lb) in zip(sols, strategies)]
-    # The dates where some strategy on Q = q[i] breaks a bound, per i.
-    need = {}
-    for b, (i, _, _) in zip(broken, strategies):
-        need[i] = need.get(i, False) | b
-    curved = {}
-    for i, dates in need.items():
-        curved[i] = np.zeros(dates.size, dtype=bool)
-        curved[i][_curved(q[i], np.flatnonzero(dates))] = True
+    sols = [solved[key] for key in strategies]
     return (
         np.concatenate([sol[:, :n, 0] for sol, _ in sols]),
         np.concatenate([sol[:, n, 0] for sol, _ in sols]),
         np.concatenate([failed for _, failed in sols]),
-        np.concatenate([b & curved[i] for b, (i, _, _) in zip(broken, strategies)]),
     )
 
 
@@ -265,29 +231,25 @@ def _active_set_qp(q, qi, c, lb, start):
     """Minimize 0.5 w'Qw + c'w subject to sum(w) = 1 and w >= lb, P times.
 
     Problem i has Q = q[qi[i]], a symmetric positive definite matrix (the
-    caller adds a tiny ridge so ties resolve to the minimum-norm point),
-    c[i] and lower bound lb[i]; `start` is `_start`'s (w0, lam0, singular,
-    clamp) for the P problems. Every problem runs the primal active-set
-    method in lockstep: each iteration groups the live problems by free-set
-    size k and solves their (k+1) x (k+1) reduced KKT systems in one stacked
-    call, so each problem takes the same iterate path and the same LAPACK
-    call it would take alone. Deterministic: ties break at the lowest index.
+    caller's ridge makes it so), c[i] and lower bound lb[i]; `start` is
+    `_start`'s (w0, lam0, singular) for the P problems. Every problem runs
+    the primal active-set method in lockstep: each iteration groups the live
+    problems by free-set size k and solves their (k+1) x (k+1) reduced KKT
+    systems in one stacked call, so each problem takes the same iterate path
+    and the same LAPACK call it would take alone. Deterministic: ties break
+    at the lowest index.
 
-    A problem starts at w = 1/n with every asset free, and its first step
-    goes toward its budget-only optimum w0, which `_start` solved. A clamped
-    problem instead pins every bound w0 breaks at lb and re-solves on the
-    free set left, pinning every bound each solution breaks (by more than
-    the ratio test's 1e-15 tie), until a solution is feasible. That point is the optimum of its working set, the
-    classical feasible initial working set of a convex QP (Nocedal & Wright,
+    A problem starts from the clamped solve: it takes its budget-only
+    optimum w0, which `_start` solved, with every bound w0 breaks pinned at
+    lb, and re-solves on the free set left, pinning every bound each
+    solution breaks (by more than the ratio test's 1e-15 tie), until a
+    solution is feasible. A w0 that breaks no bound is that solution at
+    once. That point is the optimum of its working set, the classical
+    feasible initial working set of a convex QP (Nocedal & Wright,
     Numerical Optimization, 2006, 16.5), so it goes to the release rule
     below, as a problem does after its last bound addition. Where most
     bounds bind at the optimum, it is a few releases away, in place of one
-    iteration per bound from the centre. `_start` clamps only problems whose
-    Q has its smallest eigenvalue at or above KKT_TOL: below that curvature
-    the optimum is flat to within the tolerance `_verify_kkt` applies, two
-    points with different active sets can both pass it, and the start would
-    pick between them. Every other problem keeps the path from w = 1/n bit
-    for bit.
+    iteration per bound from equal weights.
 
     Each KKT system is solved once. After a full step (no bound blocks) the
     free set and w_A are unchanged, so the next iteration would solve the
@@ -299,9 +261,9 @@ def _active_set_qp(q, qi, c, lb, start):
     Returns (w, budget multipliers, bound multipliers, active sets, failures);
     `failures` maps the index of each problem that failed to its SolverError.
     """
-    w0, lam, singular, clamping = (np.array(x) for x in start)
+    w, lam, singular = (np.array(x) for x in start)
     p, n = c.shape
-    w = np.full((p, n), 1.0 / n)
+    clamping = ~singular
     active = np.zeros((p, n), dtype=bool)
     pi = np.zeros((p, n))
     failures = {int(i): SolverError("singular KKT system") for i in np.flatnonzero(singular)}
@@ -316,8 +278,8 @@ def _active_set_qp(q, qi, c, lb, start):
         k = free.sum(axis=1)
         # Each problem's equality-constrained optimum on its free set, with
         # its bound weights as they are. In the first iteration every
-        # problem is all-free, and `_start` solved its system.
-        target = w0[live] if it == 0 else w[live]
+        # problem is all-free, and w is the solution `_start` found.
+        target = w[live]
         singular = np.zeros(live.size, dtype=bool)
         for size in np.unique(k[k > 0]) if it else ():
             # Stationarity rows solve Q_FF w_F - lam = -c_F - Q_FA w_A, so the
@@ -421,19 +383,22 @@ def _solve_pass(s, mu, strategies, together):
 
     `s` is the block's (d, n, n) covariance stack and `mu` its (d, n) means
     (None when no strategy reads them). Strategy (scale, needs_mean, lb) has
-    Q = scale*Sigma + 1e-12*I, c = -mu or 0, and lower bound lb; Q is built
-    once per distinct scale, and `together` strategies run as one lockstep.
-    Returns one ((d, n) weights, failures) per strategy.
+    Q = scale*Sigma + _RIDGE*(trace(scale*Sigma)/n)*I, c = -mu or 0, and
+    lower bound lb; Q is built once per distinct scale, and `together`
+    strategies run as one lockstep. Returns one ((d, n) weights, failures)
+    per strategy.
     """
     d, n = s.shape[:2]
     scales = list(dict.fromkeys(x for x, _, _ in strategies))
     q = np.empty((len(scales), d, n, n))
     for i, x in enumerate(scales):
         q[i] = x * s
-        q[i] += _RIDGE * np.eye(n)
+        diagonal = q[i].reshape(d, n * n)[:, :: n + 1]
+        mean = diagonal.sum(axis=1) / n
+        diagonal += np.where(mean > 0.0, _RIDGE * mean, 1.0)[:, None]
     cs = [np.zeros((d, n)), None if mu is None else -mu]
     which = [scales.index(x) for x, _, _ in strategies]
-    start = _start(q, cs, [(i, k, lb) for i, (_, k, lb) in zip(which, strategies)])
+    start = _start(q, cs, [(i, k) for i, (_, k, _) in zip(which, strategies)])
     # Every problem of the block, strategy by strategy: problem t*d + i is
     # date i of strategy t, and its Q is row qi of flat.
     flat = q.reshape(-1, n, n)
@@ -461,10 +426,10 @@ def solve_strategies(specs, sigma, mu):
 
     `sigma` is a (P, n, n) covariance stack and `mu` a (P, n) stack of mean
     vectors, or None when no spec is MVS or MVSC (MIN and MINC do not read
-    it). The stack is validated once. Q = scale*Sigma + 1e-12*I is built
-    once per distinct scale (gamma for MVS and MVSC, 2 for MIN and MINC),
-    and `_start` solves each distinct budget-only system once and runs the
-    curvature guard once per Q. As many whole strategies as fit in
+    it). The stack is validated once. Q = scale*Sigma plus a ridge of
+    _RIDGE times its mean diagonal is built once per distinct scale (gamma
+    for MVS and MVSC, 2 for MIN and MINC), and `_start` solves each
+    distinct budget-only system once. As many whole strategies as fit in
     _BLOCK_KKT elements run as one lockstep (`_active_set_qp`); a strategy
     that does not fit alone runs in blocks of dates. Each problem gets
     exactly the weights it would get alone: a strategy gets what solving it

@@ -605,9 +605,9 @@ class TestMemory:
 class TestStrategyIndependence:
     def test_adding_or_removing_a_strategy_changes_no_other(self):
         # The strategies of a covariance stack are solved in one call, which
-        # shares their Q, budget-only solves and curvature guards and runs
-        # them in one lockstep: dropping any one strategy from the run leaves
-        # every number of every other strategy as it was, bit for bit.
+        # shares their Q and budget-only solves and runs them in one
+        # lockstep: dropping any one strategy from the run leaves every
+        # number of every other strategy as it was, bit for bit.
         panel = synth_panel(months=70, n_assets=5, model="clayton", seed=4)
         labels = ("EW", "MVS", "MVSC", "MIN", "MINC", "MVSC-L", "MIN-L")
         full = run_backtest(panel, BacktestConfig(window=40, strategies=specs(*labels)))

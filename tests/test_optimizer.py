@@ -99,6 +99,14 @@ class TestAnalyticCases:
         w = solve_minvar(np.eye(5), minvar_spec(lb=0.0))
         assert np.allclose(w, 0.2, atol=1e-10)
 
+    @pytest.mark.parametrize("n", [1, 3, 24])
+    def test_minvar_zero_covariance_gets_equal_weights(self, n):
+        # A zero Sigma has no scale for Q's relative ridge, so its ridge is
+        # I, and every portfolio has the same zero variance.
+        for kind in ("MIN", "MINC"):
+            w = solve_minvar(np.zeros((n, n)), StrategySpec(kind))
+            assert np.array_equal(w, equal_weights(n))
+
 
 class TestBruteForceOracles:
     def test_random_qps_beat_projected_gradient(self, rng):

@@ -2,10 +2,13 @@
 
 `reference_active_set_qp` is the sequential solver the package used before
 the batched one, kept as the oracle (it also returns its final active set,
-and its ratio test is split out). It starts every problem at equal weights:
-the batched solver must follow that exact iterate path wherever it does not
-start a problem from the clamped solve, and reach the same active set where
-it does. `enumerated_optimum` is an oracle that shares no code with either.
+and its ratio test is split out). By default it starts from its own
+sequential clamped solve, and the batched solver must follow that exact
+iterate path. With clamp=False it starts at equal weights, the path the
+package took before every problem started clamped: Q's relative ridge makes
+the optimum independent of the path, so on the well-posed and PD-repaired
+stacks below both starts return the same weights. `enumerated_optimum` is
+an oracle that shares no code with either.
 """
 
 import itertools
@@ -42,8 +45,13 @@ def reference_ratio_test(w, step, free, lb):
     return alpha, block
 
 
-def reference_active_set_qp(q, c, lb):
-    """Minimize 0.5 w'Qw + c'w subject to sum(w) = 1 and w >= lb, one problem."""
+def reference_active_set_qp(q, c, lb, clamp=True):
+    """Minimize 0.5 w'Qw + c'w subject to sum(w) = 1 and w >= lb, one problem.
+
+    With `clamp`, each solution pins every bound it breaks by more than
+    1e-15 and is solved again, until one is feasible; the search goes on
+    from there. Without it, the search starts at equal weights.
+    """
     n = len(c)
     w = np.full(n, 1.0 / n)
     active = np.zeros(n, dtype=bool)
@@ -73,7 +81,14 @@ def reference_active_set_qp(q, c, lb):
             lam = float(sol[k])
             step = target - w
 
-            if float(np.max(np.abs(step))) > 1e-13:
+            if clamp:
+                broken = free & (target < lb - 1e-15)
+                w = np.where(broken, lb, target)
+                active |= broken
+                clamp = bool(broken.any())
+                if clamp:
+                    continue
+            elif float(np.max(np.abs(step))) > 1e-13:
                 alpha, block = reference_ratio_test(w, step, free, lb)
                 w = w + alpha * step
                 if block >= 0:
@@ -131,20 +146,20 @@ def lockstep(q, c, lb):
     """`_active_set_qp` on P problems, each with its own Q and c, all with
     lower bound lb, from the start `_start` gives them."""
     p = len(c)
-    return _active_set_qp(q, np.arange(p), c, np.full(p, float(lb)), clamped_start(q, c, lb))
-
-
-def clamped_start(q, c, lb):
-    """`_start` for P problems of one strategy: (w0, lam0, singular, clamp)."""
-    return _start(q[None], [c], [(0, 0, lb)])
+    start = _start(q[None], [c], [(0, 0)])
+    return _active_set_qp(q, np.arange(p), c, np.full(p, float(lb)), start)
 
 
 def objective_terms(spec, sigma, mu):
-    """The (q, c) of the stack, built as solve_strategies builds them."""
+    """The (q, c) of the stack, built as solve_strategies builds them: a
+    ridge of 1e-9 times the mean diagonal of scale*Sigma, or 1 where that
+    mean is not positive."""
     n = sigma.shape[1]
-    if spec.kind in ("MVS", "MVSC"):
-        return spec.gamma * sigma + 1e-12 * np.eye(n), -mu
-    return 2.0 * sigma + 1e-12 * np.eye(n), np.zeros(mu.shape)
+    mv = spec.kind in ("MVS", "MVSC")
+    q = (spec.gamma if mv else 2.0) * sigma
+    mean = np.trace(q, axis1=1, axis2=2) / n
+    q = q + np.where(mean > 0.0, 1e-9 * mean, 1.0)[:, None, None] * np.eye(n)
+    return q, -mu if mv else np.zeros(mu.shape)
 
 
 @settings(max_examples=150, deadline=None)
@@ -202,11 +217,11 @@ def failure_messages(failures):
 @settings(max_examples=100, deadline=None)
 @given(strategy_stacks(), st.sampled_from([None, 1, 3, 40]))
 def test_strategies_solved_together_as_alone(problem, block):
-    # One call over several strategies shares Q, the budget-only solves and
-    # the curvature guard, and runs whole strategies in one lockstep; each
-    # strategy gets the weights and failure map of solving it alone, bit for
-    # bit. A block of `block` KKT systems (None: the package's) splits the
-    # dates into blocks and the strategies into locksteps.
+    # One call over several strategies shares Q and the budget-only solves,
+    # and runs whole strategies in one lockstep; each strategy gets the
+    # weights and failure map of solving it alone, bit for bit. A block of
+    # `block` KKT systems (None: the package's) splits the dates into blocks
+    # and the strategies into locksteps.
     specs, sigma, mu = problem
     n = sigma.shape[1]
     size = optimizer._BLOCK_KKT if block is None else block * (n + 1) ** 2
@@ -426,10 +441,9 @@ def wide_window(n_dates=343, n=24):
 def test_window_of_wide_problems_matches_reference(kind):
     # A strategy-window of the global_wide benchmark: 343 dates of 24 Clayton
     # assets, window 120, solved as one lockstep. MVSC's budget-only optimum
-    # breaks bounds on every date, so every date starts from the clamped
-    # solve: the same active set by a shorter path, with weights that agree
-    # within 1e-14. MIN binds no bound and keeps the reference's path bit for
-    # bit.
+    # breaks bounds on every date, and MIN's on none. Both follow the
+    # reference's clamped path bit for bit, and reach the active set and,
+    # within 1e-14, the weights of the path from equal weights.
     sigma, mu = wide_window()
     n_dates, n = mu.shape
     assert optimizer._BLOCK_KKT // (n + 1) ** 2 >= n_dates
@@ -437,14 +451,16 @@ def test_window_of_wide_problems_matches_reference(kind):
     w, failures = solve_strategies([spec], sigma, mu)[0]
     assert not failures
     q, c = objective_terms(spec, sigma, mu)
-    clamped = clamped_start(q, c, spec.lower_bound)[3]
-    assert clamped.all() if kind == "MVSC" else not clamped.any()
+    broken = (budget_only_optimum(q, c) < spec.lower_bound).any(axis=1)
+    assert broken.all() if kind == "MVSC" else not broken.any()
     active = lockstep(q, c, spec.lower_bound)[3]
-    tol = 0.0 if kind == "MIN" else 1e-14
     for i in range(n_dates):
         w_ref, _, _, active_ref = reference_active_set_qp(q[i], c[i], spec.lower_bound)
         assert np.array_equal(active[i], active_ref)
-        assert np.max(np.abs(w[i] - w_ref)) <= tol
+        assert np.array_equal(w[i], w_ref)
+        w_ew, _, _, active_ew = reference_active_set_qp(q[i], c[i], spec.lower_bound, clamp=False)
+        assert np.array_equal(active[i], active_ew)
+        assert np.max(np.abs(w[i] - w_ew)) <= 1e-14
 
 
 @pytest.mark.parametrize("kinds", ["MVS", "MVSC", "MIN", "MINC", "MVS,MVSC,MIN,MINC"])
@@ -514,8 +530,7 @@ def test_matches_active_set_enumeration(n, p, floor, kind, data):
     # Well-conditioned problems only (smallest eigenvalue of Q far above
     # KKT_TOL), where the optimum and, away from degeneracy, its active set
     # are unique. Means up to 10x the covariance's scale push the budget-only
-    # optimum across many bounds, so many problems start from the clamped
-    # solve.
+    # optimum across many bounds, and the clamped start pins many of them.
     if floor == "random":
         lb = data.draw(st.floats(-1.0, 1.0 / n, allow_nan=False, exclude_max=True))
     else:
@@ -555,19 +570,18 @@ def budget_only_optimum(q, c):
     "kind, v",
     [
         # Two copies of one asset: the budget-only optimum breaks 1 of 3
-        # bounds, and only the curvature guard keeps it from the clamped start.
+        # bounds.
         ("MVS", [2.37e-5, 2.37e-5, 4.48e-5]),
-        # This one breaks 2 of 4, and only the curvature guard keeps it from
-        # the clamped start. The vertex (1, 0, 0, 0) also passes KKT_TOL: it
-        # differs from the reference's optimum in the 1e-12 ridge term alone,
-        # so a start that reached it would move the weights by 0.5.
+        # This one breaks 2 of 4. The vertex (1, 0, 0, 0) also passes
+        # KKT_TOL, and differs from the optimum in the ridge term alone, so
+        # a start that stopped there would move the weights by 0.5.
         ("MVSC", [1e-6, 1e-6, 1.156e-5, 1.681e-5]),
     ],
 )
-def test_rank_one_covariance_keeps_reference_path(kind, v):
+def test_rank_one_covariance_is_path_independent(kind, v):
     # Sigma = v v' exactly (v is the square root of its diagonal), so the
-    # smallest eigenvalue of Q is the 1e-12 ridge, and the problem keeps the
-    # path from equal weights.
+    # smallest eigenvalue of Q is the ridge, far below KKT_TOL. The clamped
+    # start and the path from equal weights return the same weights.
     root = np.sqrt(np.array(v))
     sigma = np.outer(root, root)[None]
     mu = np.zeros((1, len(v)))
@@ -576,23 +590,30 @@ def test_rank_one_covariance_keeps_reference_path(kind, v):
     assert np.linalg.eigvalsh(q[0])[0] < KKT_TOL
     broken = (budget_only_optimum(q, c) < spec.lower_bound).sum()
     assert broken == (1 if kind == "MVS" else 2)
-    assert not clamped_start(q, c, spec.lower_bound)[3].any()
     w, failures = solve_strategies([spec], sigma, mu)[0]
     assert not failures
     assert np.array_equal(w[0], reference_active_set_qp(q[0], c[0], spec.lower_bound)[0])
+    w_ew = reference_active_set_qp(q[0], c[0], spec.lower_bound, clamp=False)[0]
+    assert np.max(np.abs(w[0] - w_ew)) <= 1e-14
 
 
-def test_repaired_tail_stack_keeps_reference_path():
-    # The local stack of the tail_wide benchmark at panel seed 5: 12 Clayton
-    # assets, window 120, a 5% percentile grid. Every date is PD-repaired to a
-    # smallest eigenvalue near 1e-12, under KKT_TOL, so no problem starts from
-    # the clamped solve, solved alone or with the other strategies.
-    panel = synth_panel(months=140, n_assets=12, model="clayton", seed=5)
-    specs = [StrategySpec.from_label(label) for label in ("MIN-L", "MVS-L")]
+def tail_wide_local_stack(seed, labels):
+    """(specs, sigma, means) of the local stack of the tail_wide benchmark at
+    panel seed `seed`: 12 Clayton assets, window 120, a 5% percentile grid,
+    every date PD-repaired to a smallest eigenvalue near 1e-12."""
+    panel = synth_panel(months=140, n_assets=12, model="clayton", seed=seed)
+    specs = [StrategySpec.from_label(label) for label in labels]
     config = BacktestConfig(window=120, strategies=specs, grid_method="percentile")
     means, covariances, diagnostics = _estimate(panel.returns, config, {"local"})
     sigma, errors = covariances["local"]
     assert not errors and all(d["local_pd_repaired"] for d in diagnostics)
+    return specs, sigma, means
+
+
+def test_repaired_tail_stack_follows_reference_path():
+    # Solved alone or with the other strategies, each problem of a repaired
+    # stack follows the reference's clamped path bit for bit.
+    specs, sigma, means = tail_wide_local_stack(5, ("MIN-L", "MVS-L"))
     together = solve_strategies(specs, sigma, means)
     for spec, (w_all, failed_all) in zip(specs, together):
         w, failures = solve_strategies([spec], sigma, means)[0]
@@ -603,11 +624,27 @@ def test_repaired_tail_stack_keeps_reference_path():
             assert np.array_equal(w[i], reference_active_set_qp(q[i], c[i], spec.lower_bound)[0])
 
 
+@pytest.mark.parametrize("seed", [2, 5])
+def test_repaired_tail_stack_is_path_independent(seed):
+    # On the benchmark's repaired stacks, the clamped start returns the
+    # weights of the path from equal weights to 1e-14. With an absolute
+    # 1e-12 ridge in Q, seed 2's MIN-L weights differed between the two
+    # paths by 0.47.
+    specs, sigma, means = tail_wide_local_stack(seed, ("MVS-L", "MVSC-L", "MIN-L", "MINC-L"))
+    for spec, (w, failures) in zip(specs, solve_strategies(specs, sigma, means)):
+        assert not failures
+        q, c = objective_terms(spec, sigma, means)
+        for i in range(len(sigma)):
+            w_ew = reference_active_set_qp(q[i], c[i], spec.lower_bound, clamp=False)[0]
+            assert np.max(np.abs(w[i] - w_ew)) <= 1e-14
+
+
 def test_mixed_stack_solves_each_problem_as_alone(rng):
     # Long-only mean-variance problems whose budget-only optimum breaks most
-    # bounds: the full-rank half starts from the clamped solve and reaches
-    # the reference's active set, and the rank-two half (smallest eigenvalue
-    # the 1e-12 ridge) keeps the reference path bit for bit.
+    # bounds: a full-rank half, and a rank-two half whose smallest eigenvalue
+    # is the ridge. Each problem gets its weights alone, follows the
+    # reference's clamped path bit for bit, and reaches the active set and,
+    # within 1e-14, the weights of the path from equal weights.
     p, n = 12, 8
     full = np.arange(p) % 2 == 0
     a = rng.standard_normal((p, n, n))
@@ -617,8 +654,7 @@ def test_mixed_stack_solves_each_problem_as_alone(rng):
     mu = 3e-3 * rng.standard_normal((p, n))
     spec = StrategySpec("MVSC")
     q, c = objective_terms(spec, sigma, mu)
-    clamped = clamped_start(q, c, 0.0)[3]
-    assert np.flatnonzero(clamped).tolist() == list(range(0, p, 2))
+    assert np.all(np.linalg.eigvalsh(q[~full])[:, 0] < KKT_TOL)
     assert np.all(3 * (budget_only_optimum(q, c) < 0.0).sum(axis=1) > n)
     w, failures = solve_strategies([spec], sigma, mu)[0]
     assert not failures
@@ -627,11 +663,11 @@ def test_mixed_stack_solves_each_problem_as_alone(rng):
         w_one = solve_strategies([spec], sigma[i : i + 1], mu[i : i + 1])[0][0]
         assert np.array_equal(w[i], w_one[0])
         w_ref, _, _, active_ref = reference_active_set_qp(q[i], c[i], 0.0)
-        if i % 2:
-            assert np.array_equal(w[i], w_ref)
-        else:
-            assert np.array_equal(active[i], active_ref)
-            assert np.max(np.abs(w[i] - w_ref)) <= 1e-14
+        assert np.array_equal(w[i], w_ref)
+        assert np.array_equal(active[i], active_ref)
+        w_ew, _, _, active_ew = reference_active_set_qp(q[i], c[i], 0.0, clamp=False)
+        assert np.array_equal(active[i], active_ew)
+        assert np.max(np.abs(w[i] - w_ew)) <= 1e-14
 
 
 @settings(max_examples=100, deadline=None)

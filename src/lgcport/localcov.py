@@ -180,11 +180,25 @@ def _nearest_correlations(corr: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.
     return (out + out.transpose(0, 2, 1)) / 2.0, iterations, converged
 
 
+def _check_symmetric(matrix) -> np.ndarray:
+    """`matrix` as a float array, which must be square, nonempty, finite and
+    symmetric to 1e-12 of its largest entry (of 1 where that is smaller)."""
+    m = np.asarray(matrix, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+        raise ValueError("matrix must be square and nonempty, got shape %r" % (m.shape,))
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix contains non-finite values")
+    scale = float(np.max(np.abs(m)))
+    if not np.allclose(m, m.T, rtol=0.0, atol=1e-12 * max(scale, 1.0)):
+        raise NonSymmetricError("matrix is not symmetric")
+    return m
+
+
 def nearest_correlation(corr: np.ndarray) -> np.ndarray:
     """Nearest correlation matrix by Anderson-accelerated alternating
     projections: the one-matrix case of the stacked projection (see
-    _nearest_correlations)."""
-    return _nearest_correlations(np.asarray(corr, dtype=float)[None])[0][0]
+    _nearest_correlations). `corr` is checked as nearest_pd's input is."""
+    return _nearest_correlations(_check_symmetric(corr)[None])[0][0]
 
 
 def _repair(cov: np.ndarray) -> Tuple[np.ndarray, RepairRecord]:
@@ -268,15 +282,7 @@ def _repair(cov: np.ndarray) -> Tuple[np.ndarray, RepairRecord]:
 def nearest_pd(matrix) -> Tuple[np.ndarray, bool]:
     """Repair a symmetric matrix to positive definiteness, if needed: the
     one-matrix case of _repair. Returns (matrix, repaired_flag)."""
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("matrix must be square, got shape %r" % (m.shape,))
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix contains non-finite values")
-    scale = float(np.max(np.abs(m))) if m.size else 0.0
-    if not np.allclose(m, m.T, rtol=0.0, atol=1e-12 * max(scale, 1.0)):
-        raise NonSymmetricError("matrix is not symmetric")
-    out, record = _repair(m[None])
+    out, record = _repair(_check_symmetric(matrix)[None])
     return out[0], bool(record.repaired[0])
 
 

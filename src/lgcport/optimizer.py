@@ -100,6 +100,8 @@ def _check_inputs(sigma, mu):
     if s.ndim != 3 or s.shape[1] != s.shape[2]:
         raise ValueError("covariance stack must have shape (P, n, n), got %r" % (s.shape,))
     n = s.shape[2]
+    if n < 1:
+        raise ValueError("need at least one asset")
     if not np.all(np.isfinite(s)):
         raise ValueError("covariance contains non-finite values")
     if mu is not None:
@@ -109,51 +111,26 @@ def _check_inputs(sigma, mu):
     return s, mu, n
 
 
-def _attempt(lapack, stacks):
-    """`lapack` over the stacks, or None if it raises LinAlgError."""
+def _solve(kkt, rhs):
+    """np.linalg.solve over a (P, m, m) stack of KKT systems, and the (P,)
+    flags of the singular ones, whose solutions are NaN.
+
+    Where the stacked call raises LinAlgError, the systems are solved one at
+    a time. A system's solution does not depend on its stack, so every
+    result and flag is the one a call on that system alone gives.
+    """
     try:
-        return lapack(*stacks)
+        return np.linalg.solve(kkt, rhs), np.zeros(len(kkt), dtype=bool)
     except np.linalg.LinAlgError:
-        return None
-
-
-def _stacked(lapack, *stacks):
-    """`lapack` (np.linalg.solve, say) over stacks of problems, and the (P,)
-    flags of the problems it fails on.
-
-    A failed problem's result is NaN, in an array of the last stack's shape.
-    If the stacked call raises LinAlgError, the failures are found by halves
-    (see _split). A problem's result does not depend on its stack, so every
-    result and flag is the one a call on that problem alone would give.
-    """
-    out = _attempt(lapack, stacks)
-    if out is None:
-        return _split(lapack, stacks)
-    return out, np.zeros(len(stacks[0]), dtype=bool)
-
-
-def _split(lapack, stacks):
-    """_stacked's results and flags for stacks on which `lapack` raised.
-
-    Each half is tried. A half that raises while the other does not is split
-    the same way, down to one problem, which is the failure. Where both
-    halves raise, failures are dense, and the stacks go one problem at a
-    time. One failure among P problems costs 2 log2(P) calls after the first,
-    and no pattern costs more than P + 2 log2(P).
-    """
-    p = len(stacks[0])
-    if p == 1:
-        return np.full(stacks[-1].shape, np.nan), np.ones(1, dtype=bool)
-    halves = ([s[: p // 2] for s in stacks], [s[p // 2 :] for s in stacks])
-    outs = [_attempt(lapack, half) for half in halves]
-    if outs[0] is None and outs[1] is None:
-        parts = [_stacked(lapack, *(s[i : i + 1] for s in stacks)) for i in range(p)]
-    else:
-        parts = [
-            _split(lapack, half) if out is None else (out, np.zeros(len(half[0]), dtype=bool))
-            for out, half in zip(outs, halves)
-        ]
-    return np.concatenate([part[0] for part in parts]), np.concatenate([part[1] for part in parts])
+        pass
+    out = np.full(rhs.shape, np.nan)
+    failed = np.zeros(len(kkt), dtype=bool)
+    for i in range(len(kkt)):
+        try:
+            out[i] = np.linalg.solve(kkt[i], rhs[i])
+        except np.linalg.LinAlgError:
+            failed[i] = True
+    return out, failed
 
 
 def _ratio_test(w, step, free, lb):
@@ -218,7 +195,7 @@ def _start(q, cs, strategies):
             kkt[:, :n, :n] = q[i]
             rhs[:, :n, 0] = -cs[k]
             rhs[:, n, 0] = 1.0
-            solved[i, k] = _stacked(np.linalg.solve, kkt, rhs)
+            solved[i, k] = _solve(kkt, rhs)
     sols = [solved[key] for key in strategies]
     return (
         np.concatenate([sol[:, :n, 0] for sol, _ in sols]),
@@ -235,8 +212,8 @@ def _active_set_qp(q, qi, c, lb, start):
     `_start`'s (w0, lam0, singular) for the P problems. Every problem runs
     the primal active-set method in lockstep: each iteration groups the live
     problems by free-set size k and solves their (k+1) x (k+1) reduced KKT
-    systems in one stacked call, so each problem takes the same iterate path
-    and the same LAPACK call it would take alone. Deterministic: ties break
+    systems in one `_solve`, so each problem takes the same iterate path and
+    gets the same solutions it would get alone. Deterministic: ties break
     at the lowest index.
 
     A problem starts from the clamped solve: it takes its budget-only
@@ -296,7 +273,7 @@ def _active_set_qp(q, qi, c, lb, start):
             kkt[:, :size, :size] = flat_q[row_f + fi[:, None, :]]
             q_fa = flat_q[row_f + ai[:, None, :]]
             rhs[:, :size, 0] = -c[idx[:, None], fi] - (q_fa @ w[idx[:, None], ai, None])[:, :, 0]
-            sol, singular[rows] = _stacked(np.linalg.solve, kkt, rhs)
+            sol, singular[rows] = _solve(kkt, rhs)
             target[rows[:, None], fi] = sol[:, :size, 0]
             lam[idx] = sol[:, size, 0]
         step = target - w[live]

@@ -92,15 +92,25 @@ class TestNearestPd:
         assert np.linalg.eigvalsh(out)[0] > 0.0
         assert np.allclose(np.diag(out), 1.0, atol=1e-8)
 
-    def test_rejects_asymmetric(self):
+    # Both public repair functions validate their input the same way.
+    @pytest.mark.parametrize("repair", [nearest_pd, nearest_correlation])
+    def test_rejects_asymmetric(self, repair):
         with pytest.raises(NonSymmetricError):
-            nearest_pd(np.array([[1.0, 0.5], [0.2, 1.0]]))
+            repair(np.array([[1.0, 0.5], [0.2, 1.0]]))
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("repair", [nearest_pd, nearest_correlation])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_rejects_non_finite(self, bad):
+    def test_rejects_non_finite(self, repair, bad):
         with pytest.raises(ValueError, match="non-finite"):
-            nearest_pd(np.array([[1.0, 0.5], [0.5, bad]]))
+            repair(np.array([[1.0, 0.5], [0.5, bad]]))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("repair", [nearest_pd, nearest_correlation])
+    @pytest.mark.parametrize("shape", [(0, 0), (2, 3), (3,)], ids=["0x0", "2x3", "vector"])
+    def test_rejects_empty_or_not_square(self, repair, shape):
+        with pytest.raises(ValueError, match="square and nonempty"):
+            repair(np.ones(shape))
 
     def test_correlation_stage_beats_clipping(self, rng):
         for n in (3, 5, 8):

@@ -28,6 +28,7 @@ from lgcport.optimizer import (
     _active_set_qp,
     _ratio_test,
     _start,
+    solve_minvar,
     solve_strategies,
 )
 from lgcport.synth import synth_panel
@@ -308,38 +309,18 @@ def test_ratio_test_scans_rows_where_argmin_differs():
         assert np.array_equal(alpha[r], want_alpha)
 
 
-def test_failed_stacked_call_is_retried_by_halves():
-    # A singular middle system makes the stacked solve and Cholesky raise;
-    # the others get what they would get alone, and it gets NaN.
-    kkt = np.stack([2.0 * np.eye(2), np.zeros((2, 2)), [[2.0, 1.0], [1.0, 3.0]]])
-    rhs = np.ones((3, 2, 1))
-    for lapack, args in ((np.linalg.solve, (kkt, rhs)), (np.linalg.cholesky, (kkt,))):
-        out, failed = optimizer._stacked(lapack, *args)
-        assert failed.tolist() == [False, True, False]
-        assert np.isnan(out[1]).all()
-        for i in (0, 2):
-            assert np.array_equal(out[i], lapack(*(a[i] for a in args)))
-    out, failed = optimizer._stacked(np.linalg.solve, kkt[::2], rhs[::2])
-    assert not failed.any() and np.array_equal(out, np.linalg.solve(kkt[::2], rhs[::2]))
-
-
-def counted(lapack, calls):
-    def call(*stacks):
-        calls.append(len(stacks[0]))
-        return lapack(*stacks)
-
-    return call
-
-
-@pytest.mark.parametrize("pattern", ["one", "two_adjacent", "two_apart", "dense", "all", "random"])
-def test_stacked_retry_costs_and_results(rng, pattern):
-    # Each result and flag is that of a call on the problem alone; one
-    # failure among P costs O(log P) calls, and no pattern more than
-    # P + 2 log2(P) after the first call.
+@pytest.mark.parametrize(
+    "pattern", ["none", "one", "two_adjacent", "two_apart", "dense", "all", "random"]
+)
+def test_solve_gives_each_system_what_it_gets_alone(rng, pattern):
+    # Singular systems make the stacked solve raise, and the systems are then
+    # solved one at a time: each result and flag is that of a call on the
+    # system alone, and a singular system's row is NaN.
     p, n = 1000, 4
     a = rng.standard_normal((p, n, n))
-    spd = a @ a.transpose(0, 2, 1) + n * np.eye(n)
+    kkt = a @ a.transpose(0, 2, 1) + n * np.eye(n)
     bad = {
+        "none": [],
         "one": [617],
         "two_adjacent": [300, 301],
         "two_apart": [3, 998],
@@ -347,22 +328,16 @@ def test_stacked_retry_costs_and_results(rng, pattern):
         "all": list(range(p)),
         "random": np.flatnonzero(rng.random(p) < 0.02).tolist(),
     }[pattern]
-    indefinite, singular = spd.copy(), spd.copy()
-    indefinite[bad] *= -1.0
-    singular[bad] = 0.0
+    kkt[bad] = 0.0
     rhs = rng.standard_normal((p, n, 1))
-    for lapack, args in ((np.linalg.cholesky, (indefinite,)), (np.linalg.solve, (singular, rhs))):
-        calls = []
-        out, failed = optimizer._stacked(counted(lapack, calls), *args)
-        assert np.flatnonzero(failed).tolist() == sorted(bad)
-        for i in range(p):
-            if failed[i]:
-                assert np.isnan(out[i]).all()
-            else:
-                assert np.array_equal(out[i], lapack(*(x[i] for x in args)))
-        if pattern == "one":
-            assert len(calls) <= 2 * np.ceil(np.log2(p)) + 1
-        assert len(calls) <= p + 2 * np.log2(p) + 1
+    out, failed = optimizer._solve(kkt, rhs)
+    assert out.shape == rhs.shape
+    assert np.flatnonzero(failed).tolist() == sorted(bad)
+    for i in range(p):
+        if failed[i]:
+            assert np.isnan(out[i]).all()
+        else:
+            assert np.array_equal(out[i], np.linalg.solve(kkt[i], rhs[i]))
 
 
 @pytest.mark.parametrize("kind, lb", [("MVS", -0.5), ("MVSC", 0.0), ("MINC", 0.0)])
@@ -473,14 +448,13 @@ def test_no_kkt_system_is_solved_twice(kinds, monkeypatch):
     sigma, mu = wide_window()
     specs = [StrategySpec(kind) for kind in kinds.split(",")]
     solved = []
-    stacked = optimizer._stacked
+    solve = optimizer._solve
 
-    def recorded(lapack, *stacks):
-        if lapack is np.linalg.solve:
-            solved.extend(kkt.tobytes() + rhs.tobytes() for kkt, rhs in zip(*stacks))
-        return stacked(lapack, *stacks)
+    def recorded(kkt, rhs):
+        solved.extend(a.tobytes() + b.tobytes() for a, b in zip(kkt, rhs))
+        return solve(kkt, rhs)
 
-    monkeypatch.setattr(optimizer, "_stacked", recorded)
+    monkeypatch.setattr(optimizer, "_solve", recorded)
     for w, failures in solve_strategies(specs, sigma, mu):
         assert not failures
     assert len(solved) >= len(mu)
@@ -705,6 +679,44 @@ def test_nan_kkt_residual_fails_the_problem():
     assert np.isnan(w[0]).all()
     w_one = solve_strategies([StrategySpec("MIN")], sigma[1:], None)[0][0]
     assert np.array_equal(w[1], w_one[0])
+
+
+def test_singular_date_fails_only_its_problems(rng):
+    # Date 2 is Sigma = -0.5 I. At scale 2 the mean diagonal of 2 Sigma is
+    # not positive, so the ridge is I and Q = 0 exactly: every KKT system of
+    # that date is singular. At scale 1, Q = 0.5 I is well posed.
+    p, n = 5, 3
+    a = rng.standard_normal((p, n, n))
+    sigma = a @ a.transpose(0, 2, 1) + n * np.eye(n)
+    sigma[2] = -0.5 * np.eye(n)
+    mu = rng.standard_normal((p, n))
+    specs = [
+        StrategySpec("MIN"),
+        StrategySpec("MINC"),
+        StrategySpec("MVS", gamma=2.0),
+        StrategySpec("MVSC"),
+        StrategySpec("MVS", gamma=1.0),
+    ]
+    failed = {2: (SolverError, "singular KKT system")}
+    for j, (spec, (w, failures)) in enumerate(zip(specs, solve_strategies(specs, sigma, mu))):
+        singular = j < 3
+        assert failure_messages(failures) == (failed if singular else {})
+        assert np.isnan(w[2]).all() == singular
+        for d in range(p):
+            alone = solve_strategies([spec], sigma[d : d + 1], mu[d : d + 1])[0]
+            assert failure_messages(alone[1]) == ({0: failed[2]} if singular and d == 2 else {})
+            assert np.array_equal(w[d], alone[0][0], equal_nan=True)
+    with pytest.raises(SolverError, match="singular KKT system"):
+        solve_minvar(-0.5 * np.eye(n), StrategySpec("MIN"))
+
+
+@pytest.mark.filterwarnings("error")
+def test_zero_assets_are_rejected():
+    specs = [StrategySpec("MIN"), StrategySpec("MVSC")]
+    with pytest.raises(ValueError, match="at least one asset"):
+        solve_strategies(specs, np.zeros((2, 0, 0)), np.zeros((2, 0)))
+    with pytest.raises(ValueError, match="at least one asset"):
+        solve_minvar(np.zeros((0, 0)), StrategySpec("MIN"))
 
 
 @settings(max_examples=20, deadline=None)
